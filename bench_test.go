@@ -149,6 +149,22 @@ func BenchmarkWhatIfCost(b *testing.B) {
 	}
 }
 
+// BenchmarkFillCosts is the set-up path: a fresh optimizer costs each of
+// 10 000 Scale-M queries once under the current design, so every call is
+// a cold plan computation (the compiled plan's skeleton build included).
+func BenchmarkFillCosts(b *testing.B) {
+	gen := benchmarks.ScaleM(1, benchmarks.ScaleMDefaultTemplates)
+	w, err := gen.Workload(10000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cost.NewOptimizer(gen.Cat).FillCostsN(w, 1)
+	}
+}
+
 func BenchmarkCompressSummary(b *testing.B) {
 	w, _ := benchWorkload(b, 110)
 	comp := core.New(core.DefaultOptions())

@@ -335,6 +335,9 @@ func (a *Advisor) selectCandidates(ctx context.Context, w *workload.Workload, re
 	probed := a.opts.Telemetry.Counter("advisor/candidates/probed")
 	progress := a.opts.Progress
 	elide := a.opts.Elide && a.o.ElisionEnabled()
+	// Each candidate is probed alone: a view of the empty configuration
+	// plus the candidate, which copies nothing.
+	var empty *index.Configuration
 	var processed atomic.Int64 // progress counter; workers emit, so Progress must be concurrency-safe
 	perQuery, mapErr := parallel.Map(ctx, parallel.Workers(a.opts.Parallelism), len(w.Queries),
 		func(i int) *queryCandidates {
@@ -384,7 +387,7 @@ func (a *Advisor) selectCandidates(ctx context.Context, w *workload.Workload, re
 						continue
 					}
 				}
-				c, err := a.o.CostContext(ctx, q, index.NewConfiguration(ix))
+				c, err := a.o.CostContext(ctx, q, empty.Probe(index.NewMember(ix)))
 				if err != nil {
 					if isCancel(err) {
 						return nil // drop the half-probed query
@@ -573,6 +576,16 @@ func (a *Advisor) enumerate(ctx context.Context, w *workload.Workload, cands []s
 	workers := parallel.Workers(a.opts.Parallelism)
 	elide := a.opts.Elide && a.o.ElisionEnabled()
 
+	// Per remaining candidate, spliced alongside it: the index with its
+	// canonical ID, which probes add to the configuration as a view, and
+	// its size against the storage budget.
+	mems := make([]index.Member, len(remaining))
+	sizes := make([]int64, len(remaining))
+	for i, c := range remaining {
+		mems[i] = index.NewMember(c.ix)
+		sizes[i] = c.ix.SizeBytes(a.o.Catalog())
+	}
+
 	// Per-query weights, shared by the probe loop and the elision bounds.
 	wts := make([]float64, len(w.Queries))
 	for i, q := range w.Queries {
@@ -638,8 +651,8 @@ func (a *Advisor) enumerate(ctx context.Context, w *workload.Workload, cands []s
 		cfgRel  []int     // per query: # configuration indexes on its tables
 	)
 	// Cross-round probe memo. A probe's cost depends only on the trial
-	// configuration's indexes on the query's tables (the planner consults
-	// ForTable per block — the same relevance invariant that lets the
+	// configuration's indexes on the query's tables (the optimizer plans
+	// with those members only — the same relevance invariant that lets the
 	// probe loop re-cost only queriesByTable[cand.Table]), so the value
 	// for (candidate, query) holds verbatim across rounds until a chosen
 	// index lands on one of the query's tables. qVer tracks that: bumped
@@ -693,7 +706,7 @@ func (a *Advisor) enumerate(ctx context.Context, w *workload.Workload, cands []s
 		}
 		candIDs = make([]int32, len(remaining))
 		for i := range remaining {
-			candIDs[i] = a.o.InternIndexID(remaining[i].ix.ID())
+			candIDs[i] = a.o.InternIndexID(mems[i].ID)
 		}
 		candMemo = make([]map[int]probeMemo, len(remaining))
 		qVer = make([]int, len(w.Queries))
@@ -748,11 +761,8 @@ func (a *Advisor) enumerate(ctx context.Context, w *workload.Workload, cands []s
 			bStar := 0.0
 			for i := range remaining {
 				cand := remaining[i]
-				if a.opts.StorageBudget > 0 {
-					sz := cand.ix.SizeBytes(a.o.Catalog())
-					if used+sz > a.opts.StorageBudget {
-						continue // skipped, not probed: no witness, no prune
-					}
+				if a.opts.StorageBudget > 0 && used+sizes[i] > a.opts.StorageBudget {
+					continue // skipped, not probed: no witness, no prune
 				}
 				// The candidate's gain accrues only on its structurally
 				// relevant queries (irrelevant ones are bitwise
@@ -783,17 +793,14 @@ func (a *Advisor) enumerate(ctx context.Context, w *workload.Workload, cands []s
 			}
 		}
 		// Probe every remaining candidate in parallel: each probe re-costs
-		// only the queries on the candidate's table against a private
-		// cfg+candidate copy, reading cfg/curCost/queriesByTable without
+		// only the queries on the candidate's table against a
+		// cfg+candidate view, reading cfg/curCost/queriesByTable without
 		// mutation. The argmax below reduces serially in candidate order,
 		// so the chosen index matches the serial scan exactly.
 		probes, mapErr := parallel.Map(ctx, workers, len(remaining), func(i int) probe {
 			cand := remaining[i]
-			if a.opts.StorageBudget > 0 {
-				sz := cand.ix.SizeBytes(a.o.Catalog())
-				if used+sz > a.opts.StorageBudget {
-					return probe{}
-				}
+			if a.opts.StorageBudget > 0 && used+sizes[i] > a.opts.StorageBudget {
+				return probe{}
 			}
 			p := probe{newCosts: map[int]float64{}}
 			if pruned != nil && pruned[i] {
@@ -801,7 +808,7 @@ func (a *Advisor) enumerate(ctx context.Context, w *workload.Workload, cands []s
 				// out of contention while still counting as explored.
 				return p
 			}
-			trial := cfg.With(cand.ix)
+			trial := cfg.Probe(mems[i])
 			qis := queriesByTable[lower(cand.ix.Table)]
 			if elide {
 				// Structurally irrelevant pairs cost bitwise the current
@@ -895,11 +902,13 @@ func (a *Advisor) enumerate(ctx context.Context, w *workload.Workload, cands []s
 		}
 		chosen := remaining[bestIdx]
 		cfg.Add(chosen.ix)
-		used += chosen.ix.SizeBytes(a.o.Catalog())
+		used += sizes[bestIdx]
 		for qi, c := range bestCosts {
 			curCost[qi] = c
 		}
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
+		mems = append(mems[:bestIdx], mems[bestIdx+1:]...)
+		sizes = append(sizes[:bestIdx], sizes[bestIdx+1:]...)
 		if elide {
 			candIDs = append(candIDs[:bestIdx], candIDs[bestIdx+1:]...)
 			candMemo = append(candMemo[:bestIdx], candMemo[bestIdx+1:]...)

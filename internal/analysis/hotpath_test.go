@@ -62,10 +62,14 @@ func TestHotpathCoversZeroAllocKernels(t *testing.T) {
 	}
 
 	// The elision bound lookups of cost.TestKernelZeroAlloc — consulted
-	// per (candidate, query) in the advisor's greedy inner loop.
+	// per (candidate, query) in the advisor's greedy inner loop — and the
+	// compiled-plan evaluation and cache-hit path it pins alongside them.
 	wantCost := []string{
 		"QueryBounds.BaseCost", "QueryBounds.AtomicCost",
 		"QueryBounds.Lower", "QueryBounds.UpperWith",
+		"planSkeleton.eval", "planSkeleton.evalBlock", "pickAccess",
+		"relevantMembers", "relevantKey", "hashString", "sameIDs", "Optimizer.shardFor",
+		"cacheShard.lookup", "queryEntry.find",
 	}
 	costPkg := marked["isum/internal/cost"]
 	if costPkg == nil {
@@ -73,7 +77,7 @@ func TestHotpathCoversZeroAllocKernels(t *testing.T) {
 	}
 	for _, name := range wantCost {
 		if !costPkg[name] {
-			t.Errorf("cost bound lookup %s is exercised by TestKernelZeroAlloc but not marked //lint:hotpath", name)
+			t.Errorf("cost hot path %s is exercised by TestKernelZeroAlloc but not marked //lint:hotpath", name)
 		}
 	}
 }

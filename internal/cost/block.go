@@ -2,6 +2,7 @@ package cost
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -10,214 +11,525 @@ import (
 	"isum/internal/workload"
 )
 
-// accessPlan is the chosen single-table access path.
-type accessPlan struct {
-	table    *catalog.Table
-	use      workload.TableUse
-	cost     float64
+// The what-if planner is compiled (DESIGN.md §17). Its join order and
+// every cardinality depend only on base statistics, so a query's plan
+// splits into a skeleton that no configuration can change, built once per
+// query text, and per-index access atoms, built once per (query, index).
+// A what-if call folds the configuration's atoms through the skeleton in
+// the reference planner's float-operation order, so costs are bitwise the
+// ones planning from scratch would give. Terms precomputed here and added
+// later are wrapped in an explicit float64(): the conversion forces the
+// rounding, so no platform can fuse the multiply into a later add.
+// TestCompiledPlanMatchesReference pins the kernel against the reference
+// planner, which lives in reference_test.go.
+
+// planSkeleton is the configuration-independent part of one query's plan.
+// It is immutable once built, so concurrent what-if calls share it.
+type planSkeleton struct {
+	blocks []skelBlock
+	occs   []skelOcc // every block's table occurrences, block by block, each block's in join order
+}
+
+// skelBlock is one SELECT block of the skeleton.
+type skelBlock struct {
+	blk    *workload.Block
+	lo, hi int32 // the block's occurrences are occs[lo:hi]; none for a constant block
+
+	// The tail's terms, each exactly what the planner adds to the block
+	// total when it applies.
+	streamAgg float64 // GROUP BY over input delivered in group order
+	hashAgg   float64 // GROUP BY otherwise
+	aggCPU    float64 // aggregate without GROUP BY
+	distinct  float64 // DISTINCT without GROUP BY
+	sort      float64 // ORDER BY not delivered by the access path
+}
+
+// skelOcc is one table occurrence, in join order.
+type skelOcc struct {
+	name     string // the table as the block names it: the key of its filters and joins
+	table    string // lower-cased name: the configuration lookup key
+	t        *catalog.Table
+	pos      int32   // position among the block's resolved occurrences in FROM order
+	scan     float64 // heap scan cost
 	outRows  float64 // rows after local filters
-	idx      *index.Index
-	seekSel  float64  // fraction of the table reached via the seek
-	covering bool     // no base-table lookup needed
-	order    []string // column order the access path delivers (lower-cased)
+	localSel float64 // combined selectivity of the table's filters
+
+	// The join step that brings this occurrence in; unset for a block's
+	// first occurrence.
+	connected     bool
+	outer         float64 // rows joined before the step
+	hashA, hashB  float64 // hash join's build and probe terms beyond the inner's access cost
+	cross         float64 // cross join's term beyond the inner's access cost
+	matchPerProbe float64 // inner rows per index-nested-loop probe
 }
 
-// blockPlanner plans one SELECT block against a configuration.
-type blockPlanner struct {
-	cat *catalog.Catalog
-	cfg *index.Configuration
-	blk *workload.Block
-	par Params
-
-	// floorTable, when non-empty (lower-cased), switches the planner into
-	// the structural-floor mode used by the elision layer (elide.go): the
-	// named table's access and index-nested-loop costs are replaced by
-	// lower bounds that hold for *any* hypothetical index on it, so the
-	// block total lower-bounds the cost under every configuration whose
-	// indexes all live on that table. Empty (the default) leaves the
-	// reference planner untouched.
-	floorTable string
-
-	// filtersByTable groups the block's filter predicates per base table,
-	// keeping the most selective predicate per column for seek matching.
-	filtersByTable map[string][]workload.FilterPredicate
+// buildSkeleton compiles the configuration-independent plan of a query.
+func buildSkeleton(cat *catalog.Catalog, par Params, info *workload.Info) *planSkeleton {
+	n := 0
+	for _, blk := range info.Blocks {
+		n += len(blk.Tables)
+	}
+	s := &planSkeleton{blocks: make([]skelBlock, len(info.Blocks)), occs: make([]skelOcc, 0, n)}
+	for i, blk := range info.Blocks {
+		s.blocks[i] = s.addBlock(cat, par, blk)
+	}
+	return s
 }
 
-func planBlock(cat *catalog.Catalog, cfg *index.Configuration, blk *workload.Block, par Params) float64 {
-	total, _ := planBlockParts(cat, cfg, blk, par)
-	return total
-}
-
-// planBlockParts is planBlock, additionally reporting the access+join
-// subtotal ("aj") accumulated before the aggregation/sort tail. The total
-// is computed by exactly the same operations in the same order as the
-// original single-value planner, so callers that only use total are
-// bitwise-unchanged; aj is read mid-accumulation, not re-summed. The
-// elision layer builds configuration cost bounds from aj because it is
-// monotone non-increasing in the configuration (more indexes can only
-// cheapen access paths and join steps; the join order itself depends only
-// on configuration-independent cardinalities), while the tail is not.
-func planBlockParts(cat *catalog.Catalog, cfg *index.Configuration, blk *workload.Block, par Params) (float64, float64) {
-	p := &blockPlanner{cat: cat, cfg: cfg, blk: blk, par: par}
-	p.groupFilters()
-
-	// Deduplicate table occurrences by name (self-joins cost the same access
-	// path once per occurrence).
-	var plans []*accessPlan
+// addBlock appends blk's occurrences in join order and returns its block.
+func (s *planSkeleton) addBlock(cat *catalog.Catalog, par Params, blk *workload.Block) skelBlock {
+	b := skelBlock{blk: blk, lo: int32(len(s.occs))}
 	for _, tu := range blk.Tables {
 		t := cat.Table(tu.Table)
 		if t == nil {
 			continue
 		}
-		plans = append(plans, p.bestAccess(tu, t))
-	}
-	if len(plans) == 0 {
-		return p.par.CPUTuple, p.par.CPUTuple // constant block, e.g. SELECT 1
-	}
-
-	total, rows, singleOrder := p.planJoins(plans)
-	aj := total
-
-	// Aggregation.
-	groups := rows
-	if len(blk.GroupBy) > 0 {
-		groups = p.estimateGroups(rows)
-		if len(plans) == 1 && orderCovers(singleOrder, blk.GroupBy) {
-			total += p.par.streamAggCost(rows)
-		} else {
-			total += p.par.hashAggCost(rows, groups)
+		localSel := 1.0
+		for _, f := range blk.Filters {
+			if f.Table == tu.Table {
+				localSel *= f.Selectivity
+			}
 		}
+		if localSel < 1e-9 {
+			localSel = 1e-9
+		}
+		s.occs = append(s.occs, skelOcc{
+			name: tu.Table, table: strings.ToLower(tu.Table), t: t,
+			pos:      int32(len(s.occs)) - b.lo,
+			scan:     par.scanCost(t),
+			outRows:  rowsAfter(float64(t.RowCount), localSel),
+			localSel: localSel,
+		})
+	}
+	b.hi = int32(len(s.occs))
+	occs := s.occs[b.lo:b.hi]
+	if len(occs) == 0 {
+		return b // constant block, e.g. SELECT 1
+	}
+	rows := occs[0].outRows
+	if len(occs) > 1 {
+		rows = orderJoins(par, blk, occs)
+	}
+
+	if len(blk.GroupBy) > 0 {
+		groups := estimateGroups(cat, blk, rows)
+		b.streamAgg = par.streamAggCost(rows)
+		b.hashAgg = par.hashAggCost(rows, groups)
 		rows = groups
 	} else if blk.HasAgg {
-		total += rows * p.par.CPUOperator
+		b.aggCPU = float64(rows * par.CPUOperator)
 		rows = 1
 	}
 	if blk.Distinct && len(blk.GroupBy) == 0 {
-		total += p.par.hashAggCost(rows, rows)
+		b.distinct = par.hashAggCost(rows, rows)
+	}
+	if len(blk.OrderBy) > 0 {
+		b.sort = par.sortCost(rows, outputWidth(cat, blk))
+	}
+	return b
+}
+
+// orderJoins reorders occs, given in FROM order, into the planner's
+// greedy left-deep join order, fills in each step, and returns the join's
+// output rows. The join starts from the smallest filtered input, equal
+// cardinalities breaking on table name; occurrences that tie on both are
+// the same table under the same filters, so any order among them plans
+// alike. Each later step prefers a table connected to the joined set and,
+// among those, the one minimising the joined cardinality, first wins.
+func orderJoins(par Params, blk *workload.Block, occs []skelOcc) float64 {
+	slices.SortStableFunc(occs, func(a, b skelOcc) int {
+		switch {
+		case a.outRows < b.outRows:
+			return -1
+		case a.outRows > b.outRows:
+			return 1
+		}
+		return strings.Compare(a.name, b.name)
+	})
+	var joinedBuf [8]string
+	joined := append(joinedBuf[:0], occs[0].name)
+	rows := occs[0].outRows
+	for k := 1; k < len(occs); k++ {
+		best, bestRows, bestConnected := -1, math.Inf(1), false
+		for i := k; i < len(occs); i++ {
+			sel, connected := joinSelWith(blk, joined, occs[i].name)
+			out := rowsAfter(rows*occs[i].outRows, sel)
+			if connected && !bestConnected {
+				best, bestRows, bestConnected = i, out, true
+				continue
+			}
+			if connected == bestConnected && out < bestRows {
+				best, bestRows = i, out
+			}
+		}
+		// Move the chosen occurrence to position k; the rest keep their
+		// order, as the reference's remaining list does.
+		pl := occs[best]
+		copy(occs[k+1:best+1], occs[k:best])
+		sel, connected := joinSelWith(blk, joined, pl.name)
+		pl.connected = connected
+		pl.outer = rows
+		pl.hashA = float64(math.Min(rows, pl.outRows) * par.CPUOperator * par.HashBuild)
+		pl.hashB = float64(math.Max(rows, pl.outRows) * par.CPUOperator)
+		pl.cross = float64(rows * pl.outRows * par.CPUOperator)
+		pl.matchPerProbe = rowsAfter(float64(pl.t.RowCount)*sel*pl.localSel, 1)
+		occs[k] = pl
+		rows = rowsAfter(rows*pl.outRows, sel)
+		joined = append(joined, pl.name)
+	}
+	return rows
+}
+
+// joinSelWith returns the combined selectivity of all join predicates
+// connecting the joined tables with table, and whether any exist.
+func joinSelWith(blk *workload.Block, joined []string, table string) (float64, bool) {
+	sel := 1.0
+	connected := false
+	for _, j := range blk.Joins {
+		lIn, rIn := slices.Contains(joined, j.Left.Table), slices.Contains(joined, j.Right.Table)
+		if (lIn && j.Right.Table == table) || (rIn && j.Left.Table == table) {
+			sel *= j.Selectivity
+			connected = true
+		}
+	}
+	return sel, connected
+}
+
+// accessAtom is one index's contribution to one query's plan: for each
+// occurrence of the index's table, its access path and its use as an
+// index-nested-loop inner.
+type accessAtom struct {
+	id   string      // canonical index ID: breaks exact access-cost ties
+	ix   index.Index // reported by Explain
+	occs []atomOcc   // ascending by occ
+}
+
+// uselessAtom stands for every index the planner can never use in a
+// query: it has no entries, so the fold skips it.
+var uselessAtom = &accessAtom{}
+
+// atomOcc is an index's use at one occurrence.
+type atomOcc struct {
+	occ         int32
+	covering    bool    // the index holds every column the block needs from the table
+	coversGroup bool    // single-table block: key order streams the GROUP BY
+	coversOrder bool    // single-table block: key order delivers the ORDER BY
+	access      float64 // seek or covering-scan cost; +Inf when the index offers neither
+	seekSel     float64 // fraction of the index the seek reaches (1 for a covering scan)
+	inl         float64 // index-nested-loop cost of the occurrence's join step; +Inf when unusable
+}
+
+// buildAtom compiles ix's access atom against the skeleton.
+func (s *planSkeleton) buildAtom(par Params, m *index.Member) *accessAtom {
+	ix := m.Index
+	table := strings.ToLower(ix.Table)
+	lead := strings.ToLower(ix.LeadingKey())
+	keys := make([]string, len(ix.Keys))
+	for i, k := range ix.Keys {
+		keys[i] = strings.ToLower(k)
+	}
+	inf := math.Inf(1)
+	var occs []atomOcc
+	for bi := range s.blocks {
+		b := &s.blocks[bi]
+		// Filters, needed columns and join columns are per table name, so
+		// every occurrence of the table in a block shares one access path.
+		var path atomOcc
+		pathFor := ""
+		for k := b.lo; k < b.hi; k++ {
+			oc := &s.occs[k]
+			if oc.table != table {
+				continue
+			}
+			if pathFor != oc.name {
+				path = accessPath(par, b.blk, oc, ix)
+				pathFor = oc.name
+			}
+			ao := path
+			ao.occ = k
+			ao.inl = inf
+			if k > b.lo && oc.connected && isJoinColumn(b.blk, oc.name, lead) {
+				// Matches per probe after the inner's own filters.
+				perProbe := par.RandPage // descend (mostly cached interior) + leaf
+				if ao.covering {
+					perProbe += oc.matchPerProbe * par.CPUTuple
+				} else {
+					perProbe += oc.matchPerProbe * (par.RandPage + par.CPUTuple)
+				}
+				ao.inl = oc.outer * perProbe
+			}
+			if b.hi-b.lo == 1 {
+				ao.coversGroup = orderCovers(keys, b.blk.GroupBy)
+				ao.coversOrder = orderCovers(keys, b.blk.OrderBy)
+			}
+			if ao.access < inf || ao.inl < inf {
+				occs = append(occs, ao)
+			}
+		}
+	}
+	if occs == nil {
+		return uselessAtom
+	}
+	return &accessAtom{id: m.ID, ix: ix, occs: occs}
+}
+
+// accessPath costs ix as the access path of occurrence oc: a seek on its
+// matched key prefix, a covering scan, or nothing (+Inf).
+func accessPath(par Params, blk *workload.Block, oc *skelOcc, ix index.Index) atomOcc {
+	needCols, needAll := blockNeededColumns(blk, oc.name)
+	covering := !needAll && ix.Covers(needCols)
+	leaf := leafPages(oc.t, ix)
+
+	// Match a seekable key prefix.
+	seekSel := 1.0
+	matched := 0
+	for _, key := range ix.Keys {
+		f, ok := bestFilter(blk, oc.name, strings.ToLower(key))
+		if !ok {
+			break
+		}
+		if f.SargableEq {
+			seekSel *= f.Selectivity
+			matched++
+			continue
+		}
+		if f.Kind == workload.PredRange || f.Kind == workload.PredLike {
+			seekSel *= f.Selectivity
+			matched++
+		}
+		break // range terminates the seekable prefix
 	}
 
-	// Ordering.
+	c := math.Inf(1)
+	switch {
+	case matched > 0:
+		matchedRows := rowsAfter(float64(oc.t.RowCount), seekSel)
+		c = par.Seek + leaf*seekSel*par.SeqPage + matchedRows*par.CPUTuple
+		if !covering {
+			c += matchedRows * par.RandPage
+		}
+	case covering:
+		// Covering scan of the (narrower) index.
+		c = leaf*par.SeqPage + float64(oc.t.RowCount)*par.CPUTuple
+	}
+	return atomOcc{covering: covering, access: c, seekSel: seekSel}
+}
+
+// bestFilter returns the most selective of table's filters on the
+// (lower-cased) column, the first one winning ties.
+func bestFilter(blk *workload.Block, table, col string) (workload.FilterPredicate, bool) {
+	var best workload.FilterPredicate
+	found := false
+	for _, f := range blk.Filters {
+		if f.Table != table || strings.ToLower(f.Column) != col {
+			continue
+		}
+		if !found || f.Selectivity < best.Selectivity {
+			best, found = f, true
+		}
+	}
+	return best, found
+}
+
+// isJoinColumn reports whether the (lower-cased) column is one of table's
+// join columns in the block.
+func isJoinColumn(blk *workload.Block, table, col string) bool {
+	for _, j := range blk.Joins {
+		if (j.Left.Table == table && strings.ToLower(j.Left.Column) == col) ||
+			(j.Right.Table == table && strings.ToLower(j.Right.Column) == col) {
+			return true
+		}
+	}
+	return false
+}
+
+// eval folds the atoms of a configuration's relevant indexes through the
+// skeleton and returns the plan's cost and access+join subtotal. cur is
+// scratch, one cursor per atom.
+//
+//lint:hotpath the what-if kernel, run on every plan computation
+func (s *planSkeleton) eval(par Params, atoms []*accessAtom, cur []int32) cacheVal {
+	for i := range cur {
+		cur[i] = 0
+	}
+	var total, aj float64
+	for bi := range s.blocks {
+		t, a := s.evalBlock(par, &s.blocks[bi], atoms, cur)
+		total += t
+		aj += a
+	}
+	if total <= 0 {
+		// Only reachable with zero blocks (every planned block costs at
+		// least one CPU tuple), so the subtotal clamps with the total and
+		// the derived bounds stay tight and sound.
+		total = par.CPUTuple
+		aj = total
+	}
+	return cacheVal{c: total, aj: aj}
+}
+
+// evalBlock returns one block's cost and its access+join subtotal, the
+// subtotal read before the aggregation/sort tail is added.
+//
+//lint:hotpath the what-if kernel, run on every plan computation
+func (s *planSkeleton) evalBlock(par Params, b *skelBlock, atoms []*accessAtom, cur []int32) (total, aj float64) {
+	if b.lo == b.hi {
+		return par.CPUTuple, par.CPUTuple
+	}
+	var first *atomOcc
+	for k := b.lo; k < b.hi; k++ {
+		oc := &s.occs[k]
+		acc, inl, _, chosen := pickAccess(oc.scan, k, atoms, cur)
+		switch {
+		case k == b.lo:
+			total, first = acc, chosen
+		case oc.connected:
+			total += math.Min(acc+oc.hashA+oc.hashB, inl)
+		default:
+			total += acc + oc.cross
+		}
+	}
+	aj = total
+
+	blk := b.blk
+	single := b.hi-b.lo == 1
+	if len(blk.GroupBy) > 0 {
+		if single && first != nil && first.coversGroup {
+			total += b.streamAgg
+		} else {
+			total += b.hashAgg
+		}
+	} else if blk.HasAgg {
+		total += b.aggCPU
+	}
+	if blk.Distinct && len(blk.GroupBy) == 0 {
+		total += b.distinct
+	}
 	if len(blk.OrderBy) > 0 {
-		avoided := len(plans) == 1 && len(blk.GroupBy) == 0 && orderCovers(singleOrder, blk.OrderBy)
+		avoided := single && len(blk.GroupBy) == 0 && first != nil && first.coversOrder
 		if !avoided {
-			total += p.par.sortCost(rows, p.outputWidth())
+			total += b.sort
 		}
 	}
 	return total, aj
 }
 
-// blockTailBounds bounds the aggregation/sort tail of a block across all
-// possible configurations. The tail's term magnitudes are configuration-
-// independent (join output rows and group estimates depend only on base
-// statistics); only binary choices — stream vs hash aggregation, sort
+// pickAccess chooses occurrence k's access path: the cheapest of the heap
+// scan and every atom's path. Exact ties go to the scan, then to the
+// lowest index ID, so the choice never depends on the order indexes were
+// added. It also returns the cheapest index-nested-loop cost for the
+// occurrence's join step, and advances cur past the atoms' entries for k.
+//
+//lint:hotpath the what-if kernel, run on every plan computation
+func pickAccess(scan float64, k int32, atoms []*accessAtom, cur []int32) (acc, inl float64, ca *accessAtom, chosen *atomOcc) {
+	acc, inl = scan, math.Inf(1)
+	for i, a := range atoms {
+		c := cur[i]
+		if int(c) >= len(a.occs) || a.occs[c].occ != k {
+			continue
+		}
+		cur[i] = c + 1
+		ao := &a.occs[c]
+		if ao.access < acc || (ao.access == acc && ca != nil && a.id < ca.id) {
+			acc, ca, chosen = ao.access, a, ao
+		}
+		if ao.inl < inl {
+			inl = ao.inl
+		}
+	}
+	return acc, inl, ca, chosen
+}
+
+// tailBounds bounds the block's aggregation/sort tail across all possible
+// configurations. The tail's term magnitudes are configuration-
+// independent; only binary choices — stream vs hash aggregation, sort
 // avoided vs paid — depend on the delivered order, so the bounds take the
 // min/max over the reachable choices. Used by the elision layer; see
 // DESIGN.md §16.
-func blockTailBounds(cat *catalog.Catalog, blk *workload.Block, par Params) (minTail, maxTail float64) {
-	p := &blockPlanner{cat: cat, cfg: nil, blk: blk, par: par}
-	p.groupFilters()
-	var plans []*accessPlan
-	for _, tu := range blk.Tables {
-		t := cat.Table(tu.Table)
-		if t == nil {
-			continue
-		}
-		plans = append(plans, p.bestAccess(tu, t))
-	}
-	if len(plans) == 0 {
+func (b *skelBlock) tailBounds() (minTail, maxTail float64) {
+	if b.lo == b.hi {
 		return 0, 0
 	}
-	_, rows, _ := p.planJoins(plans)
-	single := len(plans) == 1
-
+	blk := b.blk
+	single := b.hi-b.lo == 1
 	if len(blk.GroupBy) > 0 {
-		groups := p.estimateGroups(rows)
-		hash := par.hashAggCost(rows, groups)
 		if single {
 			// A covering order can enable stream aggregation.
-			stream := par.streamAggCost(rows)
-			minTail += math.Min(stream, hash)
-			maxTail += math.Max(stream, hash)
+			minTail += math.Min(b.streamAgg, b.hashAgg)
+			maxTail += math.Max(b.streamAgg, b.hashAgg)
 		} else {
-			minTail += hash
-			maxTail += hash
+			minTail += b.hashAgg
+			maxTail += b.hashAgg
 		}
-		rows = groups
 	} else if blk.HasAgg {
-		c := rows * par.CPUOperator
-		minTail += c
-		maxTail += c
-		rows = 1
+		minTail += b.aggCPU
+		maxTail += b.aggCPU
 	}
 	if blk.Distinct && len(blk.GroupBy) == 0 {
-		c := par.hashAggCost(rows, rows)
-		minTail += c
-		maxTail += c
+		minTail += b.distinct
+		maxTail += b.distinct
 	}
 	if len(blk.OrderBy) > 0 {
-		s := par.sortCost(rows, p.outputWidth())
 		if !(single && len(blk.GroupBy) == 0) {
 			// Sort can never be avoided: multi-table plans deliver no
 			// order, and a group-by consumes the single-table order.
-			minTail += s
+			minTail += b.sort
 		}
-		maxTail += s
+		maxTail += b.sort
 	}
 	return minTail, maxTail
 }
 
-// floorBlockAJ is the structural access+join floor for a block: the
-// access+join subtotal under the empty configuration, except that the
-// named table's access and inner-join costs are replaced by bounds valid
-// for ANY index on it. The result lower-bounds the block's access+join
-// subtotal under every configuration whose indexes are all on that table
-// (other tables keep their empty-configuration plans, which such
-// configurations cannot change).
-func floorBlockAJ(cat *catalog.Catalog, blk *workload.Block, par Params, floorTable string) float64 {
-	p := &blockPlanner{cat: cat, cfg: nil, blk: blk, par: par, floorTable: floorTable}
-	p.groupFilters()
-	var plans []*accessPlan
-	for _, tu := range blk.Tables {
-		t := cat.Table(tu.Table)
-		if t == nil {
-			continue
+// floorAJ is the block's structural access+join floor: the access+join
+// subtotal under the empty configuration, except that the named
+// (lower-cased) table's access and inner-join costs are replaced by
+// bounds valid for ANY index on it. The result lower-bounds the block's
+// access+join subtotal under every configuration whose indexes are all on
+// that table (other tables keep their empty-configuration plans, which
+// such configurations cannot change).
+func (s *planSkeleton) floorAJ(par Params, b *skelBlock, table string) float64 {
+	if b.lo == b.hi {
+		return par.CPUTuple
+	}
+	var total float64
+	for k := b.lo; k < b.hi; k++ {
+		oc := &s.occs[k]
+		acc := oc.scan
+		floored := oc.table == table
+		if floored {
+			// Cheaper than any reachable access path. A seek costs at
+			// least leaf·seekSel·SeqPage + matchedRows·CPUTuple with
+			// leaf ≥ 1, seekSel ≥ localSel and matchedRows ≥ outRows; a
+			// covering scan at least SeqPage + RowCount·CPUTuple; a heap
+			// scan exactly scanCost.
+			acc = oc.localSel*par.SeqPage + oc.outRows*par.CPUTuple
+			if oc.scan < acc {
+				acc = oc.scan
+			}
 		}
-		plans = append(plans, p.bestAccess(tu, t))
+		switch {
+		case k == b.lo:
+			total = acc
+		case oc.connected:
+			hash := acc + oc.hashA + oc.hashB
+			if floored {
+				// Any index-nested-loop probe pays at least one random
+				// page plus per-match CPU; hash already rides on the
+				// floored access cost.
+				hash = math.Min(hash, oc.outer*(par.RandPage+oc.matchPerProbe*par.CPUTuple))
+			}
+			total += hash
+		default:
+			total += acc + oc.cross
+		}
 	}
-	if len(plans) == 0 {
-		return p.par.CPUTuple
-	}
-	aj, _, _ := p.planJoins(plans)
-	return aj
+	return total
 }
 
-func (p *blockPlanner) groupFilters() {
-	p.filtersByTable = make(map[string][]workload.FilterPredicate)
-	for _, f := range p.blk.Filters {
-		p.filtersByTable[f.Table] = append(p.filtersByTable[f.Table], f)
-	}
-}
-
-// localSelectivity is the combined selectivity of a table's filters.
-func localSelectivity(filters []workload.FilterPredicate) float64 {
-	s := 1.0
-	for _, f := range filters {
-		s *= f.Selectivity
-	}
-	if s < 1e-9 {
-		s = 1e-9
-	}
-	return s
-}
-
-// neededColumns returns the (lower-cased) columns of table needed anywhere in
-// the block, and whether the block needs every column (SELECT *).
-func (p *blockPlanner) neededColumns(table string) ([]string, bool) {
-	return blockNeededColumns(p.blk, table)
-}
-
-// blockNeededColumns is neededColumns as a standalone function, shared
-// with the elision layer's structural relevance test (IndexRelevant).
+// blockNeededColumns returns the (lower-cased) columns of table needed
+// anywhere in the block, and whether the block needs every column
+// (SELECT *). Shared with the elision layer's structural relevance test
+// (IndexRelevant).
 func blockNeededColumns(blk *workload.Block, table string) ([]string, bool) {
 	if blk.SelectStar {
 		return nil, true
@@ -252,95 +564,6 @@ func blockNeededColumns(blk *workload.Block, table string) ([]string, bool) {
 	return cols, false
 }
 
-// bestAccess picks the cheapest access path for one table occurrence.
-func (p *blockPlanner) bestAccess(tu workload.TableUse, t *catalog.Table) *accessPlan {
-	filters := p.filtersByTable[tu.Table]
-	localSel := localSelectivity(filters)
-	outRows := rowsAfter(float64(t.RowCount), localSel)
-
-	if p.floorTable != "" && p.floorTable == strings.ToLower(tu.Table) {
-		// Structural floor: cheaper than any reachable access path. A seek
-		// costs at least leaf·seekSel·SeqPage + matchedRows·CPUTuple with
-		// leaf ≥ 1, seekSel ≥ localSel and matchedRows ≥ outRows; a
-		// covering scan at least SeqPage + RowCount·CPUTuple; a heap scan
-		// exactly scanCost.
-		c := localSel*p.par.SeqPage + outRows*p.par.CPUTuple
-		if sc := p.par.scanCost(t); sc < c {
-			c = sc
-		}
-		return &accessPlan{table: t, use: tu, cost: c, outRows: outRows}
-	}
-
-	best := &accessPlan{
-		table:   t,
-		use:     tu,
-		cost:    p.par.scanCost(t),
-		outRows: outRows,
-	}
-	needCols, needAll := p.neededColumns(tu.Table)
-
-	// Most selective predicate per column, for seek matching.
-	bestPred := map[string]workload.FilterPredicate{}
-	for _, f := range filters {
-		c := strings.ToLower(f.Column)
-		if cur, ok := bestPred[c]; !ok || f.Selectivity < cur.Selectivity {
-			bestPred[c] = f
-		}
-	}
-
-	for _, ix := range p.cfg.ForTable(tu.Table) {
-		ix := ix
-		covering := !needAll && ix.Covers(needCols)
-		leaf := leafPages(t, ix)
-
-		// Match a seekable key prefix.
-		seekSel := 1.0
-		matched := 0
-		for _, key := range ix.Keys {
-			f, ok := bestPred[strings.ToLower(key)]
-			if !ok {
-				break
-			}
-			if f.SargableEq {
-				seekSel *= f.Selectivity
-				matched++
-				continue
-			}
-			if f.Kind == workload.PredRange || f.Kind == workload.PredLike {
-				seekSel *= f.Selectivity
-				matched++
-			}
-			break // range terminates the seekable prefix
-		}
-
-		var c float64
-		switch {
-		case matched > 0:
-			matchedRows := rowsAfter(float64(t.RowCount), seekSel)
-			c = p.par.Seek + leaf*seekSel*p.par.SeqPage + matchedRows*p.par.CPUTuple
-			if !covering {
-				c += matchedRows * p.par.RandPage
-			}
-		case covering:
-			// Covering scan of the (narrower) index.
-			c = leaf*p.par.SeqPage + float64(t.RowCount)*p.par.CPUTuple
-		default:
-			continue // index is useless for this block
-		}
-		if c < best.cost {
-			keys := make([]string, len(ix.Keys))
-			for i, k := range ix.Keys {
-				keys[i] = strings.ToLower(k)
-			}
-			best = &accessPlan{
-				table: t, use: tu, cost: c, outRows: outRows,
-				idx: &ix, seekSel: seekSel, covering: covering, order: keys,
-			}
-		}
-	}
-	return best
-}
-
 // leafPages estimates the number of leaf pages in an index on t.
 func leafPages(t *catalog.Table, ix index.Index) float64 {
 	entry := 8
@@ -362,141 +585,12 @@ func leafPages(t *catalog.Table, ix index.Index) float64 {
 	return pages
 }
 
-// planJoins performs a greedy left-deep join over the access plans and
-// returns (cost, output rows, delivered order when single-table).
-func (p *blockPlanner) planJoins(plans []*accessPlan) (float64, float64, []string) {
-	if len(plans) == 1 {
-		return plans[0].cost, plans[0].outRows, plans[0].order
-	}
-
-	// Start from the smallest filtered input.
-	sort.Slice(plans, func(i, j int) bool {
-		if plans[i].outRows != plans[j].outRows {
-			return plans[i].outRows < plans[j].outRows
-		}
-		// Total order: equal-cardinality inputs tie-break on table name so
-		// the join order (and thus the plan cost) cannot drift.
-		return plans[i].use.Table < plans[j].use.Table
-	})
-	joined := map[string]bool{plans[0].use.Table: true}
-	total := plans[0].cost
-	rows := plans[0].outRows
-	remaining := plans[1:]
-
-	for len(remaining) > 0 {
-		// Prefer a connected table; among connected, the one minimising the
-		// joined cardinality.
-		bestIdx := -1
-		bestRows := math.Inf(1)
-		bestConnected := false
-		for i, pl := range remaining {
-			sel, connected := p.joinSelWith(joined, pl.use.Table)
-			outRows := rowsAfter(rows*pl.outRows, sel)
-			if connected && !bestConnected {
-				bestIdx, bestRows, bestConnected = i, outRows, true
-				continue
-			}
-			if connected == bestConnected && outRows < bestRows {
-				bestIdx, bestRows = i, outRows
-			}
-		}
-		pl := remaining[bestIdx]
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-		sel, connected := p.joinSelWith(joined, pl.use.Table)
-
-		if connected {
-			total += p.joinStepCost(rows, pl, sel)
-		} else {
-			// Cross join: materialise the smaller side.
-			total += pl.cost + rows*pl.outRows*p.par.CPUOperator
-		}
-		rows = rowsAfter(rows*pl.outRows, sel)
-		joined[pl.use.Table] = true
-	}
-	return total, rows, nil
-}
-
-// joinSelWith returns the combined selectivity of all join predicates
-// connecting the joined set with table, and whether any exist.
-func (p *blockPlanner) joinSelWith(joined map[string]bool, table string) (float64, bool) {
-	sel := 1.0
-	connected := false
-	for _, j := range p.blk.Joins {
-		lIn, rIn := joined[j.Left.Table], joined[j.Right.Table]
-		if (lIn && j.Right.Table == table) || (rIn && j.Left.Table == table) {
-			sel *= j.Selectivity
-			connected = true
-		}
-	}
-	return sel, connected
-}
-
-// joinStepCost chooses between hash join and index-nested-loop join for
-// bringing pl into a joined set of `outerRows` rows.
-func (p *blockPlanner) joinStepCost(outerRows float64, pl *accessPlan, joinSel float64) float64 {
-	// Hash join: access the inner fully, build on the smaller side.
-	buildRows := math.Min(outerRows, pl.outRows)
-	probeRows := math.Max(outerRows, pl.outRows)
-	hash := pl.cost + buildRows*p.par.CPUOperator*p.par.HashBuild + probeRows*p.par.CPUOperator
-
-	if p.floorTable != "" && p.floorTable == strings.ToLower(pl.use.Table) {
-		// Structural floor for the inner side: any index-nested-loop probe
-		// pays at least one random page plus per-match CPU; hash already
-		// rides on the floored access cost.
-		localSel := localSelectivity(p.filtersByTable[pl.use.Table])
-		matchPerProbe := rowsAfter(float64(pl.table.RowCount)*joinSel*localSel, 1)
-		inlFloor := outerRows * (p.par.RandPage + matchPerProbe*p.par.CPUTuple)
-		return math.Min(hash, inlFloor)
-	}
-
-	// Index nested loop: needs an index whose leading key is one of the
-	// inner table's join columns.
-	inl := math.Inf(1)
-	joinCols := p.innerJoinColumns(pl.use.Table)
-	needCols, needAll := p.neededColumns(pl.use.Table)
-	localSel := localSelectivity(p.filtersByTable[pl.use.Table])
-	for _, ix := range p.cfg.ForTable(pl.use.Table) {
-		lead := strings.ToLower(ix.LeadingKey())
-		if !joinCols[lead] {
-			continue
-		}
-		covering := !needAll && ix.Covers(needCols)
-		// Matches per probe after the inner's own filters.
-		matchPerProbe := rowsAfter(float64(pl.table.RowCount)*joinSel*localSel, 1)
-		perProbe := p.par.RandPage // descend (mostly cached interior) + leaf
-		if covering {
-			perProbe += matchPerProbe * p.par.CPUTuple
-		} else {
-			perProbe += matchPerProbe * (p.par.RandPage + p.par.CPUTuple)
-		}
-		if c := outerRows * perProbe; c < inl {
-			inl = c
-		}
-	}
-	return math.Min(hash, inl)
-}
-
-// innerJoinColumns returns the join columns on table (lower-cased) across
-// the block's join predicates.
-func (p *blockPlanner) innerJoinColumns(table string) map[string]bool {
-	out := map[string]bool{}
-	for _, j := range p.blk.Joins {
-		if j.Left.Table == table {
-			out[strings.ToLower(j.Left.Column)] = true
-		}
-		if j.Right.Table == table {
-			out[strings.ToLower(j.Right.Column)] = true
-		}
-	}
-	return out
-}
-
 // estimateGroups estimates the number of groups as the capped product of the
 // group-by columns' distinct counts.
-func (p *blockPlanner) estimateGroups(rows float64) float64 {
+func estimateGroups(cat *catalog.Catalog, blk *workload.Block, rows float64) float64 {
 	groups := 1.0
-	for _, g := range p.blk.GroupBy {
-		t := p.cat.Table(g.Table)
+	for _, g := range blk.GroupBy {
+		t := cat.Table(g.Table)
 		if t == nil {
 			continue
 		}
@@ -519,10 +613,10 @@ func (p *blockPlanner) estimateGroups(rows float64) float64 {
 }
 
 // outputWidth estimates the sort row width for the block.
-func (p *blockPlanner) outputWidth() int {
+func outputWidth(cat *catalog.Catalog, blk *workload.Block) int {
 	w := 0
-	for _, cu := range p.blk.Projected {
-		if t := p.cat.Table(cu.Table); t != nil {
+	for _, cu := range blk.Projected {
+		if t := cat.Table(cu.Table); t != nil {
 			if c := t.Column(cu.Column); c != nil {
 				w += c.Width()
 			}

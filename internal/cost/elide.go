@@ -1,8 +1,8 @@
 // What-if call elision (DESIGN.md §16). The optimizer memoizes per-query
 // atomic costs — the empty configuration and each single-index
 // configuration, keyed by interned index identity — and derives from the
-// planner's access+join/tail decomposition (block.go) sound lower and
-// upper bounds on the cost of any configuration:
+// plan skeleton's access+join/tail decomposition (block.go) sound lower
+// and upper bounds on the cost of any configuration:
 //
 //   - lower: the access+join subtotal is monotone non-increasing in the
 //     configuration, so one what-if call against the union U of all
@@ -52,7 +52,7 @@ type QueryBounds struct {
 	baseOK  bool
 	atomics map[int32]cacheVal // exact cost/AJ per interned single index
 
-	minTail, maxTail float64 // Σ per-block tail bounds (blockTailBounds)
+	minTail, maxTail float64 // Σ per-block tail bounds (skelBlock.tailBounds)
 	tailsOK          bool
 
 	lower   float64 // slacked AJ(q, U) + minTail; valid for any cfg ⊆ U
@@ -67,8 +67,9 @@ func (b *QueryBounds) ensureTails(o *Optimizer, q *workload.Query) {
 		return
 	}
 	if q.Info != nil {
-		for _, blk := range q.Info.Blocks {
-			lo, hi := blockTailBounds(o.cat, blk, o.par)
+		s := o.skeletonFor(q)
+		for i := range s.blocks {
+			lo, hi := s.blocks[i].tailBounds()
 			b.minTail += lo
 			b.maxTail += hi
 		}
@@ -164,16 +165,14 @@ func (o *Optimizer) InternIndexID(id string) int32 {
 
 // recordParts feeds the atomic-cost memo from cache-miss plan
 // computations: the empty configuration and configurations with exactly
-// one index relevant to the query (the fingerprint is then that index's
-// identity). Multi-index fingerprints contain a separator and are not
-// atomic.
-func (o *Optimizer) recordParts(q *workload.Query, key string, v cacheVal) {
-	if key != "" && strings.Contains(key, ";") {
+// one index relevant to the query (rel holds the relevant members).
+func (o *Optimizer) recordParts(q *workload.Query, rel []*index.Member, v cacheVal) {
+	if len(rel) > 1 {
 		return
 	}
 	id := int32(-1)
-	if key != "" {
-		id = o.InternIndexID(key)
+	if len(rel) == 1 {
+		id = o.InternIndexID(rel[0].ID)
 	}
 	b := o.boundsFor(q.Text)
 	b.mu.Lock()
@@ -226,9 +225,10 @@ func (o *Optimizer) FloorCost(q *workload.Query, table string) float64 {
 		return f
 	}
 	b.ensureTails(o, q)
+	s := o.skeletonFor(q)
 	var aj float64
-	for _, blk := range q.Info.Blocks {
-		aj += floorBlockAJ(o.cat, blk, o.par, t)
+	for i := range s.blocks {
+		aj += s.floorAJ(o.par, &s.blocks[i], t)
 	}
 	f := slackDown(aj + b.minTail)
 	if f < 0 {
@@ -239,14 +239,15 @@ func (o *Optimizer) FloorCost(q *workload.Query, table string) float64 {
 }
 
 // IndexRelevant reports whether the planner can consult ix anywhere in
-// q's plan. The planner reads the configuration at exactly two decision
-// points (block.go), both gated on structural, configuration-independent
-// conditions: bestAccess considers an index only when its leading key is
-// seekable (the table's most selective predicate on that column is an
-// equality, range, or LIKE prefix) or the index covers the block's
-// needed columns, and joinStepCost considers one only when its leading
-// key is a join column of the table. When none of those holds for any
-// block, every planner loop skips ix outright, so
+// q's plan. The planner reads an index at exactly two decision points,
+// both compiled into its access atom (block.go), both gated on
+// structural, configuration-independent conditions: accessPath offers a
+// path only when the index's leading key is seekable (the table's most
+// selective predicate on that column is an equality, range, or LIKE
+// prefix) or the index covers the block's needed columns, and the
+// index-nested-loop cost exists only when its leading key is a join
+// column of the table. When none of those holds for any block, the atom
+// is empty and the fold skips it, so
 // cost(q, cfg ∪ {ix}) == cost(q, cfg) bitwise for every configuration
 // cfg — the advisor elides such probes wholesale
 // (TestIndexIrrelevanceExact pins the equality).
@@ -267,17 +268,17 @@ func IndexRelevant(q *workload.Query, ix index.Index) bool {
 		if !uses {
 			continue
 		}
-		// joinStepCost: index-nested-loop lookups need the leading key on
-		// one of the table's join columns.
+		// Index-nested-loop lookups need the leading key on one of the
+		// table's join columns.
 		for _, j := range blk.Joins {
 			if (j.Left.Table == table && strings.ToLower(j.Left.Column) == lead) ||
 				(j.Right.Table == table && strings.ToLower(j.Right.Column) == lead) {
 				return true
 			}
 		}
-		// bestAccess seek: the most selective predicate on the leading key
-		// decides seekability, first one winning ties exactly as the
-		// planner's bestPred map does.
+		// Seek: the most selective predicate on the leading key decides
+		// seekability, first one winning ties exactly as the planner's
+		// bestFilter does.
 		var best *workload.FilterPredicate
 		for i := range blk.Filters {
 			f := &blk.Filters[i]
@@ -291,7 +292,7 @@ func IndexRelevant(q *workload.Query, ix index.Index) bool {
 		if best != nil && (best.SargableEq || best.Kind == workload.PredRange || best.Kind == workload.PredLike) {
 			return true
 		}
-		// bestAccess covering scan.
+		// Covering scan.
 		if !blk.SelectStar {
 			cols, _ := blockNeededColumns(blk, table)
 			if ix.Covers(cols) {

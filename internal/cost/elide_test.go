@@ -288,8 +288,10 @@ func TestSingleflightCoalesces(t *testing.T) {
 
 // TestKernelZeroAlloc pins that the elision bound lookups — consulted per
 // (candidate, query) in the advisor's greedy inner loop — allocate
-// nothing. The static twin is the isumlint alloc analyzer over the
-// //lint:hotpath markers (see internal/analysis).
+// nothing, and neither do a warm compiled-plan evaluation (DESIGN.md §17)
+// or a what-if call answered from the cache. The static twin is the
+// isumlint alloc analyzer over the //lint:hotpath markers (see
+// internal/analysis).
 func TestKernelZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under -race instrumentation")
@@ -310,4 +312,18 @@ func TestKernelZeroAlloc(t *testing.T) {
 	check("QueryBounds.AtomicCost", func() { _, _ = qb.AtomicCost(id) })
 	check("QueryBounds.Lower", func() { _, _ = qb.Lower() })
 	check("QueryBounds.UpperWith", func() { _, _ = qb.UpperWith(id) })
+
+	// A configuration with three indexes on the query's table.
+	cfg := index.NewConfiguration(fix.pool[0], fix.pool[1], fix.pool[2])
+	e := fix.o.shardFor(q.Text).entry(q.Text)
+	s := e.skeleton(fix.o, q)
+	atoms := e.atomsFor(fix.o, s, relevantMembers(nil, q, cfg), nil)
+	if len(atoms) == 0 {
+		t.Fatal("fixture configuration has no usable index for the query")
+	}
+	cur := make([]int32, len(atoms))
+	par := fix.o.Params()
+	check("planSkeleton.eval", func() { _ = s.eval(par, atoms, cur) })
+	ctx := context.Background()
+	check("Optimizer.CostContext (cache hit)", func() { _, _ = fix.o.CostContext(ctx, q, cfg) })
 }

@@ -70,31 +70,33 @@ func (p *Plan) String() string {
 	return fmt.Sprintf("cost %.1f\n%s", p.Total, strings.Join(lines, "\n"))
 }
 
-// Explain returns the access-path choices for q under cfg. It bypasses the
-// cost cache (explains are rare; costs stay cached).
+// Explain returns the access-path choices for q under cfg, read off the
+// query's compiled plan (DESIGN.md §17); Total is the what-if cost.
 func (o *Optimizer) Explain(q *workload.Query, cfg *index.Configuration) *Plan {
 	p := &Plan{}
 	if q.Info == nil {
 		return p
 	}
-	for _, blk := range q.Info.Blocks {
-		bp := &blockPlanner{cat: o.cat, cfg: cfg, blk: blk, par: o.par}
-		bp.groupFilters()
-		for _, tu := range blk.Tables {
-			t := o.cat.Table(tu.Table)
-			if t == nil {
-				continue
+	e := o.shardFor(q.Text).entry(q.Text)
+	s := e.skeleton(o, q)
+	atoms := e.atomsFor(o, s, relevantMembers(nil, q, cfg), nil)
+	cur := make([]int32, len(atoms))
+	for bi := range s.blocks {
+		b := &s.blocks[bi]
+		// The fold visits occurrences in join order; report them in FROM
+		// order.
+		accs := make([]TableAccess, b.hi-b.lo)
+		for k := b.lo; k < b.hi; k++ {
+			oc := &s.occs[k]
+			acc, _, a, chosen := pickAccess(oc.scan, k, atoms, cur)
+			ta := TableAccess{Table: oc.name, Cost: acc, OutRows: oc.outRows}
+			if chosen != nil {
+				ix := a.ix
+				ta.Index, ta.Covering, ta.SeekSelectivity = &ix, chosen.covering, chosen.seekSel
 			}
-			ap := bp.bestAccess(tu, t)
-			p.Accesses = append(p.Accesses, TableAccess{
-				Table:           tu.Table,
-				Index:           ap.idx,
-				Covering:        ap.covering,
-				SeekSelectivity: ap.seekSel,
-				Cost:            ap.cost,
-				OutRows:         ap.outRows,
-			})
+			accs[oc.pos] = ta
 		}
+		p.Accesses = append(p.Accesses, accs...)
 	}
 	p.Total = o.Cost(q, cfg)
 	return p

@@ -3,7 +3,7 @@ package cost
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -14,48 +14,6 @@ import (
 	"isum/internal/telemetry"
 	"isum/internal/workload"
 )
-
-// cacheShardCount is the number of what-if cache shards. Shards are picked
-// by a hash of the query text, so concurrent Cost calls contend only when
-// they hit the same shard; 32 keeps contention negligible far past the
-// worker counts the pipeline spawns. Must be a power of two.
-const cacheShardCount = 32
-
-// cacheVal is one cached what-if result: the total plan cost (the value
-// Cost returns) and the access+join subtotal the elision layer's bounds
-// are derived from (elide.go). The subtotal is monotone non-increasing in
-// the configuration; the total is not (tail operators may flip between
-// stream/hash/sort strategies).
-type cacheVal struct {
-	c  float64
-	aj float64
-}
-
-// flight is one in-progress plan computation. Concurrent identical
-// (query, relevant-config) requests wait on done instead of duplicating
-// the computation (singleflight); val/err are published before done is
-// closed.
-type flight struct {
-	done chan struct{}
-	val  cacheVal
-	err  error
-}
-
-// cacheShard is one lock-striped slice of the what-if cache.
-type cacheShard struct {
-	mu sync.RWMutex
-	// entries is keyed by query text, then by the relevant-configuration
-	// fingerprint, so copies of a Query (e.g. weighted compressed-workload
-	// entries) share cost entries.
-	entries map[string]map[string]cacheVal
-	// flights holds in-progress plan computations keyed by
-	// text+"\x00"+fingerprint, used only when elision is enabled.
-	flights map[string]*flight
-	// hits/misses are this shard's cache counters, registered in the
-	// optimizer's telemetry registry as cost/cache/shardNN/{hits,misses}.
-	hits   *telemetry.Counter
-	misses *telemetry.Counter
-}
 
 // Injector is the fault-injection hook of the what-if interface
 // (DESIGN.md §9). It is consulted once per plan-computation attempt (cache
@@ -180,8 +138,7 @@ func NewOptimizerWithTelemetry(cat *catalog.Catalog, par Params, reg *telemetry.
 		elideWaits:     reg.Counter("cost/elide/singleflight_waits"),
 	}
 	for i := range o.shards {
-		o.shards[i].entries = make(map[string]map[string]cacheVal)
-		o.shards[i].flights = make(map[string]*flight)
+		o.shards[i].entries = make(map[string]*queryEntry)
 		o.shards[i].hits = reg.Counter(fmt.Sprintf("cost/cache/shard%02d/hits", i))
 		o.shards[i].misses = reg.Counter(fmt.Sprintf("cost/cache/shard%02d/misses", i))
 	}
@@ -210,18 +167,11 @@ func (o *Optimizer) Params() Params { return o.par }
 // Catalog returns the optimizer's catalog.
 func (o *Optimizer) Catalog() *catalog.Catalog { return o.cat }
 
-// shardFor picks the cache shard for a query text (FNV-1a).
+// shardFor picks the cache shard for a query text.
+//
+//lint:hotpath what-if cache lookup, on every call
 func (o *Optimizer) shardFor(text string) *cacheShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	var h uint64 = offset64
-	for i := 0; i < len(text); i++ {
-		h ^= uint64(text[i])
-		h *= prime64
-	}
-	return &o.shards[h&(cacheShardCount-1)]
+	return &o.shards[hashString(hashSeed, text)&(cacheShardCount-1)]
 }
 
 // Cost returns the estimated cost of q under the given (hypothetical)
@@ -255,134 +205,134 @@ func (o *Optimizer) CostContext(ctx context.Context, q *workload.Query, cfg *ind
 // cache lookup, singleflight (elision on), plan computation with retry,
 // cache store, and atomic-cost recording for the elision memo. It returns
 // the cost together with the access+join subtotal the bound derivations
-// need.
+// need. A cache hit allocates nothing: the relevant members are gathered
+// into a stack buffer and the cache is keyed by a hash of their IDs.
 func (o *Optimizer) costParts(ctx context.Context, q *workload.Query, cfg *index.Configuration) (cacheVal, error) {
 	start := time.Now() //lint:allow determinism what-if latency metric only; costs are computed from the plan, not the clock
 	defer func() {
 		o.costNanos.Add(time.Since(start).Nanoseconds())
 	}()
-	key := o.relevantFingerprint(q, cfg)
 	o.calls.Add(1)
+	var relBuf [16]*index.Member
+	rel := relevantMembers(relBuf[:0], q, cfg)
+	key := relevantKey(rel)
 
 	sh := o.shardFor(q.Text)
-	sh.mu.RLock()
-	if perQ, ok := sh.entries[q.Text]; ok {
-		if v, ok := perQ[key]; ok {
-			sh.mu.RUnlock()
-			sh.hits.Inc()
-			return v, nil
-		}
+	v, e, ok := sh.lookup(q.Text, key, rel)
+	if ok {
+		sh.hits.Inc()
+		return v, nil
 	}
-	sh.mu.RUnlock()
-
+	if e == nil {
+		e = sh.entry(q.Text)
+	}
 	if o.elideOn {
-		return o.costPartsFlight(ctx, q, cfg, key, sh)
+		return o.costPartsFlight(ctx, q, rel, key, sh, e)
 	}
 
 	sh.misses.Inc()
-	v, err := o.planWithRetry(ctx, q, cfg, key)
+	v, err := o.planWithRetry(ctx, q, rel, e)
 	if err != nil {
 		return cacheVal{}, err
 	}
-
 	sh.mu.Lock()
-	perQ, ok := sh.entries[q.Text]
-	if !ok {
-		perQ = make(map[string]cacheVal)
-		sh.entries[q.Text] = perQ
-	}
-	perQ[key] = v
+	e.insert(key, &costRec{ids: memberIDs(rel), v: v})
 	sh.mu.Unlock()
 	return v, nil
 }
 
 // costPartsFlight resolves a cache miss under singleflight: concurrent
-// identical (query text, fingerprint) misses elect one leader that
-// computes the plan while the others wait on the flight, so parallel
-// enumeration never computes the same probe twice. Cost values are pure
-// functions of (query, configuration), so coalescing is invisible; only
-// the plans/misses counters see fewer computations (already documented as
-// a concurrency artefact).
-func (o *Optimizer) costPartsFlight(ctx context.Context, q *workload.Query, cfg *index.Configuration, key string, sh *cacheShard) (cacheVal, error) {
-	fkey := q.Text + "\x00" + key
+// identical (query text, relevant configuration) misses elect one leader
+// that computes the plan while the others wait on its pending record, so
+// parallel enumeration never computes the same probe twice. Cost values
+// are pure functions of (query, configuration), so coalescing is
+// invisible; only the plans/misses counters see fewer computations
+// (already documented as a concurrency artefact).
+func (o *Optimizer) costPartsFlight(ctx context.Context, q *workload.Query, rel []*index.Member, key uint64, sh *cacheShard, e *queryEntry) (cacheVal, error) {
 	for {
 		sh.mu.Lock()
-		if perQ, ok := sh.entries[q.Text]; ok {
-			if v, ok := perQ[key]; ok {
-				sh.mu.Unlock()
-				sh.hits.Inc()
-				return v, nil
-			}
+		r := e.find(key, rel)
+		if r != nil && !r.pending {
+			sh.mu.Unlock()
+			sh.hits.Inc()
+			return r.v, nil
 		}
-		if f, ok := sh.flights[fkey]; ok {
+		if r != nil {
+			if r.done == nil {
+				r.done = make(chan struct{})
+			}
+			done := r.done
 			sh.mu.Unlock()
 			o.elideWaits.Inc()
 			select {
 			case <-ctx.Done():
 				o.cancelled.Inc()
 				return cacheVal{}, ctx.Err()
-			case <-f.done:
+			case <-done:
 			}
-			if f.err != nil {
+			if r.err != nil {
 				// The leader failed. Retry as (potentially) a new leader:
 				// with the deterministic injector our own attempt sequence
 				// fails or succeeds exactly as it would have unshared, so
 				// callers observe reference failure semantics.
 				continue
 			}
-			return f.val, nil
+			return r.v, nil
 		}
-		f := &flight{done: make(chan struct{})}
-		sh.flights[fkey] = f
+		r = &costRec{ids: memberIDs(rel), pending: true}
+		e.insert(key, r)
 		sh.mu.Unlock()
 		sh.misses.Inc()
-		return o.runFlight(ctx, q, cfg, key, sh, fkey, f)
+		return o.runFlight(ctx, q, rel, key, sh, e, r)
 	}
 }
 
 // runFlight executes a leader plan computation and publishes the result —
-// to the cache, to any flight waiters, and (on success) to the elision
-// memo. A panic out of the computation (crash injection) still fails the
-// flight before propagating, so waiters never hang on a dead leader.
-func (o *Optimizer) runFlight(ctx context.Context, q *workload.Query, cfg *index.Configuration, key string, sh *cacheShard, fkey string, f *flight) (v cacheVal, err error) {
+// to the cache, to any waiters, and (on success) to the elision memo. A
+// failed computation, or a panic out of it (crash injection), withdraws
+// the record before releasing the waiters, so they never hang on a dead
+// leader and the next caller computes afresh.
+func (o *Optimizer) runFlight(ctx context.Context, q *workload.Query, rel []*index.Member, key uint64, sh *cacheShard, e *queryEntry, r *costRec) (v cacheVal, err error) {
 	committed := false
 	defer func() {
-		if committed {
-			return
+		if !committed {
+			o.land(sh, e, key, r, cacheVal{}, fmt.Errorf("cost: what-if plan computation for query %d panicked", q.ID))
 		}
-		sh.mu.Lock()
-		delete(sh.flights, fkey)
-		sh.mu.Unlock()
-		f.err = fmt.Errorf("cost: what-if plan computation for query %d panicked", q.ID)
-		close(f.done)
 	}()
-	v, err = o.planWithRetry(ctx, q, cfg, key)
+	v, err = o.planWithRetry(ctx, q, rel, e)
 	committed = true
-
-	sh.mu.Lock()
-	delete(sh.flights, fkey)
-	if err == nil {
-		perQ, ok := sh.entries[q.Text]
-		if !ok {
-			perQ = make(map[string]cacheVal)
-			sh.entries[q.Text] = perQ
-		}
-		perQ[key] = v
-	}
-	sh.mu.Unlock()
-	f.val, f.err = v, err
-	close(f.done)
+	o.land(sh, e, key, r, v, err)
 	if err != nil {
 		return cacheVal{}, err
 	}
-	o.recordParts(q, key, v)
+	o.recordParts(q, rel, v)
 	return v, nil
+}
+
+// land ends a pending record's computation with its outcome.
+func (o *Optimizer) land(sh *cacheShard, e *queryEntry, key uint64, r *costRec, v cacheVal, err error) {
+	sh.mu.Lock()
+	if err != nil {
+		e.remove(key, r)
+	}
+	r.v, r.err, r.pending = v, err, false
+	done := r.done
+	sh.mu.Unlock()
+	if done != nil {
+		close(done)
+	}
 }
 
 // planWithRetry runs one plan computation under the injector and retry
 // policy: transient injected failures back off exponentially (honouring
 // ctx) and retry up to MaxAttempts times.
-func (o *Optimizer) planWithRetry(ctx context.Context, q *workload.Query, cfg *index.Configuration, key string) (cacheVal, error) {
+func (o *Optimizer) planWithRetry(ctx context.Context, q *workload.Query, rel []*index.Member, e *queryEntry) (cacheVal, error) {
+	// The injector sees the relevant-configuration fingerprint: the
+	// members' IDs, sorted, joined by ";" ("" for none).
+	var fingerprint string
+	if o.inj != nil {
+		fingerprint = strings.Join(memberIDs(rel), ";")
+	}
 	attempts := o.retry.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
@@ -412,13 +362,13 @@ func (o *Optimizer) planWithRetry(ctx context.Context, q *workload.Query, cfg *i
 			}
 		}
 		if o.inj != nil {
-			if err := o.inj.PlanFault(q.Text, key, attempt); err != nil {
+			if err := o.inj.PlanFault(q.Text, fingerprint, attempt); err != nil {
 				lastErr = err
 				continue
 			}
 		}
 		o.plans.Add(1)
-		return o.computeCostParts(q, cfg), nil
+		return o.computeCostParts(q, rel, e), nil
 	}
 	o.retryExhausted.Inc()
 	return cacheVal{}, fmt.Errorf("cost: what-if plan for query %d failed after %d attempts: %w", q.ID, attempts, lastErr)
@@ -570,46 +520,48 @@ func (o *Optimizer) ResetCounters() {
 	o.elideWaits.Reset()
 }
 
-// computeCostParts plans every block of the query and sums their costs,
-// keeping the access+join subtotal alongside the total for the elision
-// bounds. The total is exactly what computeCost historically returned.
-func (o *Optimizer) computeCostParts(q *workload.Query, cfg *index.Configuration) cacheVal {
+// computeCostParts plans the query under the configuration whose members
+// on the query's tables are rel: it folds their access atoms through the
+// query's plan skeleton (DESIGN.md §17), keeping the access+join subtotal
+// alongside the total for the elision bounds.
+func (o *Optimizer) computeCostParts(q *workload.Query, rel []*index.Member, e *queryEntry) cacheVal {
 	if q.Info == nil {
 		return cacheVal{}
 	}
-	var total, aj float64
-	for _, blk := range q.Info.Blocks {
-		t, a := planBlockParts(o.cat, cfg, blk, o.par)
-		total += t
-		aj += a
+	s := e.skeleton(o, q)
+	var atomBuf [16]*accessAtom
+	atoms := e.atomsFor(o, s, rel, atomBuf[:0])
+	var curBuf [16]int32
+	cur := curBuf[:]
+	if len(atoms) > len(cur) {
+		cur = make([]int32, len(atoms))
 	}
-	if total <= 0 {
-		// Only reachable with zero blocks (every planned block costs at
-		// least one CPU tuple), so the subtotal clamps with the total and
-		// the derived bounds stay tight and sound.
-		total = o.par.CPUTuple
-		aj = total
-	}
-	return cacheVal{c: total, aj: aj}
+	return s.eval(o.par, atoms, cur[:len(atoms)])
 }
 
-// relevantFingerprint narrows the configuration to indexes on tables the
-// query references, so cache entries are reused across configurations that
-// differ only on irrelevant tables — the same trick commercial advisors use
-// to suppress redundant what-if calls.
-func (o *Optimizer) relevantFingerprint(q *workload.Query, cfg *index.Configuration) string {
-	if cfg == nil || cfg.Len() == 0 || q.Info == nil {
-		return ""
-	}
-	var ids []string
-	for _, t := range q.Info.Tables {
-		for _, ix := range cfg.ForTable(t) {
-			ids = append(ids, ix.ID())
-		}
-	}
-	if len(ids) == 0 {
-		return ""
-	}
-	sort.Strings(ids)
-	return strings.Join(ids, ";")
+// skeletonFor returns q's plan skeleton from the cache, building it if
+// needed. q.Info must be non-nil.
+func (o *Optimizer) skeletonFor(q *workload.Query) *planSkeleton {
+	return o.shardFor(q.Text).entry(q.Text).skeleton(o, q)
 }
+
+// relevantMembers appends to dst the configuration's members on tables
+// the query references, sorted by canonical ID. Only those can change the
+// query's plan, so cache entries are reused across configurations that
+// differ only on irrelevant tables — the same trick commercial advisors
+// use to suppress redundant what-if calls.
+//
+//lint:hotpath what-if cache key, built on every call
+func relevantMembers(dst []*index.Member, q *workload.Query, cfg *index.Configuration) []*index.Member {
+	if cfg == nil || q.Info == nil {
+		return dst
+	}
+	n := len(dst)
+	for _, t := range q.Info.Tables {
+		dst = cfg.AppendOnTable(dst, t)
+	}
+	slices.SortFunc(dst[n:], compareMemberIDs)
+	return dst
+}
+
+func compareMemberIDs(a, b *index.Member) int { return strings.Compare(a.ID, b.ID) }

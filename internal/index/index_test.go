@@ -159,6 +159,43 @@ func TestConfigurationUnionAndFingerprint(t *testing.T) {
 	}
 }
 
+// TestProbeViewMatchesWith pins Probe's contract: the view answers every
+// read exactly as the With copy does, leaves its base untouched, and
+// becomes a configuration of its own when written to.
+func TestProbeViewMatchesWith(t *testing.T) {
+	cat := testCatalog()
+	base := NewConfiguration(New("orders", "o_custkey"), New("customer", "c_nationkey"))
+	ix := New("Orders", "o_orderdate").WithIncludes("o_totalprice")
+	for _, b := range []*Configuration{nil, NewConfiguration(), base} {
+		view, copied := b.Probe(NewMember(ix)), b.With(ix)
+		if view.Len() != copied.Len() || view.Fingerprint() != copied.Fingerprint() ||
+			view.SizeBytes(cat) != copied.SizeBytes(cat) || !view.Contains(ix) {
+			t.Fatalf("view %q (len %d) differs from With %q (len %d)", view.Fingerprint(), view.Len(), copied.Fingerprint(), copied.Len())
+		}
+		for _, table := range []string{"orders", "ORDERS", "customer", "lineitem"} {
+			if got, want := len(view.ForTable(table)), len(copied.ForTable(table)); got != want {
+				t.Fatalf("ForTable(%q): view %d members, With %d", table, got, want)
+			}
+		}
+		if got, want := len(view.AppendOnTable(nil, "orders")), len(copied.ForTable("orders")); got != want {
+			t.Fatalf("AppendOnTable: view %d members, With %d", got, want)
+		}
+		if b.Contains(ix) {
+			t.Fatal("probing changed the base")
+		}
+		if cl := view.Clone(); cl.Fingerprint() != copied.Fingerprint() {
+			t.Fatalf("clone of view %q, want %q", cl.Fingerprint(), copied.Fingerprint())
+		}
+	}
+	if base.Probe(NewMember(New("orders", "o_custkey"))) != base {
+		t.Fatal("probing a member should return the configuration itself")
+	}
+	view := base.Probe(NewMember(ix))
+	if !view.Add(New("lineitem", "l_orderkey")) || view.Len() != 4 || base.Len() != 2 {
+		t.Fatalf("writing a view: view len %d, base len %d", view.Len(), base.Len())
+	}
+}
+
 func TestNilConfigurationSafe(t *testing.T) {
 	var c *Configuration
 	if c.Len() != 0 || c.Contains(New("t", "x")) || c.ForTable("t") != nil {

@@ -226,6 +226,7 @@ go test -fuzz 'FuzzSplitStatements' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./int
 go test -fuzz 'FuzzParse' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/sqlparser
 go test -fuzz 'FuzzSparseVecOps' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/features
 go test -fuzz 'FuzzCostBounds' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/cost
+go test -fuzz 'FuzzCompiledPlan' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/cost
 go test -fuzz 'FuzzWALReplay' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/durable
 go test -fuzz 'FuzzSnapshotDecode' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/durable
 
