@@ -23,7 +23,6 @@ import (
 	"isum/internal/faults"
 	"isum/internal/features"
 	"isum/internal/parallel"
-	"isum/internal/shard"
 	"isum/internal/telemetry"
 	"isum/internal/workload"
 )
@@ -38,10 +37,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	parallelism := flag.Int("parallelism", 0,
 		"worker goroutines for compression and tuning hot paths (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
-	shards := flag.Int("shards", 0,
-		"shard count for the advisors' workload costing (0/1 = single partition, bit-exact with recorded results)")
-	elide := flag.Bool("elide", true,
-		"elide redundant what-if optimizer calls via memoized atomic costs and cost bounds (DESIGN.md §16); results are identical either way")
 	var tf telemetry.Flags
 	tf.Register(flag.CommandLine)
 	var ff faults.Flags
@@ -71,7 +66,6 @@ func main() {
 	}
 	parallel.SetTelemetry(trun.Registry)
 	features.SetTelemetry(trun.Registry)
-	shard.SetTelemetry(trun.Registry)
 	workload.SetTelemetry(trun.Registry)
 
 	ctx, cancel := ff.Context()
@@ -82,9 +76,8 @@ func main() {
 	}
 	cfg := experiments.Config{
 		Scale: *sf, Seed: *seed, Fast: *fast,
-		Parallelism: *parallelism, Shards: *shards, Telemetry: trun.Registry,
+		Parallelism: *parallelism, Telemetry: trun.Registry,
 		Ctx: ctx, Retry: ff.Policy(), Injector: inj,
-		NoElide: !*elide,
 	}
 	env := experiments.NewEnv(cfg)
 

@@ -29,7 +29,6 @@ import (
 	"isum/internal/faults"
 	"isum/internal/features"
 	"isum/internal/parallel"
-	"isum/internal/shard"
 	"isum/internal/telemetry"
 	"isum/internal/workload"
 )
@@ -44,10 +43,7 @@ func main() {
 	in := flag.String("in", "", "workload JSON to inspect instead of generating")
 	top := flag.Int("top", 10, "how many queries to detail")
 	showFeatures := flag.Bool("features", false, "print feature vectors for the top queries")
-	shards := flag.Int("shards", 0, "also print the template-hash shard layout a sharded compression would use")
 	k := flag.Int("k", 20, "pool size of the durable session being inspected (with -wal-dir)")
-	elide := flag.Bool("elide", true,
-		"elide redundant what-if optimizer calls via memoized atomic costs and cost bounds (DESIGN.md §16); results are identical either way")
 	var tf telemetry.Flags
 	tf.Register(flag.CommandLine)
 	var ff faults.Flags
@@ -63,7 +59,6 @@ func main() {
 	reg := trun.Registry
 	parallel.SetTelemetry(reg)
 	features.SetTelemetry(reg)
-	shard.SetTelemetry(reg)
 	workload.SetTelemetry(reg)
 	ctx, cancel := ff.Context()
 	defer cancel()
@@ -126,7 +121,6 @@ func main() {
 			fatal(err)
 		}
 		o := cost.NewOptimizerWithTelemetry(g.Cat, cost.DefaultParams(), reg)
-		o.SetElision(*elide)
 		if err := ff.Apply(o); err != nil {
 			fatal(err)
 		}
@@ -140,22 +134,6 @@ func main() {
 
 	fmt.Printf("workload: %d queries, %d templates, %d tables referenced, total cost %.0f\n\n",
 		w.Len(), w.NumTemplates(), w.TablesReferenced(), w.TotalCost())
-
-	if *shards > 1 {
-		parts := shard.Partition(w.Len(), *shards, func(i int) string { return w.Queries[i].TemplateID })
-		fmt.Printf("shard layout at -shards %d (template-hash partition):\n", *shards)
-		for s, part := range parts {
-			tmplSeen := map[string]bool{}
-			var cost float64
-			for _, i := range part {
-				tmplSeen[w.Queries[i].TemplateID] = true
-				cost += w.Queries[i].Cost
-			}
-			fmt.Printf("  shard %2d: %5d queries  %4d templates  cost %12.0f\n",
-				s, len(part), len(tmplSeen), cost)
-		}
-		fmt.Println()
-	}
 
 	// Template clusters by frequency.
 	type tmpl struct {

@@ -40,7 +40,6 @@ import (
 	"isum/internal/faults"
 	"isum/internal/features"
 	"isum/internal/parallel"
-	"isum/internal/shard"
 	"isum/internal/telemetry"
 	"isum/internal/workload"
 )
@@ -59,14 +58,10 @@ func main() {
 	out := flag.String("out", "", "output file (default stdout)")
 	parallelism := flag.Int("parallelism", 0,
 		"worker goroutines for compression hot paths (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
-	shards := flag.Int("shards", 0,
-		"shard count for sharded compression (0/1 = single partition); shards are hashed by template and merged deterministically")
 	cons := flag.Bool("cons", false,
 		"hash-cons queries by template before selection: one state per distinct template, utilities pooled per Algorithm 4")
 	batch := flag.Int("batch", 8,
 		"observed batch size for the durable session (with -wal-dir): queries per WAL record and recompression")
-	elide := flag.Bool("elide", true,
-		"elide redundant what-if optimizer calls via memoized atomic costs and cost bounds (DESIGN.md §16); results are identical either way")
 	var tf telemetry.Flags
 	tf.Register(flag.CommandLine)
 	var ff faults.Flags
@@ -82,7 +77,6 @@ func main() {
 	reg := trun.Registry
 	parallel.SetTelemetry(reg)
 	features.SetTelemetry(reg)
-	shard.SetTelemetry(reg)
 	workload.SetTelemetry(reg)
 	ctx, cancel := ff.Context()
 	defer cancel()
@@ -113,7 +107,6 @@ func main() {
 		// the telemetry export shows the what-if call/cache counts).
 		sp := reg.Start("isum/fill-costs")
 		o := cost.NewOptimizerWithTelemetry(g.Cat, cost.DefaultParams(), reg)
-		o.SetElision(*elide)
 		if err := ff.Apply(o); err != nil {
 			fatal(err)
 		}
@@ -145,7 +138,6 @@ func main() {
 		fatal(fmt.Errorf("unknown variant %q", *variant))
 	}
 	opts.Parallelism = *parallelism
-	opts.Shards = *shards
 	opts.ConsTemplates = *cons
 	opts.Telemetry = reg
 	opts.Progress = trun.ProgressFunc()

@@ -26,7 +26,6 @@ import (
 	"isum/internal/faults"
 	"isum/internal/features"
 	"isum/internal/parallel"
-	"isum/internal/shard"
 	"isum/internal/telemetry"
 	"isum/internal/workload"
 )
@@ -47,10 +46,6 @@ func main() {
 	configOut := flag.String("config-out", "", "save the recommended configuration as JSON")
 	parallelism := flag.Int("parallelism", 0,
 		"worker goroutines for what-if calls (0 = GOMAXPROCS, 1 = serial); recommendations are identical at any setting")
-	shards := flag.Int("shards", 0,
-		"shard count for workload costing (0/1 = single partition, bit-exact); shards are hashed by template and folded in fixed order")
-	elide := flag.Bool("elide", true,
-		"elide redundant what-if optimizer calls via memoized atomic costs and cost bounds (DESIGN.md §16); recommendations are identical either way")
 	var tf telemetry.Flags
 	tf.Register(flag.CommandLine)
 	var ff faults.Flags
@@ -67,7 +62,6 @@ func main() {
 	reg := trun.Registry
 	parallel.SetTelemetry(reg)
 	features.SetTelemetry(reg)
-	shard.SetTelemetry(reg)
 	workload.SetTelemetry(reg)
 	ctx, cancel := ff.Context()
 	defer cancel()
@@ -112,16 +106,13 @@ func main() {
 	}
 	opts.MaxIndexes = *maxIndexes
 	opts.Parallelism = *parallelism
-	opts.Shards = *shards
 	opts.Telemetry = reg
 	opts.Progress = trun.ProgressFunc()
-	opts.Elide = *elide
 	if *storageMult > 0 {
 		opts.StorageBudget = int64(*storageMult * float64(g.Cat.TotalSizeBytes()))
 	}
 
 	o := cost.NewOptimizerWithTelemetry(g.Cat, cost.DefaultParams(), reg)
-	o.SetElision(*elide)
 	if err := ff.Apply(o); err != nil {
 		fatal(err)
 	}

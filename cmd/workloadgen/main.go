@@ -15,7 +15,6 @@ import (
 	"isum/internal/faults"
 	"isum/internal/features"
 	"isum/internal/parallel"
-	"isum/internal/shard"
 	"isum/internal/telemetry"
 	"isum/internal/workload"
 )
@@ -25,13 +24,10 @@ var logger = telemetry.NewLogger(os.Stderr)
 func main() {
 	bench := flag.String("benchmark", "tpch", "benchmark: tpch, tpcds, dsb, realm, scalem")
 	n := flag.Int("n", 0, "number of query instances (default: paper's Table 2 size)")
-	shards := flag.Int("shards", 0, "report the template-hash shard balance a sharded compression at this shard count would see")
 	sf := flag.Float64("sf", 10, "scale factor")
 	seed := flag.Int64("seed", 1, "generation seed")
 	out := flag.String("out", "", "output file (default stdout)")
 	catalogOut := flag.String("catalog-out", "", "also export the catalog (schema + statistics) as JSON")
-	elide := flag.Bool("elide", true,
-		"elide redundant what-if optimizer calls via memoized atomic costs and cost bounds (DESIGN.md §16); results are identical either way")
 	var tf telemetry.Flags
 	tf.Register(flag.CommandLine)
 	var ff faults.Flags
@@ -45,7 +41,6 @@ func main() {
 	reg := trun.Registry
 	parallel.SetTelemetry(reg)
 	features.SetTelemetry(reg)
-	shard.SetTelemetry(reg)
 	workload.SetTelemetry(reg)
 	ctx, cancel := ff.Context()
 	defer cancel()
@@ -66,7 +61,6 @@ func main() {
 	sp.End()
 	sp = reg.Start("workloadgen/fill-costs")
 	o := cost.NewOptimizerWithTelemetry(g.Cat, cost.DefaultParams(), reg)
-	o.SetElision(*elide)
 	if err := ff.Apply(o); err != nil {
 		fatal(err)
 	}
@@ -107,19 +101,6 @@ func main() {
 	logger.Info("generated workload",
 		"benchmark", g.Name, "queries", w.Len(),
 		"templates", w.NumTemplates(), "tables", w.TablesReferenced())
-	if *shards > 1 {
-		parts := shard.Partition(w.Len(), *shards, func(i int) string { return w.Queries[i].TemplateID })
-		min, max := w.Len(), 0
-		for _, part := range parts {
-			if len(part) < min {
-				min = len(part)
-			}
-			if len(part) > max {
-				max = len(part)
-			}
-		}
-		logger.Info("shard balance", "shards", *shards, "min", min, "max", max)
-	}
 	if err := trun.Close(); err != nil {
 		fatal(err)
 	}

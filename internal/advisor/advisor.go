@@ -71,14 +71,6 @@ type Options struct {
 	// results are merged and weighted sums reduced in input order (see
 	// DESIGN.md, "Concurrency model").
 	Parallelism int
-	// Shards, when > 1, partitions workload costing by the stable template
-	// hash (shard.Partition) and fans the shards out across the
-	// Parallelism workers, folding per-shard sums in fixed shard order.
-	// Deterministic at any parallelism, but a different floating-point
-	// association than the single-partition reduction — recommendations
-	// may differ in the last ulps from the 0/1 path, which stays
-	// bit-exact with previous releases.
-	Shards int
 	// Telemetry receives the advisor's metrics and phase spans (candidate
 	// selection, merging, per-round enumeration — see DESIGN.md §8). nil,
 	// the default, disables instrumentation; recommendations are identical
@@ -86,21 +78,6 @@ type Options struct {
 	// optimizer with NewOptimizerWithTelemetry on a shared one) to see
 	// what-if call deltas attributed to each tuning phase.
 	Telemetry *telemetry.Registry
-	// Elide enables what-if call elision (DESIGN.md §16): candidate
-	// selection and enumeration consult the optimizer's memoized atomic
-	// costs and derived lower/upper cost bounds to skip what-if calls
-	// whose outcome is already decided — memo-exact substitutions, queries
-	// whose lower bound meets their current cost, and whole candidates
-	// whose optimistic gain bound cannot beat an earlier candidate's
-	// pessimistic gain. Elision is bitwise-invisible: the chosen
-	// configuration, Initial/FinalCost, ConfigsExplored, and report output
-	// are identical with it on or off (pinned by
-	// TestElisionDoesNotChangeOutput); only OptimizerCalls shrinks.
-	// DefaultOptions/DexterOptions enable it; the zero value is the
-	// reference path. Requires the optimizer's elision layer
-	// (cost.Optimizer.SetElision, on by default) — disabled there, this
-	// flag is a no-op.
-	Elide bool
 	// Progress, when non-nil, receives streaming progress events while
 	// tuning runs (DESIGN.md §13): per candidate-selection stride
 	// ("advisor/candidates", emitted from worker goroutines — the
@@ -121,7 +98,6 @@ func DefaultOptions() Options {
 		EnableIncludes:     true,
 		EnableMerging:      true,
 		CandidatesPerQuery: 8,
-		Elide:              true,
 	}
 }
 
@@ -135,7 +111,6 @@ func DexterOptions() Options {
 		EnableMerging:      false,
 		MinImprovement:     0.05,
 		CandidatesPerQuery: 4,
-		Elide:              true,
 	}
 }
 
@@ -276,7 +251,7 @@ func (a *Advisor) costDetachedOnCancel(ctx context.Context, res *Result, w *work
 		res.Partial = true
 		ctx = context.Background() //lint:allow ctx deliberate detach: recost the partial result after cancellation (DESIGN.md §9)
 	}
-	c, err := a.workloadCostCtx(ctx, w, cfg)
+	c, err := a.o.WorkloadCostCtx(ctx, w, cfg, a.opts.Parallelism)
 	if err == nil {
 		return c, nil
 	}
@@ -285,7 +260,7 @@ func (a *Advisor) costDetachedOnCancel(ctx context.Context, res *Result, w *work
 	}
 	res.Partial = true
 	//lint:allow ctx deliberate detach: recost the partial result after cancellation (DESIGN.md §9)
-	return a.workloadCostCtx(context.Background(), w, cfg)
+	return a.o.WorkloadCostCtx(context.Background(), w, cfg, a.opts.Parallelism)
 }
 
 // isCancel reports whether err stems from context cancellation or deadline
@@ -322,19 +297,20 @@ type queryCandidates struct {
 // Partial. A real what-if failure (retries exhausted) or a contained
 // panic aborts selection with the error.
 //
-// With Options.Elide on, the per-query base cost is served from the
-// optimizer's atomic memo (populated by the initial workload costing),
-// and a candidate is dropped without costing when the query's structural
-// floor on the candidate's table proves even a perfect index fails the
-// improvement threshold: the true gain is at most base − floor, so a
-// pruned candidate is exactly one the reference path would drop after
-// costing. Pruned candidates still count as probed/explored.
+// With the optimizer's elision layer on (cost.Optimizer.SetElision), the
+// per-query base cost is served from the optimizer's atomic memo
+// (populated by the initial workload costing), and a candidate is
+// dropped without costing when the query's structural floor on the
+// candidate's table proves even a perfect index fails the improvement
+// threshold: the true gain is at most base − floor, so a pruned
+// candidate is exactly one the reference path would drop after costing.
+// Pruned candidates still count as probed/explored.
 func (a *Advisor) selectCandidates(ctx context.Context, w *workload.Workload, res *Result) ([]scored, error) {
 	// probed is bumped from worker closures — counters are atomics, so
 	// this is the one advisor metric safely updated off the span path.
 	probed := a.opts.Telemetry.Counter("advisor/candidates/probed")
 	progress := a.opts.Progress
-	elide := a.opts.Elide && a.o.ElisionEnabled()
+	elide := a.o.ElisionEnabled()
 	// Each candidate is probed alone: a view of the empty configuration
 	// plus the candidate, which copies nothing.
 	var empty *index.Configuration
@@ -551,9 +527,9 @@ func mergeIndexes(A, B index.Index, maxKeys, maxIncludes int) *index.Index {
 // candidate's table — indexes cannot change other queries' plans — which is
 // the same table-pruning commercial advisors use to bound what-if calls.
 //
-// With Options.Elide on, three further elisions apply (DESIGN.md §16),
-// none of which can change the chosen index, the per-round cost updates,
-// or ConfigsExplored:
+// With the optimizer's elision layer on, three further elisions apply
+// (DESIGN.md §16), none of which can change the chosen index, the
+// per-round cost updates, or ConfigsExplored:
 //
 //   - memo-exact: when the current configuration has no index on a
 //     query's tables, the trial configuration's relevant set is exactly
@@ -574,7 +550,7 @@ func (a *Advisor) enumerate(ctx context.Context, w *workload.Workload, cands []s
 	var used int64
 	remaining := append([]scored{}, cands...)
 	workers := parallel.Workers(a.opts.Parallelism)
-	elide := a.opts.Elide && a.o.ElisionEnabled()
+	elide := a.o.ElisionEnabled()
 
 	// Per remaining candidate, spliced alongside it: the index with its
 	// canonical ID, which probes add to the configuration as a view, and
@@ -924,7 +900,7 @@ func (a *Advisor) enumerate(ctx context.Context, w *workload.Workload, cands []s
 			a.opts.Progress(telemetry.ProgressEvent{
 				Phase: "advisor/enumerate", Round: res.Rounds,
 				Done: cfg.Len(), Total: a.opts.MaxIndexes,
-				Benefit: gainSum, Shards: a.opts.Shards,
+				Benefit: gainSum,
 			})
 		}
 		if reg != nil {

@@ -47,7 +47,6 @@ func runTune(t *testing.T, w *workload.Workload, cat *catalog.Catalog, opts Opti
 	t.Helper()
 	o := cost.NewOptimizer(cat)
 	o.SetElision(elide)
-	opts.Elide = elide
 	res, err := New(o, opts).TuneContext(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ const ScaleMDefaultTemplates = 2000
 // templates. Instances cycle templates round-robin, giving every
 // template ≈ n/templates literal-varied duplicates: exactly the
 // duplicate-heavy shape production query stores exhibit and the shape
-// template hash-consing and sharded compression are built for.
+// template hash-consing is built for.
 //
 // templates < 1 falls back to ScaleMDefaultTemplates. The generator is
 // seeded and fully deterministic for a given (seed, templates) pair.

@@ -111,17 +111,10 @@ func (c *Compressor) CompressContext(ctx context.Context, w *workload.Workload, 
 	if k > len(states) {
 		k = len(states)
 	}
-	if c.opts.Shards > 1 {
-		sh := reg.Start("core/select-sharded")
-		err = c.selectSharded(ctx, states, k, res)
-		sh.SetAttr("selected", len(res.Indices))
-		sh.End()
-	} else {
-		sg := reg.Start("core/select-greedy")
-		err = c.selectGreedy(ctx, states, k, res)
-		sg.SetAttr("selected", len(res.Indices))
-		sg.End()
-	}
+	sg := reg.Start("core/select-greedy")
+	err = c.selectGreedy(ctx, states, k, res)
+	sg.SetAttr("selected", len(res.Indices))
+	sg.End()
 	if err != nil {
 		return nil, err
 	}
@@ -129,10 +122,9 @@ func (c *Compressor) CompressContext(ctx context.Context, w *workload.Workload, 
 	res.Weights = c.weigh(w, states, res)
 	sw.End()
 	c.opts.Progress.Emit(telemetry.ProgressEvent{
-		Phase:  "core/weigh",
-		Done:   len(res.Indices),
-		Total:  len(res.Indices),
-		Shards: c.opts.Shards,
+		Phase: "core/weigh",
+		Done:  len(res.Indices),
+		Total: len(res.Indices),
 	})
 	if repIdx != nil {
 		// Consed indices are template-state positions; translate back to
@@ -202,27 +194,13 @@ func isCancel(err error) bool {
 // — it was already decided — and abandons the state updates, which only
 // feed rounds that will never run.
 func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, k int, res *Result) error {
-	var ss *SummaryState
-	if c.opts.Algorithm != AllPairs {
-		ss = BuildSummary(states)
-	}
-	return c.greedyLoop(ctx, states, k, res, ss, nil)
-}
-
-// greedyLoop is the greedy round engine behind both the single-partition
-// path (selectGreedy) and the sharded refinement pass (selectSharded). ss
-// is the starting summary over the unselected states (nil only for
-// AllPairs); eligible, when non-nil, restricts *selection* to the marked
-// positions while the post-selection update sweep still maintains every
-// state — this is what lets the cross-shard refinement re-rank the
-// per-shard winners against summaries spanning the whole workload. When
-// the eligible candidates are exhausted but ineligible live states
-// remain, the loop returns with fewer than k selections rather than
-// resetting features that are not actually spent.
-func (c *Compressor) greedyLoop(ctx context.Context, states []*QueryState, k int, res *Result, ss *SummaryState, eligible []bool) error {
 	workers := parallel.Workers(c.opts.Parallelism)
 	summary := c.opts.Algorithm != AllPairs
 	incremental := summary && !c.opts.RebuildSummary
+	var ss *SummaryState
+	if summary {
+		ss = BuildSummary(states)
+	}
 
 	// Telemetry handles (all nil-safe; resolved once, not per round). The
 	// disabled path costs a pointer check per round and never calls
@@ -261,9 +239,6 @@ func (c *Compressor) greedyLoop(ctx context.Context, states []*QueryState, k int
 		}
 		benefits, err := parallel.Map(ctx, workers, len(states), func(i int) float64 {
 			s := states[i]
-			if eligible != nil && !eligible[i] {
-				return ineligible
-			}
 			if s.Selected || s.Vec.AllZero() {
 				return ineligible
 			}
@@ -321,7 +296,7 @@ func (c *Compressor) greedyLoop(ctx context.Context, states []*QueryState, k int
 		}
 
 		best.Selected = true
-		live-- // best was eligible, so it was counted live
+		live-- // best was selectable, so it was counted live
 		res.Indices = append(res.Indices, best.Index)
 		res.SelectionBenefits = append(res.SelectionBenefits, bestBenefit)
 		res.Rounds++
@@ -333,7 +308,6 @@ func (c *Compressor) greedyLoop(ctx context.Context, states []*QueryState, k int
 				Done:    len(res.Indices),
 				Total:   k,
 				Benefit: benefitSum,
-				Shards:  c.opts.Shards,
 			})
 		}
 		if reg != nil {

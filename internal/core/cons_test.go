@@ -172,28 +172,3 @@ func TestConsedCompressOnDuplicates(t *testing.T) {
 		t.Fatalf("consed selection on duplicated workload diverged from plain selection on deduplicated one:\n got %v\nwant %v", consTmpl, baseTmpl)
 	}
 }
-
-// TestConsedSharded pins that consing composes with sharding: the
-// combined path still selects representative positions deterministically
-// and matches the consed-unsharded selection.
-func TestConsedSharded(t *testing.T) {
-	w := generatorWorkload(t, "tpcds", 60)
-	const k = 12
-	copts := DefaultOptions()
-	copts.ConsTemplates = true
-	base := New(copts).Compress(w, k)
-	for _, shards := range []int{2, 4} {
-		opts := copts
-		opts.Shards = shards
-		opts.Parallelism = 4
-		got := New(opts).Compress(w, k)
-		if !reflect.DeepEqual(got.Indices, base.Indices) {
-			t.Fatalf("shards=%d: selection diverged:\n got %v\nwant %v", shards, got.Indices, base.Indices)
-		}
-		for i := range got.Weights {
-			if math.Float64bits(got.Weights[i]) != math.Float64bits(base.Weights[i]) {
-				t.Fatalf("shards=%d: weight %d: got %v, want %v", shards, i, got.Weights[i], base.Weights[i])
-			}
-		}
-	}
-}

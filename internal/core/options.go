@@ -95,16 +95,6 @@ type Options struct {
 	// identical at any setting: benefits are computed in parallel but
 	// reduced serially in query order (see DESIGN.md, "Concurrency model").
 	Parallelism int
-	// Shards, when > 1, runs sharded compression (DESIGN.md §12): the
-	// query states are partitioned by a stable hash of TemplateID, each
-	// shard is compressed independently (shards fan out across the
-	// Parallelism workers), and the per-shard winners are re-ranked by a
-	// cross-shard refinement pass against the merged shard summaries.
-	// Shard summaries are merged in fixed shard order and refinement
-	// candidates are sorted by workload position, so the output is
-	// byte-reproducible at any Parallelism. 0 or 1 disables sharding and
-	// keeps the exact single-partition path.
-	Shards int
 	// ConsTemplates enables template hash-consing (DESIGN.md §12): queries
 	// are interned by TemplateID before the greedy loop, so all instances
 	// of one template share one feature extraction and one state whose
@@ -138,11 +128,9 @@ type Options struct {
 	// Progress, when non-nil, receives streaming progress events while
 	// the compression runs (DESIGN.md §13): per state-building stride
 	// ("core/build-states"), per greedy selection ("core/greedy", with
-	// round, k-so-far, and cumulative benefit), per completed shard
-	// ("core/shard-fanout") and per summary fold ("core/shard-merge")
-	// on the sharded path, and after weighing ("core/weigh"). The
-	// function must be safe for concurrent use — shard and build
-	// sweeps emit from worker goroutines. Events are observational
+	// round, k-so-far, and cumulative benefit), and after weighing
+	// ("core/weigh"). The function must be safe for concurrent use — the
+	// build sweep emits from worker goroutines. Events are observational
 	// only: compression output is byte-identical with or without a
 	// Progress sink (pinned by TestProgressDoesNotChangeOutput), and
 	// nil costs a pointer check per emission site.

@@ -13,7 +13,7 @@ import (
 )
 
 // eventLog is a concurrency-safe ProgressFunc that records every event —
-// the shard fan-out and build sweeps emit from worker goroutines.
+// the build sweep emits from worker goroutines.
 type eventLog struct {
 	mu     sync.Mutex
 	events []telemetry.ProgressEvent
@@ -37,9 +37,9 @@ func (l *eventLog) phases() map[string]int {
 
 // TestProgressDoesNotChangeOutput pins the observer contract from
 // Options.Progress: wiring a progress sink must leave the selection
-// bitwise identical — indices, weights, and benefits — on the plain,
-// sharded, and template-consed paths, while actually delivering events
-// for the phases each path runs.
+// bitwise identical — indices, weights, and benefits — on the plain and
+// template-consed paths, while actually delivering events for the phases
+// each path runs.
 func TestProgressDoesNotChangeOutput(t *testing.T) {
 	w := generatorWorkload(t, "tpcds", 80)
 	const k = 16
@@ -52,11 +52,6 @@ func TestProgressDoesNotChangeOutput(t *testing.T) {
 			name:       "plain",
 			configure:  func(o *Options) {},
 			wantPhases: []string{"core/build-states", "core/greedy", "core/weigh"},
-		},
-		{
-			name:       "sharded",
-			configure:  func(o *Options) { o.Shards = 4; o.Parallelism = 4 },
-			wantPhases: []string{"core/build-states", "core/shard-fanout", "core/shard-merge", "core/weigh"},
 		},
 		{
 			name:       "consed",
@@ -142,12 +137,12 @@ func TestProgressGreedyEventShape(t *testing.T) {
 	}
 }
 
-// TestDebugServerUnderShardedCompression is the -race hammer: a live
-// debug server is scraped continuously while a sharded, parallel,
-// progress-instrumented compression runs against the same registry and
-// tracker. Any unsynchronised access between the HTTP handlers and the
-// worker pool trips the race detector.
-func TestDebugServerUnderShardedCompression(t *testing.T) {
+// TestDebugServerUnderCompression is the -race hammer: a live debug
+// server is scraped continuously while a parallel, progress-instrumented
+// compression runs against the same registry and tracker. Any
+// unsynchronised access between the HTTP handlers and the worker pool
+// trips the race detector.
+func TestDebugServerUnderCompression(t *testing.T) {
 	w := generatorWorkload(t, "tpcds", 120)
 	reg := telemetry.New()
 	tr := telemetry.NewTracker()
@@ -195,7 +190,6 @@ func TestDebugServerUnderShardedCompression(t *testing.T) {
 	}()
 
 	opts := DefaultOptions()
-	opts.Shards = 4
 	opts.Parallelism = 4
 	opts.Telemetry = reg
 	opts.Progress = tr.Observe

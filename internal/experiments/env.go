@@ -34,12 +34,6 @@ type Config struct {
 	// hot paths (0 = GOMAXPROCS, 1 = serial). Experiment outputs are
 	// identical at any setting; this only trades wall-clock for cores.
 	Parallelism int
-	// Shards, when > 1, routes the advisors' workload costing through the
-	// template-hash sharded reduction (advisor.Options.Shards). Off by
-	// default: the sharded fold is deterministic but associates the
-	// floating-point sum differently, and recorded experiment results pin
-	// the single-partition reduction.
-	Shards int
 	// Telemetry, when non-nil, collects pipeline metrics and phase spans
 	// across every experiment: optimizers are constructed against it and
 	// Run appends a per-figure phase breakdown (elapsed time plus counter
@@ -58,11 +52,6 @@ type Config struct {
 	// Injector, when non-nil, installs deterministic fault injection on
 	// every optimizer the experiments construct (the -chaos path).
 	Injector cost.Injector
-	// NoElide disables what-if call elision (DESIGN.md §16) on the
-	// optimizers and advisors the experiments construct. The zero value
-	// keeps elision on — figure results are identical either way; elision
-	// only shrinks the what-if call counts in the phase breakdowns.
-	NoElide bool
 }
 
 // Context returns the run's context (Background when none was set).
@@ -117,7 +106,6 @@ func NewEnv(cfg Config) *Env {
 // retry policy and fault injector.
 func (e *Env) freshOptimizer(g *benchmarks.Generator) *cost.Optimizer {
 	o := cost.NewOptimizerWithTelemetry(g.Cat, cost.DefaultParams(), e.Cfg.Telemetry)
-	o.SetElision(!e.Cfg.NoElide)
 	if e.Cfg.Retry.MaxAttempts > 0 {
 		o.SetRetryPolicy(e.Cfg.Retry)
 	}
@@ -186,9 +174,7 @@ func (e *Env) AdvisorOptions(name string) (advisor.Options, error) {
 	opts.MaxIndexes = 30
 	opts.StorageBudget = 3 * g.Cat.TotalSizeBytes()
 	opts.Parallelism = e.Cfg.Parallelism
-	opts.Shards = e.Cfg.Shards
 	opts.Telemetry = e.Cfg.Telemetry
-	opts.Elide = !e.Cfg.NoElide
 	return opts, nil
 }
 

@@ -463,8 +463,12 @@ func wrapOperand(e Expr) string {
 	}
 }
 
-// SQL renders the unary expression.
+// SQL renders the unary expression. A chain of one prefix operator prints
+// flat ("NOT NOT x", "- -x"), so printing adds no nesting levels to it.
 func (u *UnaryExpr) SQL() string {
+	if x, ok := u.X.(*UnaryExpr); ok && x.Op == u.Op {
+		return u.Op + " " + x.SQL()
+	}
 	if u.Op == "NOT" {
 		return "NOT " + wrapOperand(u.X)
 	}

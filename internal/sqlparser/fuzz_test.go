@@ -1,6 +1,9 @@
 package sqlparser
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // FuzzParse checks the parser on arbitrary input: it must never panic, and
 // anything it accepts must print to SQL that parses again with a stable
@@ -20,6 +23,11 @@ func FuzzParse(f *testing.F) {
 		"SELECT",
 		"",
 		"NOT SQL AT ALL",
+		// Deep nesting: 100 levels parse; past maxDepth is an error.
+		"SELECT a FROM t WHERE x = " + strings.Repeat("(", 100) + "1" + strings.Repeat(")", 100),
+		strings.Repeat("SELECT a FROM (", 100) + "SELECT a FROM t" + strings.Repeat(") s", 100),
+		"SELECT a FROM t WHERE " + strings.Repeat("NOT ", 100) + "x = 1",
+		"SELECT a FROM t WHERE x = " + strings.Repeat("(", maxDepth+1) + "1" + strings.Repeat(")", maxDepth+1),
 	}
 	for _, s := range seeds {
 		f.Add(s)

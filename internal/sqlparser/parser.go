@@ -6,11 +6,23 @@ import (
 	"strings"
 )
 
+// maxDepth bounds how deeply expressions and SELECTs may nest:
+// parenthesised expressions, function arguments, subqueries, UNION arms,
+// parenthesised table references and prefix NOT/sign operators each take
+// one level. The parser recurses once per level, and a goroutine stack
+// overflow is fatal rather than a recoverable panic, so without a bound
+// one adversarial statement (10⁶ nested parentheses) would kill the whole
+// process instead of failing with a positioned error. SQL() parenthesises
+// nested operators, so a statement within a few levels of the bound can
+// print to text that nests past it.
+const maxDepth = 1000
+
 // Parser is a recursive-descent parser over a token stream.
 type Parser struct {
-	toks []Token
-	pos  int
-	src  string
+	toks  []Token
+	pos   int
+	src   string
+	depth int // current nesting, bounded by maxDepth
 }
 
 // Parse parses a single SELECT statement (optionally terminated by ';').
@@ -101,6 +113,10 @@ func (p *Parser) parseCTE() (CTE, error) {
 }
 
 func (p *Parser) parseSelect() (*SelectStmt, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	if !p.acceptKeyword("SELECT") {
 		return nil, p.errorf("expected SELECT, got %q", p.peek().Text)
 	}
@@ -313,6 +329,10 @@ func (p *Parser) consumeJoinKeywords() {
 func (p *Parser) parsePrimaryTableRef() (TableRef, error) {
 	if p.acceptPunct("(") {
 		// Derived table or parenthesised join tree.
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		defer p.unnest()
 		if p.peekKeyword("SELECT") || p.peekKeyword("WITH") {
 			sel, err := p.parseStatement()
 			if err != nil {
@@ -356,7 +376,14 @@ func (p *Parser) parsePrimaryTableRef() (TableRef, error) {
 
 // ---- expressions ----
 
-func (p *Parser) parseExpr() (Expr, error) { return p.parseOr() }
+func (p *Parser) parseExpr() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	e, err := p.parseOr()
+	p.unnest()
+	return e, err
+}
 
 func (p *Parser) parseOr() (Expr, error) {
 	left, err := p.parseAnd()
@@ -390,6 +417,10 @@ func (p *Parser) parseAnd() (Expr, error) {
 
 func (p *Parser) parseNot() (Expr, error) {
 	if p.acceptKeyword("NOT") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		defer p.unnest()
 		x, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -553,6 +584,10 @@ func (p *Parser) parseUnary() (Expr, error) {
 	t := p.peek()
 	if t.Kind == TokenOp && (t.Text == "-" || t.Text == "+") {
 		p.next()
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		defer p.unnest()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -635,6 +670,10 @@ func (p *Parser) parseKeywordPrimary() (Expr, error) {
 		return &ExistsExpr{Subquery: sub}, nil
 	case "NOT":
 		p.next()
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		defer p.unnest()
 		x, err := p.parsePrimary()
 		if err != nil {
 			return nil, err
@@ -949,6 +988,18 @@ func (p *Parser) expectInt() (int64, error) {
 	}
 	return n, nil
 }
+
+// nest enters one nesting level, failing past maxDepth; every successful
+// call is paired with a deferred unnest.
+func (p *Parser) nest() error {
+	if p.depth >= maxDepth {
+		return p.errorf("nesting deeper than %d levels", maxDepth)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *Parser) unnest() { p.depth-- }
 
 func (p *Parser) errorf(format string, args ...any) error {
 	pos := p.peek().Pos

@@ -1,6 +1,7 @@
 package sqlparser
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -320,5 +321,41 @@ func TestParseTPCHStyleQueries(t *testing.T) {
 		if len(BaseTables(stmt)) == 0 {
 			t.Fatalf("query %d: no base tables found", i)
 		}
+	}
+}
+
+// TestParseRejectsDeepNesting: nesting past maxDepth is a positioned
+// error. Without the bound, 10⁶ nested parentheses and 1.5×10⁶ nested
+// derived tables each overflow the goroutine stack, which is fatal. The
+// latter tokenizes to over a gigabyte, and the bound rejects at maxDepth
+// whatever the input's length, so 10⁵ levels take the same path.
+func TestParseRejectsDeepNesting(t *testing.T) {
+	const parens, subqueries = 1_000_000, 100_000
+	for name, sql := range map[string]string{
+		"parentheses": "SELECT a FROM t WHERE x = " + strings.Repeat("(", parens) + "1" + strings.Repeat(")", parens),
+		"subqueries":  strings.Repeat("SELECT a FROM (", subqueries) + "SELECT a FROM t" + strings.Repeat(") s", subqueries),
+	} {
+		_, err := Parse(sql)
+		if err == nil || !strings.Contains(err.Error(), "nesting deeper than") || !strings.Contains(err.Error(), "(at offset ") {
+			t.Errorf("%s: err = %v, want a positioned nesting error", name, err)
+		}
+	}
+
+	// 100 levels of every nesting construct still parse and round-trip,
+	// and so do chains of one prefix operator close to the bound: they
+	// print flat, so the printed text nests no deeper than its source.
+	const n, chain = 100, maxDepth - 10
+	for _, sql := range []string{
+		"SELECT a FROM t WHERE x = " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n),
+		strings.Repeat("SELECT a FROM (", n) + "SELECT a FROM t" + strings.Repeat(") s", n),
+		"SELECT a FROM t WHERE x IN " + strings.Repeat("(SELECT a FROM t WHERE x IN ", n) + "(1)" + strings.Repeat(")", n),
+		"SELECT " + strings.Repeat("ABS(", n) + "a" + strings.Repeat(")", n) + " FROM t",
+		"SELECT a FROM " + strings.Repeat("(", n) + "t JOIN u ON t.a = u.a" + strings.Repeat(")", n),
+		"SELECT a FROM t" + strings.Repeat(" UNION ALL SELECT a FROM t", n),
+		"SELECT a FROM t WHERE x = 1 + " + strings.Repeat("NOT ", n) + "1",
+		"SELECT a FROM t WHERE " + strings.Repeat("NOT ", chain) + "x",
+		"SELECT " + strings.Repeat("- ", chain) + "a FROM t",
+	} {
+		roundTrip(t, sql)
 	}
 }

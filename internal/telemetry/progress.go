@@ -16,28 +16,25 @@ import (
 // so emitting is allocation-free and never reads the wall clock.
 type ProgressEvent struct {
 	// Phase names the emitting pipeline phase in the span convention:
-	// "core/build-states", "core/greedy", "core/shard-fanout",
-	// "core/shard-merge", "core/weigh", "advisor/candidates",
-	// "advisor/enumerate".
+	// "core/build-states", "core/greedy", "core/weigh",
+	// "advisor/candidates", "advisor/enumerate".
 	Phase string
 	// Round is the greedy/enumeration round count so far (0 when the
 	// phase has no round structure).
 	Round int
 	// Done is the number of phase units completed: queries built,
-	// selections made (k-so-far), shards finished, indexes chosen.
+	// selections made (k-so-far), indexes chosen.
 	Done int
 	// Total is the expected unit count for the phase (0 = unknown).
 	Total int
 	// Benefit is the cumulative benefit (compression) or weighted gain
 	// (tuning) accumulated so far in the phase.
 	Benefit float64
-	// Shards is the shard fan-out of a sharded compression (0 = unsharded).
-	Shards int
 }
 
 // ProgressFunc receives progress events. Implementations must be safe
-// for concurrent use: the shard fan-out and the build-states sweep emit
-// from worker-pool goroutines. A nil ProgressFunc disables the bus.
+// for concurrent use: the build-states sweep emits from worker-pool
+// goroutines. A nil ProgressFunc disables the bus.
 type ProgressFunc func(ProgressEvent)
 
 // Emit calls the function with the event; a nil ProgressFunc is a no-op
@@ -104,7 +101,6 @@ type progressJSON struct {
 	Done           int     `json:"done"`
 	Total          int     `json:"total"`
 	Benefit        float64 `json:"benefit"`
-	Shards         int     `json:"shards"`
 	Events         int64   `json:"events"`
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 	RatePerSecond  float64 `json:"rate_per_second"`
@@ -121,7 +117,6 @@ func (t *Tracker) snapshot() progressJSON {
 		Done:    t.last.Done,
 		Total:   t.last.Total,
 		Benefit: t.last.Benefit,
-		Shards:  t.last.Shards,
 		Events:  t.events,
 	}
 	if t.events == 0 {
@@ -178,9 +173,6 @@ func (t *Tracker) Ticker(log *slog.Logger, interval time.Duration) ProgressFunc 
 		}
 		if e.Benefit > 0 {
 			args = append(args, "benefit", e.Benefit)
-		}
-		if e.Shards > 0 {
-			args = append(args, "shards", e.Shards)
 		}
 		log.Info("progress", args...)
 	}

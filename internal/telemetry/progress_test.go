@@ -64,7 +64,7 @@ func TestTrackerPhaseChangeResetsRate(t *testing.T) {
 
 func TestTrackerWriteJSON(t *testing.T) {
 	tr, _ := newTestTracker()
-	tr.Observe(ProgressEvent{Phase: "core/greedy", Round: 3, Done: 3, Total: 10, Benefit: 1.5, Shards: 4})
+	tr.Observe(ProgressEvent{Phase: "core/greedy", Round: 3, Done: 3, Total: 10, Benefit: 1.5})
 	var sb strings.Builder
 	if err := tr.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
@@ -73,11 +73,15 @@ func TestTrackerWriteJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"phase", "round", "done", "total", "benefit", "shards",
-		"events", "elapsed_seconds", "rate_per_second", "eta_seconds"} {
+	keys := []string{"phase", "round", "done", "total", "benefit", "events",
+		"elapsed_seconds", "rate_per_second", "eta_seconds"}
+	for _, key := range keys {
 		if _, ok := doc[key]; !ok {
 			t.Errorf("/progress document missing %q: %s", key, sb.String())
 		}
+	}
+	if len(doc) != len(keys) {
+		t.Errorf("/progress document has %d keys, want exactly %v: %s", len(doc), keys, sb.String())
 	}
 	if doc["phase"] != "core/greedy" || doc["benefit"] != 1.5 {
 		t.Errorf("document = %s", sb.String())
@@ -128,8 +132,8 @@ func TestTickerRateLimit(t *testing.T) {
 	clk.advance(100 * time.Millisecond)
 	tick(ProgressEvent{Phase: "core/build-states", Done: 200, Total: 1000}) // suppressed
 	clk.advance(time.Second)
-	tick(ProgressEvent{Phase: "core/build-states", Done: 900, Total: 1000})                          // interval elapsed
-	tick(ProgressEvent{Phase: "core/greedy", Round: 1, Done: 1, Total: 10, Benefit: 0.5, Shards: 2}) // phase change
+	tick(ProgressEvent{Phase: "core/build-states", Done: 900, Total: 1000})               // interval elapsed
+	tick(ProgressEvent{Phase: "core/greedy", Round: 1, Done: 1, Total: 10, Benefit: 0.5}) // phase change
 
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
 	if len(lines) != 3 {
@@ -141,7 +145,7 @@ func TestTickerRateLimit(t *testing.T) {
 	if !strings.Contains(lines[1], "done=900") {
 		t.Errorf("line 1 = %q, want the post-interval event", lines[1])
 	}
-	if want := "level=INFO msg=progress phase=core/greedy done=1 total=10 round=1 benefit=0.5 shards=2"; lines[2] != want {
+	if want := "level=INFO msg=progress phase=core/greedy done=1 total=10 round=1 benefit=0.5"; lines[2] != want {
 		t.Errorf("line 2 = %q, want %q", lines[2], want)
 	}
 	if tr.snapshot().Events != 4 {

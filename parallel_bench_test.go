@@ -49,14 +49,13 @@ func BenchmarkTune(b *testing.B) {
 		opts := advisor.DefaultOptions()
 		opts.MaxIndexes = 10
 		opts.Parallelism = p
-		// Elision off: this pair isolates the parallel speedup; the
-		// elided-vs-not comparison lives in BenchmarkTuneElided.
-		opts.Elide = false
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// Fresh optimizer per iteration: every run pays the same
 				// all-miss what-if costs, so the two variants compare
-				// compute, not cache hit rates.
+				// compute, not cache hit rates. Elision off: this pair
+				// isolates the parallel speedup; the elided-vs-not
+				// comparison lives in BenchmarkTuneElided.
 				oi := cost.NewOptimizer(o.Catalog())
 				oi.SetElision(false)
 				advisor.New(oi, opts).Tune(cw)
@@ -90,7 +89,6 @@ func BenchmarkTuneElided(b *testing.B) {
 		opts := advisor.DefaultOptions()
 		opts.MaxIndexes = 10
 		opts.Parallelism = 1
-		opts.Elide = v.elide
 		b.Run(v.name, func(b *testing.B) {
 			var calls, elided int64
 			for i := 0; i < b.N; i++ {

@@ -2,15 +2,8 @@ package isum_test
 
 // Serial/parallel equivalence: the headline invariant of the parallel
 // pipeline is that Parallelism is a pure wall-clock knob. Compression must
-// select the same queries with the same weights, and tuning must recommend
-// the same configuration, at parallelism 1, 2, and 8.
-//
-// Float comparisons use a 1e-9 tolerance rather than bit equality: feature
-// vectors and candidate sets are Go maps, so summation order inside a
-// single benefit or weight varies run to run (serial runs included) — the
-// same noise the greedy loop's epsilon tie-break absorbs. The parallel
-// scheduling itself adds no variance on top: per-index results are reduced
-// serially in input order.
+// select the same queries with bit-identical weights and benefits, and
+// tuning must recommend the same configuration, at parallelism 1, 2, and 8.
 
 import (
 	"math"
@@ -52,6 +45,11 @@ func TestCompressSerialParallelEquivalence(t *testing.T) {
 	}{
 		{"isum", core.DefaultOptions()},
 		{"isum-s", core.ISUMSOptions()},
+		{"isum-cons", func() core.Options {
+			o := core.DefaultOptions()
+			o.ConsTemplates = true
+			return o
+		}()},
 		{"allpairs", func() core.Options {
 			o := core.DefaultOptions()
 			o.Algorithm = core.AllPairs
@@ -81,11 +79,12 @@ func TestCompressSerialParallelEquivalence(t *testing.T) {
 							t.Fatalf("parallelism %d: selection diverged at %d: %v vs %v",
 								p, i, got.Indices, ref.Indices)
 						}
-						if d := math.Abs(got.Weights[i] - ref.Weights[i]); d > equivEps {
-							t.Fatalf("parallelism %d: weight %d drifted by %g", p, i, d)
+						if math.Float64bits(got.Weights[i]) != math.Float64bits(ref.Weights[i]) {
+							t.Fatalf("parallelism %d: weight %d is %v, serial %v", p, i, got.Weights[i], ref.Weights[i])
 						}
-						if d := math.Abs(got.SelectionBenefits[i] - ref.SelectionBenefits[i]); d > equivEps {
-							t.Fatalf("parallelism %d: benefit %d drifted by %g", p, i, d)
+						if math.Float64bits(got.SelectionBenefits[i]) != math.Float64bits(ref.SelectionBenefits[i]) {
+							t.Fatalf("parallelism %d: benefit %d is %v, serial %v",
+								p, i, got.SelectionBenefits[i], ref.SelectionBenefits[i])
 						}
 					}
 				}

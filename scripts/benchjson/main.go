@@ -1,10 +1,10 @@
 // Command benchjson converts `go test -bench` output on stdin to a JSON
 // report on stdout, pairing each benchmark's baseline and optimised
 // variants into a speedup figure. Recognised pairs, per benchmark base
-// name: parallelism=1 vs parallelism=max, workers=1 vs workers=4,
-// cons=off vs cons=on, and elide=off vs elide=on. scripts/ci.sh uses it
-// to write BENCH_parallel.json, BENCH_shard.json and BENCH_whatif.json so
-// the perf trajectories of the parallel, sharded and elided pipelines are
+// name: parallelism=1 vs parallelism=max, cons=off vs cons=on, and
+// elide=off vs elide=on. scripts/ci.sh uses it to write
+// BENCH_parallel.json, BENCH_cons.json and BENCH_whatif.json so the perf
+// trajectories of the parallel, hash-consed and elided pipelines are
 // tracked in-repo.
 //
 // Custom b.ReportMetric units ("*/op" beyond the standard three) are kept
@@ -97,7 +97,7 @@ func run(in io.Reader, out, warn io.Writer) error {
 	}
 
 	// Pair each base's baseline variant with its optimised counterpart:
-	// parallelism=1/parallelism=max, workers=1/workers=4, cons=off/cons=on.
+	// parallelism=1/parallelism=max, cons=off/cons=on, elide=off/elide=on.
 	serial := map[string]float64{}
 	parallel := map[string]float64{}
 	callsOff := map[string]float64{}
@@ -108,12 +108,12 @@ func run(in io.Reader, out, warn io.Writer) error {
 			continue
 		}
 		switch variant {
-		case "parallelism=1", "workers=1", "cons=off", "elide=off":
+		case "parallelism=1", "cons=off", "elide=off":
 			serial[base] = r.NsPerOp
 			if c, ok := r.Metrics["whatif-calls/op"]; ok {
 				callsOff[base] = c
 			}
-		case "parallelism=max", "workers=4", "cons=on", "elide=on":
+		case "parallelism=max", "cons=on", "elide=on":
 			parallel[base] = r.NsPerOp
 			if c, ok := r.Metrics["whatif-calls/op"]; ok {
 				callsOn[base] = c
@@ -134,9 +134,9 @@ func run(in io.Reader, out, warn io.Writer) error {
 		}
 	}
 	if rep.Gomaxprocs <= 1 {
-		rep.Note = "single-core runner: parallelism=max/workers=4 degenerate to the serial path, those speedups are ~1.0x by construction (cons=off/cons=on and elide=off/elide=on pairs are unaffected); the parallel speedup targets apply to GOMAXPROCS >= 2"
+		rep.Note = "single-core runner: parallelism=max degenerates to the serial path, those speedups are ~1.0x by construction (cons=off/cons=on and elide=off/elide=on pairs are unaffected); the parallel speedup targets apply to GOMAXPROCS >= 2"
 	} else {
-		rep.Note = "speedup = baseline ns/op (parallelism=1, workers=1, cons=off, elide=off) divided by optimised ns/op (parallelism=max, workers=4, cons=on, elide=on); call_reductions = fraction of what-if optimizer calls avoided by elide=on"
+		rep.Note = "speedup = baseline ns/op (parallelism=1, cons=off, elide=off) divided by optimised ns/op (parallelism=max, cons=on, elide=on); call_reductions = fraction of what-if optimizer calls avoided by elide=on"
 	}
 
 	enc := json.NewEncoder(out)

@@ -14,8 +14,6 @@ BenchmarkCompress/parallelism=1-8   	      10	 100000000 ns/op
 BenchmarkCompress/parallelism=max-8 	      40	  25000000 ns/op
 BenchmarkTune/parallelism=1-8       	       5	 200000000 ns/op
 BenchmarkTune/parallelism=max-8     	      10	 100000000 ns/op
-BenchmarkCompressSharded/workers=1-8	       3	 600000000 ns/op
-BenchmarkCompressSharded/workers=4-8	       9	 200000000 ns/op
 BenchmarkCompressConsed/cons=off-8  	       1	8000000000 ns/op
 BenchmarkCompressConsed/cons=on-8   	      20	 100000000 ns/op
 BenchmarkTuneElided/elide=off-8     	       2	2000000000 ns/op	         0 elided/op	     80000 whatif-calls/op
@@ -35,8 +33,8 @@ func TestRun(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("output is not valid JSON: %v", err)
 	}
-	if len(rep.Benchmarks) != 10 {
-		t.Fatalf("parsed %d benchmarks, want 10", len(rep.Benchmarks))
+	if len(rep.Benchmarks) != 8 {
+		t.Fatalf("parsed %d benchmarks, want 8", len(rep.Benchmarks))
 	}
 	if rep.Gomaxprocs != 8 {
 		t.Errorf("gomaxprocs = %d, want 8", rep.Gomaxprocs)
@@ -46,9 +44,6 @@ func TestRun(t *testing.T) {
 	}
 	if got := rep.Speedups["BenchmarkTune"]; got != 2 {
 		t.Errorf("BenchmarkTune speedup = %v, want 2", got)
-	}
-	if got := rep.Speedups["BenchmarkCompressSharded"]; got != 3 {
-		t.Errorf("BenchmarkCompressSharded speedup = %v, want 3", got)
 	}
 	if got := rep.Speedups["BenchmarkCompressConsed"]; got != 80 {
 		t.Errorf("BenchmarkCompressConsed speedup = %v, want 80", got)
@@ -89,8 +84,8 @@ func TestRunWarnsOnUnparsedLines(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Benchmarks) != 10 {
-		t.Errorf("parsed %d benchmarks, want the 10 valid ones", len(rep.Benchmarks))
+	if len(rep.Benchmarks) != 8 {
+		t.Errorf("parsed %d benchmarks, want the 8 valid ones", len(rep.Benchmarks))
 	}
 }
 

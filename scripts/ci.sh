@@ -50,33 +50,29 @@ go test -race -run 'TestRegistryUnderForEach' ./internal/telemetry
 echo "== telemetry smoke run =="
 metrics_out=$(mktemp)
 trap 'rm -f "$metrics_out"' EXIT
-# -shards 2 -cons exercises the sharded + hash-consed path so its
-# counters (shard/*, workload/templates/*) appear in the export.
-go run ./cmd/isum -benchmark tpch -n 60 -k 8 -shards 2 -cons -trace -metrics-out "$metrics_out" >/dev/null
+# -cons exercises the hash-consed path so its counters
+# (workload/templates/*) appear in the export.
+go run ./cmd/isum -benchmark tpch -n 60 -k 8 -cons -trace -metrics-out "$metrics_out" >/dev/null
 # -names-from closes the code/export loop: every literal metric name
-# registered by internal/cost and internal/shard must actually appear in
-# the smoke export.
+# registered by internal/cost must actually appear in the smoke export.
 go run ./scripts/metricscheck \
     -require cost/whatif/calls \
     -require core/greedy/rounds \
-    -require shard/runs \
-    -require shard/merge_ops \
     -require workload/templates/consed \
     -require workload/templates/deduped \
     -names-from internal/cost \
-    -names-from internal/shard \
     "$metrics_out"
 
 echo "== debug-server smoke =="
-# Live observability plane (DESIGN.md §13): start a sharded compression
-# with -debug-addr on a kernel-chosen port, recover the address from the
-# "debug server listening" log line, scrape /healthz and /metrics
-# mid-run, validate the exposition with metricscheck, and assert the
-# process still exits cleanly afterwards.
+# Live observability plane (DESIGN.md §13): start a hash-consed
+# compression with -debug-addr on a kernel-chosen port, recover the
+# address from the "debug server listening" log line, scrape /healthz
+# and /metrics mid-run, validate the exposition with metricscheck, and
+# assert the process still exits cleanly afterwards.
 dbg_dir=$(mktemp -d)
 trap 'rm -rf "$dbg_dir"; rm -f "$metrics_out"' EXIT
 go build -o "$dbg_dir/" ./cmd/isum ./scripts/metricscheck
-"$dbg_dir/isum" -benchmark scalem -n 20000 -k 12 -shards 4 -cons \
+"$dbg_dir/isum" -benchmark scalem -n 20000 -k 12 -cons \
     -debug-addr 127.0.0.1:0 -progress \
     >/dev/null 2>"$dbg_dir/stderr.log" &
 dbg_pid=$!
@@ -258,9 +254,9 @@ go test -bench '^BenchmarkTuneElided$' -benchmem \
 go run ./scripts/benchjson <"$whatif_out" >BENCH_whatif.json
 echo "wrote BENCH_whatif.json"
 
-# The recorded parallel/sharded numbers are only meaningful on a
-# multi-core runner: at GOMAXPROCS=1 every parallelism=max / workers=4
-# variant silently degenerates to the serial path and the speedup figures
+# The recorded parallel numbers are only meaningful on a multi-core
+# runner: at GOMAXPROCS=1 every parallelism=max variant silently
+# degenerates to the serial path and the speedup figures
 # read ~1.0x. Refuse to record that unless explicitly overridden (set
 # ALLOW_SINGLE_CORE_BENCH=1 to record single-core numbers; benchjson
 # stamps the report's gomaxprocs and note so they cannot be mistaken for
@@ -280,19 +276,19 @@ go test -bench '^(BenchmarkCompress|BenchmarkTune)$' -benchmem \
 go run ./scripts/benchjson <"$bench_out" >BENCH_parallel.json
 echo "wrote BENCH_parallel.json"
 
-echo "== sharded-scale benchmarks =="
+echo "== hash-consing benchmark =="
 # One iteration by default: the cons=off baseline runs the greedy loop
 # over all 10^5 per-query states and takes tens of seconds per op.
-shard_out=$(mktemp)
-trap 'rm -f "$bench_out" "$shard_out" "$whatif_out" "$lint_out" "$metrics_out"; rm -rf "$fm_dir" "$dbg_dir" "$du_dir"' EXIT
-go test -bench '^(BenchmarkCompressSharded|BenchmarkCompressConsed)$' -benchmem \
-    -benchtime "${SHARD_BENCHTIME:-1x}" -run '^$' -timeout 30m . | tee "$shard_out"
-go run ./scripts/benchjson <"$shard_out" >BENCH_shard.json
-echo "wrote BENCH_shard.json"
+cons_out=$(mktemp)
+trap 'rm -f "$bench_out" "$cons_out" "$whatif_out" "$lint_out" "$metrics_out"; rm -rf "$fm_dir" "$dbg_dir" "$du_dir"' EXIT
+go test -bench '^BenchmarkCompressConsed$' -benchmem \
+    -benchtime "${CONS_BENCHTIME:-1x}" -run '^$' -timeout 30m . | tee "$cons_out"
+go run ./scripts/benchjson <"$cons_out" >BENCH_cons.json
+echo "wrote BENCH_cons.json"
 
 echo "== vector benchmarks =="
 vec_out=$(mktemp)
-trap 'rm -f "$bench_out" "$vec_out" "$whatif_out" "$lint_out" "$metrics_out"; rm -rf "$fm_dir" "$dbg_dir" "$du_dir"' EXIT
+trap 'rm -f "$bench_out" "$cons_out" "$vec_out" "$whatif_out" "$lint_out" "$metrics_out"; rm -rf "$fm_dir" "$dbg_dir" "$du_dir"' EXIT
 go test -bench '^(BenchmarkJaccard|BenchmarkSummaryDelta)$' -benchmem \
     -benchtime "${BENCHTIME:-3x}" -run '^$' \
     ./internal/features ./internal/core | tee "$vec_out"
