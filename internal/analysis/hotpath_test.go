@@ -35,8 +35,8 @@ func TestHotpathCoversZeroAllocKernels(t *testing.T) {
 	wantFeatures := []string{
 		"SparseVec.WeightedJaccard", "SparseVec.Jaccard", "SummarySimilarity",
 		"SparseVec.Sum", "SparseVec.SubClampedScaled", "SparseVec.ZeroShared",
-		"SparseVec.AddScaled", "SparseVec.SharedWeights", "UpdateDelta",
-		"SparseVec.Release",
+		"SparseVec.SharedWeights", "UpdateDelta", "SparseVec.Release",
+		"DenseVec.AddScaled", "DenseVec.Snapshot", "DenseVec.BenefitBound",
 	}
 	feats := marked["isum/internal/features"]
 	if feats == nil {

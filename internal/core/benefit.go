@@ -29,26 +29,58 @@ func BenefitAllPairs(qi *QueryState, states []*QueryState) float64 {
 	return b
 }
 
-// SummaryState carries the workload-level summary features and total
-// utility over the unselected queries, for the linear-time benefit.
+// SummaryState carries the workload-level summary features V and the
+// total utility over the unselected queries, for the linear-time benefit.
+// V is held ID-indexed (features.DenseVec), so folding one query's
+// contribution in costs O(|q|) instead of a merge over all of V, with
+// results bit-identical to the merge (DESIGN.md §18).
+//
+// BuildSummary returns a state that is safe for concurrent reads. After a
+// mutation (RemoveSelected, ApplyDelta), V is snapshotted lazily: the
+// first V or BenefitSummary rebuilds the ascending-ID view, so it is
+// itself a mutation. Read V once serially before sharing the state across
+// goroutines again.
 type SummaryState struct {
-	V            features.SparseVec
+	v            *features.DenseVec
 	TotalUtility float64
 }
 
 // BuildSummary computes the summary features V (Definition 11) and total
 // utility over the unselected queries.
 func BuildSummary(states []*QueryState) *SummaryState {
-	ss := &SummaryState{}
+	ss := &SummaryState{v: features.NewDenseVec(featureSpace(states))}
+	ss.rebuild(states)
+	ss.V() // snapshot now: the returned state is safe for concurrent reads
+	return ss
+}
+
+// featureSpace returns the size of the states' shared feature dictionary:
+// the slot count of a summary accumulator over them.
+func featureSpace(states []*QueryState) int {
+	if len(states) == 0 || states[0].Interner == nil {
+		return 0
+	}
+	return states[0].Interner.Len()
+}
+
+// rebuild recomputes V and the total utility from scratch in the
+// existing storage.
+func (ss *SummaryState) rebuild(states []*QueryState) {
+	ss.v.Reset()
+	ss.TotalUtility = 0
 	for _, s := range states {
 		if s.Selected {
 			continue
 		}
-		ss.V.AddScaled(s.Vec, s.Utility)
+		ss.v.AddScaled(s.Vec, s.Utility)
 		ss.TotalUtility += s.Utility
 	}
-	return ss
 }
+
+// V returns the summary features in ascending-ID form. The vector aliases
+// the state's storage: it is valid until the next mutation and must not
+// be modified.
+func (ss *SummaryState) V() features.SparseVec { return ss.v.Snapshot() }
 
 // RemoveSelected subtracts a just-selected query's contribution
 // (Utility·Vec at selection time) from the summary — the first half of the
@@ -56,7 +88,7 @@ func BuildSummary(states []*QueryState) *SummaryState {
 //
 //lint:hotpath
 func (ss *SummaryState) RemoveSelected(q *QueryState) {
-	ss.V.AddScaled(q.Vec, -q.Utility)
+	ss.v.AddScaled(q.Vec, -q.Utility)
 	ss.TotalUtility -= q.Utility
 }
 
@@ -66,7 +98,7 @@ func (ss *SummaryState) RemoveSelected(q *QueryState) {
 //
 //lint:hotpath
 func (ss *SummaryState) ApplyDelta(util float64, vec features.SparseVec) {
-	ss.V.Add(vec)
+	ss.v.AddScaled(vec, 1)
 	ss.TotalUtility += util
 }
 
@@ -76,7 +108,7 @@ func (ss *SummaryState) ApplyDelta(util float64, vec features.SparseVec) {
 //
 //lint:hotpath
 func BenefitSummary(qi *QueryState, ss *SummaryState) float64 {
-	return qi.Utility + features.SummarySimilarity(qi.Vec, ss.V, qi.Utility, ss.TotalUtility)
+	return qi.Utility + features.SummarySimilarity(qi.Vec, ss.V(), qi.Utility, ss.TotalUtility)
 }
 
 // InfluenceOnWorkload returns F_qs(W) = Σ_j S(qs,qj)·U(qj), the all-pairs
@@ -100,5 +132,5 @@ func InfluenceOnWorkload(qs *QueryState, states []*QueryState) float64 {
 //
 //lint:hotpath
 func InfluenceOnSummary(qs *QueryState, ss *SummaryState) float64 {
-	return features.SummarySimilarity(qs.Vec, ss.V, qs.Utility, ss.TotalUtility)
+	return features.SummarySimilarity(qs.Vec, ss.V(), qs.Utility, ss.TotalUtility)
 }

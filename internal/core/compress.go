@@ -180,17 +180,24 @@ func isCancel(err error) bool {
 // worker panics); cancellation sets res.Partial and returns nil, leaving
 // res.Indices the completed-selection prefix.
 //
-// The benefit scan and the post-selection update sweep fan out across
-// c.opts.Parallelism workers: benefits are computed into an index-ordered
-// slice and the argmax (with its epsilon tie-break) runs serially over it,
-// so the selection is identical to the serial path at any worker count.
+// Each round's argmax is a parallel sweep and a serial scan. The sweep
+// fans out across c.opts.Parallelism workers and writes, per state, an
+// upper bound on its benefit: the exact benefit for AllPairs, an O(|q|)
+// bound from the summary otherwise (DenseVec.BenefitBound, DESIGN.md
+// §18). The scan then runs the epsilon argmax in index order and
+// computes a summary benefit exactly only where the bound could beat the
+// running best. A state whose bound cannot beat it would not have been
+// taken, and the scan's state changes only on a take, so the selection,
+// benefits and rounds are those of evaluating every state exactly — at
+// any worker count.
+//
 // The summary features are maintained incrementally (RemoveSelected +
 // per-query ApplyDelta, applied in index order) instead of rebuilt O(n)
 // every round; Options.RebuildSummary restores the literal rebuild.
 //
 // Cancellation is observed at round boundaries and inside the parallel
-// sweeps. A benefit scan cut short discards the round (no selection from
-// partial benefits); an update sweep cut short keeps the round's selection
+// sweeps. A benefit sweep cut short discards the round (no selection from
+// partial bounds); an update sweep cut short keeps the round's selection
 // — it was already decided — and abandons the state updates, which only
 // feed rounds that will never run.
 func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, k int, res *Result) error {
@@ -207,12 +214,13 @@ func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, k i
 	// time.Now.
 	reg := c.opts.Telemetry
 	var argmaxNanos, updateNanos *telemetry.Histogram
-	var rounds, resets *telemetry.Counter
+	var rounds, resets, exactBenefits *telemetry.Counter
 	if reg != nil {
 		argmaxNanos = reg.Histogram("core/greedy/argmax_nanos", telemetry.DurationBuckets)
 		updateNanos = reg.Histogram("core/greedy/update_nanos", telemetry.DurationBuckets)
 		rounds = reg.Counter("core/greedy/rounds")
 		resets = reg.Counter("core/greedy/feature_resets")
+		exactBenefits = reg.Counter("core/greedy/exact_benefits")
 	}
 
 	// live counts unselected states whose vectors still carry weight, so
@@ -223,6 +231,9 @@ func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, k i
 	progress := c.opts.Progress
 	var benefitSum float64
 	ineligible := math.Inf(-1)
+	// Per-round sweep outputs, index-addressed and reused across rounds.
+	bounds := make([]float64, len(states))
+	updates := make([]updateResult, len(states))
 	for len(res.Indices) < k {
 		if ctx.Err() != nil {
 			res.Partial = true
@@ -230,22 +241,26 @@ func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, k i
 		}
 		rsp := reg.Start("core/greedy/round")
 		rounds.Inc()
-		if summary && c.opts.RebuildSummary {
-			ss = BuildSummary(states)
+		if summary {
+			if c.opts.RebuildSummary {
+				ss.rebuild(states)
+			}
+			ss.V() // snapshot serially: the bound sweep reads it from every worker
 		}
 		var tArgmax time.Time
 		if reg != nil {
 			tArgmax = time.Now() //lint:allow determinism argmax_nanos histogram only; benefits never read the clock
 		}
-		benefits, err := parallel.Map(ctx, workers, len(states), func(i int) float64 {
+		err := parallel.ForEach(ctx, workers, len(states), func(i int) {
 			s := states[i]
-			if s.Selected || s.Vec.AllZero() {
-				return ineligible
+			switch {
+			case s.Selected || s.Vec.AllZero():
+				bounds[i] = ineligible
+			case summary:
+				bounds[i] = ss.v.BenefitBound(s.Vec, s.Utility, ss.TotalUtility)
+			default:
+				bounds[i] = BenefitAllPairs(s, states)
 			}
-			if c.opts.Algorithm == AllPairs {
-				return BenefitAllPairs(s, states)
-			}
-			return BenefitSummary(s, ss)
 		})
 		if err != nil {
 			rsp.SetAttr("outcome", "cancelled")
@@ -257,21 +272,35 @@ func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, k i
 			return err
 		}
 
-		// benefitEps breaks near-ties deterministically. SparseVec kernels
-		// accumulate in ascending-ID order, so benefits are bit-identical
-		// across runs and worker counts; the tolerance is kept so the
-		// selection is also stable across representation changes (the map
-		// oracle, future kernel reorderings) that only move the last ulps.
+		// benefitEps breaks near-ties deterministically: the first state
+		// in index order to beat the running best by more than benefitEps
+		// takes the lead (DESIGN.md §18 states the resulting contract).
+		// SparseVec kernels accumulate in ascending-ID order, so benefits
+		// are bit-identical across runs and worker counts; the tolerance
+		// is kept so the selection is also stable across representation
+		// changes (the map oracle, future kernel reorderings) that only
+		// move the last ulps.
 		const benefitEps = 1e-9
 		var best *QueryState
 		bestBenefit := -1.0
-		for i, b := range benefits {
+		exact := 0
+		for i, ub := range bounds {
+			if !(ub > bestBenefit+benefitEps) {
+				continue // its benefit ≤ ub cannot take the lead either
+			}
+			b := ub
+			if summary {
+				b = BenefitSummary(states[i], ss)
+				exact++
+			}
 			if b > bestBenefit+benefitEps {
 				bestBenefit, best = b, states[i]
 			}
 		}
 		if reg != nil {
 			argmaxNanos.Observe(float64(time.Since(tArgmax).Nanoseconds()))
+			exactBenefits.Add(int64(exact))
+			rsp.SetAttr("exact", exact)
 		}
 
 		if best == nil {
@@ -287,7 +316,7 @@ func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, k i
 			}
 			resets.Inc()
 			if incremental {
-				ss = BuildSummary(states)
+				ss.rebuild(states)
 			}
 			res.Rounds++
 			rsp.SetAttr("outcome", "feature-reset")
@@ -321,12 +350,13 @@ func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, k i
 		if incremental {
 			ss.RemoveSelected(best)
 		}
-		updates, err := parallel.Map(ctx, workers, len(states), func(i int) updateResult {
+		err = parallel.ForEach(ctx, workers, len(states), func(i int) {
 			s := states[i]
 			if s.Selected {
-				return updateResult{}
+				updates[i] = updateResult{}
+				return
 			}
-			return applyUpdateWithDelta(best, s, c.opts.Update, incremental)
+			updates[i] = applyUpdateWithDelta(best, s, c.opts.Update, incremental)
 		})
 		if err != nil {
 			rsp.SetAttr("outcome", "cancelled")

@@ -349,6 +349,13 @@ func oracleRecalibrate(states []*oracleState, res *Result, useTemplates bool, in
 // four paper-style generators.
 func generatorWorkload(t testing.TB, name string, n int) *workload.Workload {
 	t.Helper()
+	return seededWorkload(t, name, n, 1)
+}
+
+// seededWorkload builds an n-query workload from one of the generators
+// with the given instance seed, costs filled.
+func seededWorkload(t testing.TB, name string, n int, seed int64) *workload.Workload {
+	t.Helper()
 	var gen *benchmarks.Generator
 	switch name {
 	case "tpch":
@@ -359,10 +366,12 @@ func generatorWorkload(t testing.TB, name string, n int) *workload.Workload {
 		gen = benchmarks.DSB(10)
 	case "realm":
 		gen = benchmarks.RealM(7)
+	case "scalem":
+		gen = benchmarks.ScaleM(1, benchmarks.ScaleMDefaultTemplates)
 	default:
 		t.Fatalf("unknown generator %q", name)
 	}
-	w, err := gen.Workload(n, 1)
+	w, err := gen.Workload(n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

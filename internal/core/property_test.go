@@ -198,11 +198,11 @@ func TestSummaryMatchesManualSum(t *testing.T) {
 			manual[k] += v * s.Utility
 		})
 	}
-	if len(manual) != ss.V.Len() {
-		t.Fatalf("support mismatch: %d vs %d", len(manual), ss.V.Len())
+	if len(manual) != ss.V().Len() {
+		t.Fatalf("support mismatch: %d vs %d", len(manual), ss.V().Len())
 	}
 	for k, v := range manual {
-		got, _ := ss.V.Get(k)
+		got, _ := ss.V().Get(k)
 		if math.Abs(got-v) > 1e-9 {
 			t.Fatalf("summary[%d] = %f, want %f", k, got, v)
 		}

@@ -82,12 +82,14 @@ func (c *Compressor) recalibrate(w *workload.Workload, states []*QueryState, res
 	remaining := append([]int{}, res.Indices...)
 	benefit := map[int]float64{}
 	total := 0.0
+	acc := features.NewDenseVec(featureSpace(states))
 	for len(remaining) > 0 {
-		// Summary features over the current W_u.
-		var summary features.SparseVec
+		// Summary features over the current W_u, rebuilt in reused storage.
+		acc.Reset()
 		for _, u := range wu {
-			summary.AddScaled(u.vec, u.util)
+			acc.AddScaled(u.vec, u.util)
 		}
+		summary := acc.Snapshot()
 		bestPos, bestB := -1, -1.0
 		for pos, idx := range remaining {
 			b := utility[idx] + states[idx].OrigVec.WeightedJaccard(summary)
@@ -95,7 +97,6 @@ func (c *Compressor) recalibrate(w *workload.Workload, states []*QueryState, res
 				bestB, bestPos = b, pos
 			}
 		}
-		summary.Release()
 		idx := remaining[bestPos]
 		remaining = append(remaining[:bestPos], remaining[bestPos+1:]...)
 		benefit[idx] = bestB

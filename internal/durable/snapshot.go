@@ -91,8 +91,8 @@ func decodeSnapshot(payload []byte) (*snapState, error) {
 	st := &snapState{}
 	st.lsn = c.uvarint()
 	st.seen = c.uvarint()
-	nkeys := c.uvarint()
-	if c.bad || nkeys > maxRecordBytes {
+	nkeys := c.count(1) // a key is at least its length byte
+	if c.bad {
 		return nil, errCorrupt
 	}
 	st.keys = make([]string, 0, nkeys)
@@ -103,8 +103,8 @@ func decodeSnapshot(payload []byte) (*snapState, error) {
 		}
 		st.keys = append(st.keys, k)
 	}
-	npool := c.uvarint()
-	if c.bad || npool > maxRecordBytes {
+	npool := c.count(minQueryBytes)
+	if c.bad {
 		return nil, errCorrupt
 	}
 	st.pool = make([]queryRec, 0, npool)

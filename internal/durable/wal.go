@@ -129,6 +129,18 @@ func (c *byteCursor) bytes(n uint64) []byte {
 	return out
 }
 
+// count reads an element count and rejects one the rest of the payload
+// cannot hold at minBytes per element, so a corrupt count never sizes an
+// allocation.
+func (c *byteCursor) count(minBytes int) uint64 {
+	n := c.uvarint()
+	if c.bad || n > uint64(len(c.b)-c.off)/uint64(minBytes) {
+		c.bad = true
+		return 0
+	}
+	return n
+}
+
 func (c *byteCursor) fixed64() uint64 {
 	if c.bad || len(c.b)-c.off < 8 {
 		c.bad = true
@@ -146,6 +158,10 @@ type queryRec struct {
 	cost   float64
 	weight float64
 }
+
+// minQueryBytes is the shortest encoding of one query: a one-byte ID,
+// a one-byte (empty) text length, and the fixed64 cost and weight.
+const minQueryBytes = 1 + 1 + 8 + 8
 
 // readQuery decodes one query from the cursor.
 func readQuery(c *byteCursor) queryRec {
@@ -174,8 +190,8 @@ func encodeBatch(lsn uint64, batch []*workload.Query) []byte {
 func decodeBatch(payload []byte) (lsn uint64, queries []queryRec, err error) {
 	c := &byteCursor{b: payload}
 	lsn = c.uvarint()
-	n := c.uvarint()
-	if c.bad || n > maxRecordBytes {
+	n := c.count(minQueryBytes)
+	if c.bad {
 		return 0, nil, errCorrupt
 	}
 	queries = make([]queryRec, 0, n)

@@ -59,11 +59,12 @@ func mergeOp() {
 	}
 }
 
-// vecBuf is the pooled scratch storage behind the grow-capable kernels.
-// Kernels that may grow their receiver (AddScaled, UpdateDelta) merge
-// into a pooled buffer and swap storage, returning the old arrays to the
-// pool; shrink-only kernels (SubClamped, SubClampedScaled, ZeroShared)
-// compact in place and never touch the pool.
+// vecBuf is the pooled scratch storage behind UpdateDelta, the one
+// kernel that builds a fresh vector: it fills a pooled buffer and hands
+// the storage to its result, which Release returns to the pool.
+// Shrink-only kernels (SubClamped, SubClampedScaled, ZeroShared) compact
+// in place and never touch the pool; sums of vectors accumulate in a
+// DenseVec (dense.go).
 type vecBuf struct {
 	ids []uint32
 	ws  []float64
@@ -191,55 +192,6 @@ func (v *SparseVec) Release() {
 	vecBufs.Put(b)
 	v.ids, v.ws = nil, nil
 }
-
-// AddScaled adds f times other into v (union merge). The merge writes
-// into a pooled scratch buffer and swaps storage, so a warmed pool makes
-// this allocation-free. Matches Vector.AddScaled entry-for-entry:
-// existing slots accumulate v + w·f, new slots store w·f, zero results
-// are kept.
-//
-//lint:hotpath
-func (v *SparseVec) AddScaled(other SparseVec, f float64) {
-	if len(other.ids) == 0 {
-		return
-	}
-	mergeOp()
-	b := vecBufs.Get().(*vecBuf)
-	ids, ws := b.ids[:0], b.ws[:0]
-	i, j := 0, 0
-	for i < len(v.ids) && j < len(other.ids) {
-		switch {
-		case v.ids[i] == other.ids[j]:
-			ids = append(ids, v.ids[i])
-			ws = append(ws, v.ws[i]+other.ws[j]*f)
-			i++
-			j++
-		case v.ids[i] < other.ids[j]:
-			ids = append(ids, v.ids[i])
-			ws = append(ws, v.ws[i])
-			i++
-		default:
-			ids = append(ids, other.ids[j])
-			ws = append(ws, other.ws[j]*f)
-			j++
-		}
-	}
-	ids = append(ids, v.ids[i:]...)
-	ws = append(ws, v.ws[i:]...)
-	for ; j < len(other.ids); j++ {
-		ids = append(ids, other.ids[j])
-		ws = append(ws, other.ws[j]*f)
-	}
-	b.ids, b.ws = v.ids, v.ws
-	v.ids, v.ws = ids, ws
-	vecBufs.Put(b)
-}
-
-// Add adds other into v; equivalent to AddScaled(other, 1) bit-for-bit
-// (w·1.0 == w).
-//
-//lint:hotpath
-func (v *SparseVec) Add(other SparseVec) { v.AddScaled(other, 1) }
 
 // SubClamped subtracts other's weights from v's, dropping any entry
 // that would become ≤ 0. Shrink-only: compacts in place, no allocation.

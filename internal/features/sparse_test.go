@@ -161,8 +161,14 @@ func TestKernelZeroAlloc(t *testing.T) {
 	check("SubClampedScaled", func() { sub.SubClampedScaled(b, 0.01) })
 	zs := a.Clone()
 	check("ZeroShared", func() { zs.ZeroShared(b) })
-	add := a.Clone()
-	check("AddScaled", func() { add.AddScaled(b, 0.001) })
+	dense := NewDenseVec(in.Len())
+	dense.AddScaled(a, 1)
+	check("DenseVec.AddScaled", func() { dense.AddScaled(b, 0.001) })
+	check("DenseVec.Snapshot", func() {
+		dense.AddScaled(b, 0.001)
+		_ = dense.Snapshot()
+	})
+	check("DenseVec.BenefitBound", func() { _ = dense.BenefitBound(a, 0.25, 1.0) })
 
 	shared := make([]float64, 0, b.Len())
 	check("SharedWeights+UpdateDelta+Release", func() {
@@ -252,10 +258,14 @@ func FuzzSparseVecOps(f *testing.F) {
 		} else {
 			signed = math.Mod(signed, 4)
 		}
-		sv, mv := sa.Clone(), a.Clone()
-		sv.AddScaled(sb, signed)
+		// Dense accumulation replays the map's per-key ops: new keys store
+		// w·f, existing ones v + w·f, zero results stay present.
+		dv, mv := NewDenseVec(in.Len()), Vector{}
+		dv.AddScaled(sa, 1)
+		mv.AddScaled(a, 1)
+		dv.AddScaled(sb, signed)
 		mv.AddScaled(b, signed)
-		sameVector(t, "AddScaled", sv.ToMap(in), mv)
+		sameVector(t, "DenseVec.AddScaled", dv.Snapshot().ToMap(in), mv)
 
 		fpos := fuzzClean(f2)
 		sv2, mv2 := sa.Clone(), a.Clone()

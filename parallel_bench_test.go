@@ -2,9 +2,9 @@ package isum_test
 
 // Serial-vs-parallel benchmarks over a 1k-query TPC-H workload. These are
 // the perf-trajectory pair tracked in BENCH_parallel.json (written by
-// scripts/ci.sh): on a multi-core runner the parallelism=max variants
-// should beat parallelism=1 by ≥ 1.5×; on a single-core runner they
-// degenerate to the same serial path and show parity.
+// scripts/ci.sh). At this size a second core buys little: on a 2-core
+// runner the recorded speedups sit near 1×; on a single-core runner the
+// variants degenerate to the same serial path.
 //
 // Run just this pair with:
 //

@@ -58,6 +58,7 @@ go run ./cmd/isum -benchmark tpch -n 60 -k 8 -cons -trace -metrics-out "$metrics
 go run ./scripts/metricscheck \
     -require cost/whatif/calls \
     -require core/greedy/rounds \
+    -require core/greedy/exact_benefits \
     -require workload/templates/consed \
     -require workload/templates/deduped \
     -names-from internal/cost \
@@ -221,6 +222,7 @@ echo "== fuzz smoke =="
 go test -fuzz 'FuzzSplitStatements' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/workload
 go test -fuzz 'FuzzParse' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/sqlparser
 go test -fuzz 'FuzzSparseVecOps' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/features
+go test -fuzz 'FuzzSummaryBound' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/features
 go test -fuzz 'FuzzCostBounds' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/cost
 go test -fuzz 'FuzzCompiledPlan' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/cost
 go test -fuzz 'FuzzWALReplay' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/durable
