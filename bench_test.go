@@ -13,6 +13,7 @@ package isum_test
 // Individual figures: go test -bench=BenchmarkFig9a
 
 import (
+	"bytes"
 	"io"
 	"testing"
 
@@ -103,6 +104,33 @@ func BenchmarkAnalyzeQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		q := w.Queries[i%22]
 		if _, err := workload.Analyze(gen.Cat, q.Stmt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLoad is the ingest path a tuning session starts with: decode
+// the seed-1 10⁴-query Scale-M log (with its input costs, as the
+// end-to-end benchmark's scalem-10k workload serialises it), then parse,
+// analyse and fingerprint every entry. The log's bytes are built once,
+// outside the timer.
+func BenchmarkLoad(b *testing.B) {
+	gen := benchmarks.ScaleM(1, benchmarks.ScaleMDefaultTemplates)
+	w, err := gen.Workload(10000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cost.NewOptimizer(gen.Cat).FillCosts(w)
+	var buf bytes.Buffer
+	if err := w.Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	log := buf.Bytes()
+	b.SetBytes(int64(len(log)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := workload.Load(gen.Cat, bytes.NewReader(log)); err != nil {
 			b.Fatal(err)
 		}
 	}

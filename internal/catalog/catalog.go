@@ -58,7 +58,9 @@ func (c *Column) Density() float64 {
 
 // Table describes one base table and its cardinality statistics.
 type Table struct {
-	Name     string
+	Name string
+	// RowCount must not change once the table is in a catalog: AddTable
+	// adds it to the catalog's maintained row total.
 	RowCount int64
 
 	columns []*Column
@@ -134,6 +136,9 @@ func (t *Table) SizeBytes() int64 { return t.PageCount() * PageSizeBytes }
 type Catalog struct {
 	tables map[string]*Table
 	order  []string
+	// totalRows is Σ RowCount over tables, kept by AddTable. An int64 sum
+	// does not depend on order, so it equals a fresh sum over the map.
+	totalRows int64
 }
 
 // New returns an empty catalog.
@@ -145,10 +150,13 @@ func New() *Catalog {
 // (case-insensitive) name.
 func (cat *Catalog) AddTable(t *Table) *Table {
 	key := strings.ToLower(t.Name)
-	if _, ok := cat.tables[key]; !ok {
+	if old, ok := cat.tables[key]; ok {
+		cat.totalRows -= old.RowCount
+	} else {
 		cat.order = append(cat.order, key)
 	}
 	cat.tables[key] = t
+	cat.totalRows += t.RowCount
 	return t
 }
 
@@ -170,13 +178,7 @@ func (cat *Catalog) Tables() []*Table {
 func (cat *Catalog) NumTables() int { return len(cat.tables) }
 
 // TotalRows returns the sum of row counts across tables.
-func (cat *Catalog) TotalRows() int64 {
-	var n int64
-	for _, t := range cat.tables {
-		n += t.RowCount
-	}
-	return n
-}
+func (cat *Catalog) TotalRows() int64 { return cat.totalRows }
 
 // TotalSizeBytes returns the estimated total base-table size. The paper's
 // storage-budget experiments (Fig. 10) express budgets as multiples of this.

@@ -96,6 +96,27 @@ func TestTableWeightSumsToOne(t *testing.T) {
 	if cat.TableWeight("missing") != 0 {
 		t.Fatal("missing table should weigh 0")
 	}
+
+	// The maintained total survives replacement: re-adding a table under
+	// the same name (any case) drops the old row count, so TotalRows and
+	// every weight match a fresh sum over the tables.
+	cat.AddTable(NewTable("c", 1<<40))
+	cat.AddTable(NewTable("A", 333))
+	cat.AddTable(NewTable("c", 7))
+	cat.AddTable(b)
+	var sum int64
+	for _, tbl := range cat.Tables() {
+		sum += tbl.RowCount
+	}
+	if cat.TotalRows() != sum || sum != 333+100+7 {
+		t.Fatalf("TotalRows %d, sum over tables %d, want %d", cat.TotalRows(), sum, 333+100+7)
+	}
+	for _, tbl := range cat.Tables() {
+		want := float64(tbl.RowCount) / float64(sum)
+		if got := cat.TableWeight(tbl.Name); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("TableWeight(%s) = %v, want %v", tbl.Name, got, want)
+		}
+	}
 }
 
 func TestCatalogValidate(t *testing.T) {

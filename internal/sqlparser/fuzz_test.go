@@ -3,9 +3,12 @@ package sqlparser
 import (
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
-// FuzzParse checks the parser on arbitrary input: it must never panic, and
+// FuzzParse checks the lexer and parser on arbitrary input. The lexer
+// must classify every bare word as a keyword exactly when
+// strings.ToUpper makes it one. The parser must never panic, and
 // anything it accepts must print to SQL that parses again with a stable
 // printed form (print∘parse is idempotent).
 func FuzzParse(f *testing.F) {
@@ -28,11 +31,19 @@ func FuzzParse(f *testing.F) {
 		strings.Repeat("SELECT a FROM (", 100) + "SELECT a FROM t" + strings.Repeat(") s", 100),
 		"SELECT a FROM t WHERE " + strings.Repeat("NOT ", 100) + "x = 1",
 		"SELECT a FROM t WHERE x = " + strings.Repeat("(", maxDepth+1) + "1" + strings.Repeat(")", maxDepth+1),
+		// Keyword case folding, including non-ASCII letters that
+		// upper-case to ASCII (ſ → S, ı → I) and overlong words.
+		"ſelect dıstınct a FROM t",
+		"SeLeCt a fRoM t wHeRe b iS nOt NuLl",
+		"select substrings, ſubſtrıng(a) from t",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
+		if toks, err := Tokenize(sql); err == nil {
+			checkWordTokens(t, sql, toks)
+		}
 		stmt, err := Parse(sql)
 		if err != nil {
 			return
@@ -49,4 +60,43 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("printing is not stable:\nfirst:  %q\nsecond: %q", printed, again)
 		}
 	})
+}
+
+// checkWordTokens checks each bare word's token against the reference
+// classification: a keyword carrying strings.ToUpper(word) exactly when
+// keywords holds that upper-cased word, and otherwise an identifier
+// carrying the word itself.
+func checkWordTokens(t *testing.T, sql string, toks []Token) {
+	t.Helper()
+	for _, tok := range toks {
+		if tok.Kind != TokenIdent && tok.Kind != TokenKeyword {
+			continue
+		}
+		word := bareWordAt(sql, tok.Pos)
+		if word == "" {
+			continue // a quoted identifier
+		}
+		up := strings.ToUpper(word)
+		if _, isKw := keywords[up]; isKw {
+			if tok.Kind != TokenKeyword || tok.Text != up {
+				t.Fatalf("word %q lexed to %+v, want keyword %q", word, tok, up)
+			}
+		} else if tok.Kind != TokenIdent || tok.Text != word {
+			t.Fatalf("word %q lexed to %+v, want identifier %q", word, tok, word)
+		}
+	}
+}
+
+// bareWordAt returns the unquoted word starting at byte pos of sql, or ""
+// when none starts there.
+func bareWordAt(sql string, pos int) string {
+	end := pos
+	for end < len(sql) {
+		r, size := utf8.DecodeRuneInString(sql[end:])
+		if !validRune(r, size) || (end == pos && !isIdentStart(r)) || !isIdentPart(r) {
+			break
+		}
+		end += size
+	}
+	return sql[pos:end]
 }

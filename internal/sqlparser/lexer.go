@@ -46,17 +46,57 @@ type Token struct {
 	Pos  int    // byte offset in the input
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "LIMIT": true, "OFFSET": true, "TOP": true,
-	"AS": true, "ON": true, "AND": true, "OR": true, "NOT": true, "IN": true,
-	"BETWEEN": true, "LIKE": true, "IS": true, "NULL": true, "EXISTS": true,
-	"JOIN": true, "INNER": true, "LEFT": true, "RIGHT": true, "FULL": true,
-	"OUTER": true, "CROSS": true, "DISTINCT": true, "ALL": true, "ANY": true,
-	"SOME": true, "UNION": true, "CASE": true, "WHEN": true, "THEN": true,
-	"ELSE": true, "END": true, "ASC": true, "DESC": true, "WITH": true,
-	"TRUE": true, "FALSE": true, "CAST": true, "INTERVAL": true,
-	"SUBSTRING": true, "EXTRACT": true,
+// keywords maps each reserved word to itself: the text a keyword token
+// carries, so classifying a word need not build its upper-case copy.
+var keywords = func() map[string]string {
+	m := make(map[string]string)
+	for _, kw := range []string{
+		"SELECT", "FROM", "WHERE", "GROUP", "BY",
+		"HAVING", "ORDER", "LIMIT", "OFFSET", "TOP",
+		"AS", "ON", "AND", "OR", "NOT", "IN",
+		"BETWEEN", "LIKE", "IS", "NULL", "EXISTS",
+		"JOIN", "INNER", "LEFT", "RIGHT", "FULL",
+		"OUTER", "CROSS", "DISTINCT", "ALL", "ANY",
+		"SOME", "UNION", "CASE", "WHEN", "THEN",
+		"ELSE", "END", "ASC", "DESC", "WITH",
+		"TRUE", "FALSE", "CAST", "INTERVAL",
+		"SUBSTRING", "EXTRACT",
+	} {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// maxKeywordLen is the length of the longest keyword, SUBSTRING.
+const maxKeywordLen = 9
+
+// keyword reports whether word is a keyword in any case, and returns the
+// keyword's upper-case text. It classifies every word exactly as a lookup
+// of strings.ToUpper(word) in keywords would, without allocating.
+// strings.ToUpper maps each rune through unicode.ToUpper (an invalid byte
+// becomes U+FFFD), and a keyword is at most maxKeywordLen ASCII letters.
+// So word can match only if each of its runes upper-cases to one ASCII
+// byte, some non-ASCII ones included (ſ → S, ı → I), and it has at most
+// maxKeywordLen runes; those bytes are the upper-case word.
+func keyword(word string) (string, bool) {
+	var buf [maxKeywordLen]byte
+	n := 0
+	for _, r := range word {
+		if n == maxKeywordLen {
+			return "", false
+		}
+		if r >= utf8.RuneSelf {
+			if r = unicode.ToUpper(r); r >= utf8.RuneSelf {
+				return "", false
+			}
+		} else if 'a' <= r && r <= 'z' {
+			r -= 'a' - 'A'
+		}
+		buf[n] = byte(r)
+		n++
+	}
+	kw, ok := keywords[string(buf[:n])]
+	return kw, ok
 }
 
 // Lexer tokenises SQL text.
@@ -72,7 +112,9 @@ func NewLexer(input string) *Lexer { return &Lexer{input: input} }
 // or the first lexical error.
 func Tokenize(input string) ([]Token, error) {
 	lx := NewLexer(input)
-	var out []Token
+	// The generators' SQL runs 3.5–9 bytes a token, so this holds each of
+	// their statements in one allocation; denser text grows by append.
+	out := make([]Token, 0, len(input)/4+8)
 	for {
 		tok, err := lx.Next()
 		if err != nil {
@@ -106,9 +148,8 @@ func (lx *Lexer) Next() (Token, error) {
 			lx.pos += s2
 		}
 		word := lx.input[start:lx.pos]
-		up := strings.ToUpper(word)
-		if keywords[up] {
-			return Token{Kind: TokenKeyword, Text: up, Pos: start}, nil
+		if kw, ok := keyword(word); ok {
+			return Token{Kind: TokenKeyword, Text: kw, Pos: start}, nil
 		}
 		return Token{Kind: TokenIdent, Text: word, Pos: start}, nil
 
@@ -138,7 +179,7 @@ func (lx *Lexer) Next() (Token, error) {
 
 	case ch == '(' || ch == ')' || ch == ',' || ch == ';':
 		lx.pos++
-		return Token{Kind: TokenPunct, Text: string(ch), Pos: start}, nil
+		return Token{Kind: TokenPunct, Text: lx.input[start:lx.pos], Pos: start}, nil
 
 	default:
 		return lx.lexOperator(start)
@@ -170,20 +211,28 @@ func (lx *Lexer) lexNumber(start int) (Token, error) {
 
 func (lx *Lexer) lexString(start int) (Token, error) {
 	lx.pos++ // opening quote
+	// A literal without '' escapes is its source text; only an escaped one
+	// is copied, into sb.
 	var sb strings.Builder
+	from := lx.pos // start of the text not yet copied into sb
 	for lx.pos < len(lx.input) {
-		c := lx.input[lx.pos]
-		if c == '\'' {
-			if lx.pos+1 < len(lx.input) && lx.input[lx.pos+1] == '\'' {
-				sb.WriteByte('\'')
-				lx.pos += 2
-				continue
-			}
+		if lx.input[lx.pos] != '\'' {
 			lx.pos++
-			return Token{Kind: TokenString, Text: sb.String(), Pos: start}, nil
+			continue
 		}
-		sb.WriteByte(c)
+		if lx.pos+1 < len(lx.input) && lx.input[lx.pos+1] == '\'' {
+			sb.WriteString(lx.input[from : lx.pos+1])
+			lx.pos += 2
+			from = lx.pos
+			continue
+		}
+		text := lx.input[from:lx.pos]
+		if sb.Len() > 0 {
+			sb.WriteString(text)
+			text = sb.String()
+		}
 		lx.pos++
+		return Token{Kind: TokenString, Text: text, Pos: start}, nil
 	}
 	return Token{}, fmt.Errorf("sqlparser: unterminated string literal at offset %d", start)
 }
@@ -214,7 +263,8 @@ func (lx *Lexer) lexQuotedIdent(start int, closer byte) (Token, error) {
 // plainIdent reports whether s lexes bare as exactly one TokenIdent: a
 // non-empty identifier that is not a keyword.
 func plainIdent(s string) bool {
-	return plainWord(s) && !keywords[strings.ToUpper(s)]
+	_, kw := keyword(s)
+	return plainWord(s) && !kw
 }
 
 // plainWord reports whether s lexes bare as a single ident-or-keyword
@@ -254,7 +304,7 @@ func (lx *Lexer) lexOperator(start int) (Token, error) {
 	switch one {
 	case '=', '<', '>', '+', '-', '*', '/', '%':
 		lx.pos++
-		return Token{Kind: TokenOp, Text: string(one), Pos: start}, nil
+		return Token{Kind: TokenOp, Text: lx.input[start:lx.pos], Pos: start}, nil
 	}
 	return Token{}, fmt.Errorf("sqlparser: unexpected character %q at offset %d", one, start)
 }

@@ -42,6 +42,53 @@ func TestTokenizeKeywordsCaseInsensitive(t *testing.T) {
 	if toks[0].Text != "SELECT" {
 		t.Fatalf("keywords should be upper-cased, got %q", toks[0].Text)
 	}
+
+	for kw := range keywords {
+		if got, ok := keyword(strings.ToLower(kw)); !ok || got != kw || len(kw) > maxKeywordLen {
+			t.Errorf("keyword %q: classified as %q, %v (maxKeywordLen %d)", kw, got, ok, maxKeywordLen)
+		}
+	}
+
+	// A word is a keyword exactly when strings.ToUpper makes it one, and
+	// that includes non-ASCII letters that upper-case to ASCII: ſ (U+017F)
+	// to S and ı (U+0131) to I.
+	cases := []struct {
+		word string
+		kind TokenKind
+		text string
+	}{
+		{"ſelect", TokenKeyword, "SELECT"},
+		{"dıstınct", TokenKeyword, "DISTINCT"},
+		{"ſUBſTRıNG", TokenKeyword, "SUBSTRING"},
+		{"sUbStRiNg", TokenKeyword, "SUBSTRING"},
+		{"InTeRvAl", TokenKeyword, "INTERVAL"},
+		{"substrings", TokenIdent, "substrings"}, // longer than any keyword
+		{"selectſ", TokenIdent, "selectſ"},
+		{"ſ", TokenIdent, "ſ"},
+		{"séléct", TokenIdent, "séléct"},
+		{"SELECT_", TokenIdent, "SELECT_"},
+		{"\u212Aelvin", TokenIdent, "\u212Aelvin"}, // the Kelvin sign is already upper case
+	}
+	for _, c := range cases {
+		toks, err := Tokenize(c.word)
+		if err != nil {
+			t.Fatalf("%q: %v", c.word, err)
+		}
+		if len(toks) != 1 || toks[0].Kind != c.kind || toks[0].Text != c.text {
+			t.Errorf("%q lexed to %+v, want kind %v text %q", c.word, toks, c.kind, c.text)
+		}
+		if _, isKw := keywords[strings.ToUpper(c.word)]; isKw != (c.kind == TokenKeyword) {
+			t.Errorf("%q: case disagrees with strings.ToUpper", c.word)
+		}
+	}
+}
+
+func TestKeywordClassifyZeroAlloc(t *testing.T) {
+	for _, word := range []string{"l_orderkey", "o_custkey", "x", "Straße", "ſelect", "select", "SUBSTRING"} {
+		if allocs := testing.AllocsPerRun(200, func() { keyword(word) }); allocs != 0 {
+			t.Errorf("classifying %q: %v allocs, want 0", word, allocs)
+		}
+	}
 }
 
 func TestTokenizeNumbers(t *testing.T) {
@@ -58,12 +105,21 @@ func TestTokenizeNumbers(t *testing.T) {
 }
 
 func TestTokenizeStringsWithEscapes(t *testing.T) {
-	toks, err := Tokenize("'it''s'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if toks[0].Text != "it's" {
-		t.Fatalf("got %q", toks[0].Text)
+	for src, want := range map[string]string{
+		"'it''s'":     "it's",
+		"'plain'":     "plain",
+		"''":          "",
+		"''''":        "'",
+		"'a''b''''c'": "a'b''c",
+		"'tail'''":    "tail'",
+	} {
+		toks, err := Tokenize(src)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		if len(toks) != 1 || toks[0].Kind != TokenString || toks[0].Text != want {
+			t.Fatalf("%q lexed to %+v, want string %q", src, toks, want)
+		}
 	}
 	if _, err := Tokenize("'unterminated"); err == nil {
 		t.Fatal("expected unterminated-string error")

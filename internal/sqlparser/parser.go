@@ -31,6 +31,13 @@ func Parse(sql string) (*SelectStmt, error) {
 	if err != nil {
 		return nil, err
 	}
+	return ParseTokens(sql, toks)
+}
+
+// ParseTokens is Parse over tokens the caller already lexed: toks must be
+// Tokenize(sql). A caller that needs the tokens too, such as a template
+// fingerprint, lexes each statement once. The parser only reads toks.
+func ParseTokens(sql string, toks []Token) (*SelectStmt, error) {
 	p := &Parser{toks: toks, src: sql}
 	stmt, err := p.parseStatement()
 	if err != nil {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -145,14 +146,20 @@ func SplitStatements(script string) ([]string, error) {
 // Load reads a JSON workload log and analyses each query against the
 // catalog. Entries with missing weights default to 1. Costs must be finite
 // and non-negative, weights finite and non-negative (0 means "default");
-// violations are rejected with the offending entry's index.
+// violations are rejected with the offending entry's index. When several
+// entries are bad, the error names the first. Anything but whitespace
+// after the log's array is an error giving its byte offset.
 func Load(cat *catalog.Catalog, in io.Reader) (*Workload, error) {
+	dec := json.NewDecoder(in)
 	var entries []LogEntry
-	if err := json.NewDecoder(in).Decode(&entries); err != nil {
+	if err := dec.Decode(&entries); err != nil {
 		return nil, fmt.Errorf("workload: decoding log: %w", err)
 	}
-	w := &Workload{Catalog: cat}
-	for i, e := range entries {
+	if err := expectEnd(dec, in); err != nil {
+		return nil, err
+	}
+	return build(cat, len(entries), func(i int) (*Query, error) {
+		e := entries[i]
 		if math.IsNaN(e.Cost) || math.IsInf(e.Cost, 0) || e.Cost < 0 {
 			return nil, fmt.Errorf("workload: entry %d: invalid cost %v (must be finite and >= 0)", i, e.Cost)
 		}
@@ -167,7 +174,30 @@ func Load(cat *catalog.Catalog, in io.Reader) (*Workload, error) {
 		if e.Weight > 0 {
 			q.Weight = e.Weight
 		}
-		w.Queries = append(w.Queries, q)
+		return q, nil
+	})
+}
+
+// expectEnd reads the rest of a log after dec decoded its array and fails
+// on the first byte that is not JSON whitespace, so that a second log
+// appended to the first, or stray text, is not silently dropped.
+func expectEnd(dec *json.Decoder, in io.Reader) error {
+	off := dec.InputOffset()
+	rest := io.MultiReader(dec.Buffered(), in)
+	var buf [512]byte
+	for {
+		n, err := rest.Read(buf[:])
+		for _, c := range buf[:n] {
+			if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+				return fmt.Errorf("workload: decoding log: unexpected %q at byte %d after the log", c, off)
+			}
+			off++
+		}
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("workload: reading log: %w", err)
+		}
 	}
-	return w, nil
 }

@@ -9,9 +9,11 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 
 	"isum/internal/catalog"
+	"isum/internal/parallel"
 	"isum/internal/sqlparser"
 )
 
@@ -50,20 +52,51 @@ type Workload struct {
 // catalog. Costs are left zero; callers typically fill them via the what-if
 // optimizer or load them from a log.
 func New(cat *catalog.Catalog, sqls []string) (*Workload, error) {
-	w := &Workload{Catalog: cat}
-	for i, sql := range sqls {
-		q, err := NewQuery(cat, i, sql)
+	return build(cat, len(sqls), func(i int) (*Query, error) {
+		q, err := NewQuery(cat, i, sqls[i])
 		if err != nil {
 			return nil, fmt.Errorf("workload: query %d: %w", i, err)
 		}
-		w.Queries = append(w.Queries, q)
+		return q, nil
+	})
+}
+
+// build is the loader behind New and Load. It runs newQuery(i) for every
+// i in [0, n) on the worker pool, each result into its own slot, then
+// returns the queries in index order or the error of the lowest failing
+// index. Parsing writes nothing shared, and catalog and analyser reads are
+// read-only (DESIGN.md §7), so the workload and the error do not depend
+// on the worker count.
+func build(cat *catalog.Catalog, n int, newQuery func(i int) (*Query, error)) (*Workload, error) {
+	w := &Workload{Catalog: cat}
+	if n == 0 {
+		return w, nil
 	}
+	qs := make([]*Query, n)
+	errs := make([]error, n)
+	// New and Load take no context, so nothing can cancel the batch.
+	if err := parallel.ForEach(context.TODO(), parallel.Workers(0), n, func(i int) {
+		qs[i], errs[i] = newQuery(i)
+	}); err != nil {
+		return nil, fmt.Errorf("workload: loading queries: %w", err)
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	w.Queries = qs
 	return w, nil
 }
 
-// NewQuery parses and analyses a single SQL string.
+// NewQuery parses and analyses a single SQL string. It lexes sql once:
+// the parser and the template fingerprint read the same tokens.
 func NewQuery(cat *catalog.Catalog, id int, sql string) (*Query, error) {
-	stmt, err := sqlparser.Parse(sql)
+	toks, err := sqlparser.Tokenize(sql)
+	if err != nil {
+		return nil, err
+	}
+	stmt, err := sqlparser.ParseTokens(sql, toks)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +108,7 @@ func NewQuery(cat *catalog.Catalog, id int, sql string) (*Query, error) {
 		ID:         id,
 		Text:       sql,
 		Stmt:       stmt,
-		TemplateID: Fingerprint(sql),
+		TemplateID: fingerprintTokens(toks),
 		Info:       info,
 		Weight:     1,
 	}, nil

@@ -19,16 +19,43 @@ func Fingerprint(sql string) string {
 	if err != nil {
 		return strings.Join(strings.Fields(sql), " ")
 	}
-	parts := make([]string, 0, len(toks))
+	return fingerprintTokens(toks)
+}
+
+// fingerprintTokens is Fingerprint of the statement that lexed to toks:
+// each token's text, literals as '?' and identifiers lower-cased, joined
+// by single spaces. When the identifiers are lower-case already it
+// allocates once, for the result.
+func fingerprintTokens(toks []sqlparser.Token) string {
+	if len(toks) == 0 {
+		return ""
+	}
+	size := len(toks) - 1 // the separating spaces
 	for _, t := range toks {
-		switch t.Kind {
-		case sqlparser.TokenNumber, sqlparser.TokenString, sqlparser.TokenParam:
-			parts = append(parts, "?")
-		case sqlparser.TokenIdent:
-			parts = append(parts, strings.ToLower(t.Text))
-		default:
-			parts = append(parts, t.Text)
+		if isLiteral(t.Kind) {
+			size++
+		} else {
+			size += len(t.Text)
 		}
 	}
-	return strings.Join(parts, " ")
+	var sb strings.Builder
+	sb.Grow(size)
+	for i, t := range toks {
+		if i > 0 {
+			sb.WriteByte(' ')
+		}
+		switch {
+		case isLiteral(t.Kind):
+			sb.WriteByte('?')
+		case t.Kind == sqlparser.TokenIdent:
+			sb.WriteString(strings.ToLower(t.Text))
+		default:
+			sb.WriteString(t.Text)
+		}
+	}
+	return sb.String()
+}
+
+func isLiteral(k sqlparser.TokenKind) bool {
+	return k == sqlparser.TokenNumber || k == sqlparser.TokenString || k == sqlparser.TokenParam
 }

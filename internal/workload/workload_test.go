@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -69,26 +70,6 @@ func TestTotalCostAndSubset(t *testing.T) {
 	}
 }
 
-func TestFingerprintTemplates(t *testing.T) {
-	a := Fingerprint("SELECT * FROM orders WHERE o_custkey = 17")
-	b := Fingerprint("select  *  from ORDERS where O_CUSTKEY=42")
-	if a != b {
-		t.Fatalf("fingerprints differ:\n%q\n%q", a, b)
-	}
-	c := Fingerprint("SELECT * FROM orders WHERE o_custkey = 17 AND o_totalprice > 5")
-	if a == c {
-		t.Fatal("different shapes must differ")
-	}
-	d := Fingerprint("SELECT * FROM orders WHERE o_comment LIKE 'a%'")
-	e := Fingerprint("SELECT * FROM orders WHERE o_comment LIKE 'zzz%'")
-	if d != e {
-		t.Fatal("string literals should normalise")
-	}
-	if !strings.Contains(Fingerprint("@@garbage@@"), "garbage") {
-		t.Fatal("fallback fingerprint should preserve text")
-	}
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
 	cat := tpchMiniCatalog()
 	w, err := New(cat, []string{
@@ -130,6 +111,26 @@ func TestLoadBadJSON(t *testing.T) {
 	}
 	if _, err := Load(tpchMiniCatalog(), strings.NewReader(`[{"sql":"BROKEN","cost":1}]`)); err == nil {
 		t.Fatal("expected parse error")
+	}
+	// Anything but whitespace after the log's array is an error naming the
+	// byte where it starts: two concatenated logs, or stray text.
+	log := `[{"sql":"SELECT * FROM orders","cost":1}]`
+	for _, c := range []struct {
+		in   string
+		byte int
+	}{
+		{log + log, len(log)},
+		{log + " garbage", len(log) + 1},
+		{log + "\n\t\r ]", len(log) + 4},
+	} {
+		_, err := Load(tpchMiniCatalog(), strings.NewReader(c.in))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("at byte %d ", c.byte)) {
+			t.Errorf("%q: error %v, want one naming byte %d", c.in, err, c.byte)
+		}
+	}
+	w, err := Load(tpchMiniCatalog(), strings.NewReader(log+" \n\t\r"))
+	if err != nil || w.Len() != 1 {
+		t.Fatalf("trailing whitespace: %v", err)
 	}
 }
 

@@ -47,6 +47,12 @@ go test -race ./...
 echo "== telemetry race test =="
 go test -race -run 'TestRegistryUnderForEach' ./internal/telemetry
 
+# The workload loader parses a log on the worker pool (DESIGN.md §19);
+# repeat its serial-reference oracle under -race so scheduling varies.
+# Under -race the oracle uses small logs, so this takes seconds.
+echo "== loader race test =="
+go test -race -count=10 -run 'TestLoadMatchesSerialReference' ./internal/workload
+
 echo "== telemetry smoke run =="
 metrics_out=$(mktemp)
 trap 'rm -f "$metrics_out"' EXIT
