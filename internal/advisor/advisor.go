@@ -9,7 +9,6 @@ package advisor
 import (
 	"context"
 	"errors"
-	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -296,24 +295,11 @@ type queryCandidates struct {
 // anytime pool holds only fully-processed queries and res is marked
 // Partial. A real what-if failure (retries exhausted) or a contained
 // panic aborts selection with the error.
-//
-// With the optimizer's elision layer on (cost.Optimizer.SetElision), the
-// per-query base cost is served from the optimizer's atomic memo
-// (populated by the initial workload costing), and a candidate is
-// dropped without costing when the query's structural floor on the
-// candidate's table proves even a perfect index fails the improvement
-// threshold: the true gain is at most base − floor, so a pruned
-// candidate is exactly one the reference path would drop after costing.
-// Pruned candidates still count as probed/explored.
 func (a *Advisor) selectCandidates(ctx context.Context, w *workload.Workload, res *Result) ([]scored, error) {
 	// probed is bumped from worker closures — counters are atomics, so
 	// this is the one advisor metric safely updated off the span path.
 	probed := a.opts.Telemetry.Counter("advisor/candidates/probed")
 	progress := a.opts.Progress
-	elide := a.o.ElisionEnabled()
-	// Each candidate is probed alone: a view of the empty configuration
-	// plus the candidate, which copies nothing.
-	var empty *index.Configuration
 	var processed atomic.Int64 // progress counter; workers emit, so Progress must be concurrency-safe
 	perQuery, mapErr := parallel.Map(ctx, parallel.Workers(a.opts.Parallelism), len(w.Queries),
 		func(i int) *queryCandidates {
@@ -325,72 +311,7 @@ func (a *Advisor) selectCandidates(ctx context.Context, w *workload.Workload, re
 					})
 				}()
 			}
-			q := w.Queries[i]
-			var base float64
-			baseKnown := false
-			if elide {
-				if b, ok := a.o.QueryBounds(q).BaseCost(); ok {
-					base, baseKnown = b, true
-					a.o.CountElidedCalls(1)
-				}
-			}
-			if !baseKnown {
-				var err error
-				base, err = a.o.CostContext(ctx, q, nil)
-				if err != nil {
-					if isCancel(err) {
-						return nil // anytime mode: keep what we have
-					}
-					return &queryCandidates{err: err}
-				}
-			}
-			if base <= 0 {
-				return nil
-			}
-			wt := q.Weight
-			if wt <= 0 {
-				wt = 1
-			}
-			qc := &queryCandidates{}
-			for _, ix := range a.syntacticCandidatesForMode(q) {
-				if elide {
-					capGain := base - a.o.FloorCost(q, ix.Table)
-					if capGain <= 0 || capGain < a.opts.MinImprovement*base {
-						qc.explored++
-						probed.Inc()
-						a.o.CountBoundPrune()
-						a.o.CountElidedCalls(1)
-						continue
-					}
-				}
-				c, err := a.o.CostContext(ctx, q, empty.Probe(index.NewMember(ix)))
-				if err != nil {
-					if isCancel(err) {
-						return nil // drop the half-probed query
-					}
-					return &queryCandidates{err: err}
-				}
-				qc.explored++
-				probed.Inc()
-				gain := base - c
-				if gain <= 0 || gain < a.opts.MinImprovement*base {
-					continue
-				}
-				qc.local = append(qc.local, scored{ix: ix, benefit: wt * gain})
-			}
-			// Tie-break by index ID: syntactic generation follows map
-			// iteration order, so a benefit-only sort would truncate
-			// equal-gain candidates nondeterministically.
-			sort.Slice(qc.local, func(i, j int) bool {
-				if qc.local[i].benefit != qc.local[j].benefit {
-					return qc.local[i].benefit > qc.local[j].benefit
-				}
-				return qc.local[i].ix.ID() < qc.local[j].ix.ID()
-			})
-			if len(qc.local) > a.opts.CandidatesPerQuery {
-				qc.local = qc.local[:a.opts.CandidatesPerQuery]
-			}
-			return qc
+			return a.candidatesFor(ctx, w.Queries[i], probed)
 		})
 	if mapErr != nil {
 		if !isCancel(mapErr) {
@@ -422,13 +343,82 @@ func (a *Advisor) selectCandidates(ctx context.Context, w *workload.Workload, re
 	for _, s := range pool {
 		out = append(out, *s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].benefit != out[j].benefit {
-			return out[i].benefit > out[j].benefit
-		}
-		return out[i].ix.ID() < out[j].ix.ID()
-	})
+	sortScored(out)
 	return out, nil
+}
+
+// candidatesFor costs each of q's syntactic candidates alone, as a view
+// of the empty configuration plus the candidate, and keeps the best
+// CandidatesPerQuery winners. It returns nil when q has no positive base
+// cost or ctx cancels it mid-probe (the anytime path drops a half-probed
+// query whole).
+//
+// The base cost is served from the optimizer's atomic memo, which the
+// initial workload costing populates, and a candidate is dropped without
+// costing when the query's structural floor on its table proves even a
+// perfect index fails the improvement threshold (DESIGN.md §16): the
+// true gain is at most base − floor, so a pruned candidate is exactly one
+// costing would drop. Pruned candidates still count as probed/explored.
+func (a *Advisor) candidatesFor(ctx context.Context, q *workload.Query, probed *telemetry.Counter) *queryCandidates {
+	base, ok := a.o.QueryBounds(q).BaseCost()
+	if ok {
+		a.o.CountElidedCalls(1)
+	} else {
+		var err error
+		if base, err = a.o.CostContext(ctx, q, nil); err != nil {
+			if isCancel(err) {
+				return nil // anytime mode: keep what we have
+			}
+			return &queryCandidates{err: err}
+		}
+	}
+	if base <= 0 {
+		return nil
+	}
+	wt := queryWeight(q)
+	var empty *index.Configuration
+	qc := &queryCandidates{}
+	for _, ix := range a.syntacticCandidatesForMode(q) {
+		capGain := base - a.o.FloorCost(q, ix.Table)
+		if capGain <= 0 || capGain < a.opts.MinImprovement*base {
+			qc.explored++
+			probed.Inc()
+			a.o.CountBoundPrune()
+			a.o.CountElidedCalls(1)
+			continue
+		}
+		c, err := a.o.CostContext(ctx, q, empty.Probe(index.NewMember(ix)))
+		if err != nil {
+			if isCancel(err) {
+				return nil // drop the half-probed query
+			}
+			return &queryCandidates{err: err}
+		}
+		qc.explored++
+		probed.Inc()
+		gain := base - c
+		if gain <= 0 || gain < a.opts.MinImprovement*base {
+			continue
+		}
+		qc.local = append(qc.local, scored{ix: ix, benefit: wt * gain})
+	}
+	sortScored(qc.local)
+	if len(qc.local) > a.opts.CandidatesPerQuery {
+		qc.local = qc.local[:a.opts.CandidatesPerQuery]
+	}
+	return qc
+}
+
+// sortScored orders candidates by descending benefit, ties by index ID:
+// syntactic generation follows map iteration order, so a benefit-only
+// sort would truncate equal-gain candidates nondeterministically.
+func sortScored(s []scored) {
+	sort.Slice(s, func(i, j int) bool {
+		if s[i].benefit != s[j].benefit {
+			return s[i].benefit > s[j].benefit
+		}
+		return s[i].ix.ID() < s[j].ix.ID()
+	})
 }
 
 func (a *Advisor) syntacticCandidatesForMode(q *workload.Query) []index.Index {
@@ -513,404 +503,6 @@ func mergeIndexes(A, B index.Index, maxKeys, maxIncludes int) *index.Index {
 	}
 	m := index.New(A.Table, keys...).WithIncludes(includes...)
 	return &m
-}
-
-// enumerate greedily builds the configuration: at each step the candidate
-// with the largest weighted workload improvement is added, until the
-// count/storage constraints bind, no candidate improves the workload, or
-// ctx is cancelled (the anytime path: res is marked Partial and the
-// configuration built so far is returned — a round interrupted mid-probe
-// is discarded whole, so every index in the result was a completed greedy
-// choice). A real what-if failure or contained panic returns the error.
-//
-// Probing a candidate only re-costs the queries that reference the
-// candidate's table — indexes cannot change other queries' plans — which is
-// the same table-pruning commercial advisors use to bound what-if calls.
-//
-// With the optimizer's elision layer on, three further elisions apply
-// (DESIGN.md §16), none of which can change the chosen index, the
-// per-round cost updates, or ConfigsExplored:
-//
-//   - memo-exact: when the current configuration has no index on a
-//     query's tables, the trial configuration's relevant set is exactly
-//     the candidate, and the memoized atomic cost is bitwise the value a
-//     real call would return;
-//   - lower-bound skip: a query whose union lower bound already meets its
-//     current cost cannot contribute gain, so its call is skipped;
-//   - candidate pruning: a serial pre-pass in candidate order compares
-//     each candidate's optimistic gain cap (Σ current − lower over its
-//     table's queries) against the best pessimistic gain (via upper
-//     bounds) of an earlier unpruned candidate. cap ≤ that floor proves
-//     the earlier candidate's true gain is at least this one's, and the
-//     argmax breaks ties toward the earlier position, so the pruned
-//     candidate could never be chosen. Pruned probes report zero gain and
-//     still count as explored, exactly as their costed probes would.
-func (a *Advisor) enumerate(ctx context.Context, w *workload.Workload, cands []scored, res *Result) (*index.Configuration, error) {
-	cfg := index.NewConfiguration()
-	var used int64
-	remaining := append([]scored{}, cands...)
-	workers := parallel.Workers(a.opts.Parallelism)
-	elide := a.o.ElisionEnabled()
-
-	// Per remaining candidate, spliced alongside it: the index with its
-	// canonical ID, which probes add to the configuration as a view, and
-	// its size against the storage budget.
-	mems := make([]index.Member, len(remaining))
-	sizes := make([]int64, len(remaining))
-	for i, c := range remaining {
-		mems[i] = index.NewMember(c.ix)
-		sizes[i] = c.ix.SizeBytes(a.o.Catalog())
-	}
-
-	// Per-query weights, shared by the probe loop and the elision bounds.
-	wts := make([]float64, len(w.Queries))
-	for i, q := range w.Queries {
-		wts[i] = q.Weight
-		if wts[i] <= 0 {
-			wts[i] = 1
-		}
-	}
-
-	// Current weighted per-query costs and a table → query-index map.
-	type qcost struct {
-		v   float64
-		err error
-	}
-	baseCosts, mapErr := parallel.Map(ctx, workers, len(w.Queries), func(i int) qcost {
-		q := w.Queries[i]
-		wt := wts[i]
-		if elide {
-			if b, ok := a.o.QueryBounds(q).BaseCost(); ok {
-				a.o.CountElidedCalls(1)
-				return qcost{wt * b, nil}
-			}
-		}
-		c, err := a.o.CostContext(ctx, q, cfg)
-		return qcost{wt * c, err}
-	})
-	if mapErr != nil {
-		if isCancel(mapErr) {
-			res.Partial = true
-			return cfg, nil
-		}
-		return nil, mapErr
-	}
-	curCost := make([]float64, len(baseCosts))
-	for i, r := range baseCosts {
-		if r.err != nil {
-			if isCancel(r.err) {
-				res.Partial = true
-				return cfg, nil
-			}
-			return nil, r.err
-		}
-		curCost[i] = r.v
-	}
-	queriesByTable := map[string][]int{}
-	for i, q := range w.Queries {
-		if q.Info != nil {
-			for _, t := range q.Info.Tables {
-				queriesByTable[t] = append(queriesByTable[t], i)
-			}
-		}
-	}
-
-	// Elision set-up: one what-if call per query against the union of
-	// every candidate primes a lower bound valid for every configuration
-	// this enumeration can probe (all are subsets of the union); interned
-	// candidate IDs and per-query bound handles keep the in-round lookups
-	// allocation-free.
-	var (
-		bounds  []*cost.QueryBounds
-		lbW     []float64 // weighted lower bound per query; −Inf when unknown
-		candIDs []int32   // interned identity per remaining candidate
-		cfgRel  []int     // per query: # configuration indexes on its tables
-	)
-	// Cross-round probe memo. A probe's cost depends only on the trial
-	// configuration's indexes on the query's tables (the optimizer plans
-	// with those members only — the same relevance invariant that lets the
-	// probe loop re-cost only queriesByTable[cand.Table]), so the value
-	// for (candidate, query) holds verbatim across rounds until a chosen
-	// index lands on one of the query's tables. qVer tracks that: bumped
-	// per query when its relevant set changes, it invalidates stale
-	// entries without a sweep. Each candidate's map is touched only by
-	// its own probe goroutine within a round, and rounds are separated by
-	// the parallel.Map join, so the memo needs no locking.
-	type probeMemo struct {
-		ver int
-		c   float64 // weighted trial cost, exactly as the real call computed it
-	}
-	var (
-		candMemo []map[int]probeMemo // per remaining candidate: query → memoized probe
-		qVer     []int               // per query: relevant-set version
-		relQs    [][]int             // per remaining candidate: structurally relevant queries
-	)
-	if elide {
-		union := index.NewConfiguration()
-		for _, c := range remaining {
-			union.Add(c.ix)
-		}
-		primed, mapErr := parallel.Map(ctx, workers, len(w.Queries), func(i int) error {
-			return a.o.PrimeUnionBound(ctx, w.Queries[i], union)
-		})
-		if mapErr != nil {
-			if isCancel(mapErr) {
-				res.Partial = true
-				return cfg, nil
-			}
-			return nil, mapErr
-		}
-		for _, err := range primed {
-			if err != nil {
-				if isCancel(err) {
-					res.Partial = true
-					return cfg, nil
-				}
-				return nil, err
-			}
-		}
-		bounds = make([]*cost.QueryBounds, len(w.Queries))
-		lbW = make([]float64, len(w.Queries))
-		cfgRel = make([]int, len(w.Queries))
-		for i, q := range w.Queries {
-			bounds[i] = a.o.QueryBounds(q)
-			if lb, ok := bounds[i].Lower(); ok {
-				lbW[i] = wts[i] * lb
-			} else {
-				lbW[i] = math.Inf(-1)
-			}
-		}
-		candIDs = make([]int32, len(remaining))
-		for i := range remaining {
-			candIDs[i] = a.o.InternIndexID(mems[i].ID)
-		}
-		candMemo = make([]map[int]probeMemo, len(remaining))
-		qVer = make([]int, len(w.Queries))
-		// Structural relevance: a candidate whose index the planner can
-		// never consult for a query (cost.IndexRelevant) leaves that
-		// query's cost bitwise unchanged, so the probe loop walks only the
-		// relevant queries and the skipped pairs count as elided calls.
-		relQs = make([][]int, len(remaining))
-		for i := range remaining {
-			all := queriesByTable[lower(remaining[i].ix.Table)]
-			rel := make([]int, 0, len(all))
-			for _, qi := range all {
-				if cost.IndexRelevant(w.Queries[qi], remaining[i].ix) {
-					rel = append(rel, qi)
-				}
-			}
-			relQs[i] = rel
-		}
-	}
-
-	// probe is one candidate's evaluation against the current
-	// configuration; skipped candidates (over the storage budget) stay nil
-	// in newCosts and count no exploration.
-	type probe struct {
-		gain     float64
-		newCosts map[int]float64
-		err      error
-	}
-	reg := a.opts.Telemetry
-	roundsCtr := reg.Counter("advisor/enumerate/rounds")
-	var gainSum float64
-	for {
-		if a.opts.MaxIndexes > 0 && cfg.Len() >= a.opts.MaxIndexes {
-			break
-		}
-		if ctx.Err() != nil {
-			res.Partial = true
-			break // anytime mode: return the configuration built so far
-		}
-		rsp := reg.Start("advisor/enumerate/round")
-		roundsCtr.Inc()
-		// Bound-based candidate pruning: a serial scan in candidate order.
-		// bStar is the best pessimistic gain of an earlier unpruned,
-		// unskipped candidate — a gain some earlier probe is guaranteed to
-		// reach — and capByTable caps any candidate-on-t's gain from
-		// above. cap ≤ bStar means this candidate cannot out-gain that
-		// earlier witness, and the argmax prefers the earlier position on
-		// ties, so its probe is elided wholesale.
-		var pruned []bool
-		if elide {
-			pruned = make([]bool, len(remaining))
-			bStar := 0.0
-			for i := range remaining {
-				cand := remaining[i]
-				if a.opts.StorageBudget > 0 && used+sizes[i] > a.opts.StorageBudget {
-					continue // skipped, not probed: no witness, no prune
-				}
-				// The candidate's gain accrues only on its structurally
-				// relevant queries (irrelevant ones are bitwise
-				// unchanged), so the optimistic cap sums over those.
-				var gcap float64
-				for _, qi := range relQs[i] {
-					if d := curCost[qi] - lbW[qi]; d > 0 {
-						gcap += d
-					}
-				}
-				if gcap <= bStar {
-					pruned[i] = true
-					a.o.CountBoundPrune()
-					a.o.CountElidedCalls(int64(len(queriesByTable[lower(cand.ix.Table)])))
-					continue
-				}
-				var pess float64
-				for _, qi := range relQs[i] {
-					if ub, ok := bounds[qi].UpperWith(candIDs[i]); ok {
-						if d := curCost[qi] - wts[qi]*ub; d > 0 {
-							pess += d
-						}
-					}
-				}
-				if pess > bStar {
-					bStar = pess
-				}
-			}
-		}
-		// Probe every remaining candidate in parallel: each probe re-costs
-		// only the queries on the candidate's table against a
-		// cfg+candidate view, reading cfg/curCost/queriesByTable without
-		// mutation. The argmax below reduces serially in candidate order,
-		// so the chosen index matches the serial scan exactly.
-		probes, mapErr := parallel.Map(ctx, workers, len(remaining), func(i int) probe {
-			cand := remaining[i]
-			if a.opts.StorageBudget > 0 && used+sizes[i] > a.opts.StorageBudget {
-				return probe{}
-			}
-			p := probe{newCosts: map[int]float64{}}
-			if pruned != nil && pruned[i] {
-				// Elided probe: provably not the argmax; zero gain keeps it
-				// out of contention while still counting as explored.
-				return p
-			}
-			trial := cfg.Probe(mems[i])
-			qis := queriesByTable[lower(cand.ix.Table)]
-			if elide {
-				// Structurally irrelevant pairs cost bitwise the current
-				// value: no gain, no call.
-				a.o.CountElidedCalls(int64(len(qis) - len(relQs[i])))
-				qis = relQs[i]
-			}
-			for _, qi := range qis {
-				q := w.Queries[qi]
-				wt := wts[qi]
-				if elide {
-					if lbW[qi] >= curCost[qi] {
-						// The optimistic bound already meets the current
-						// cost: this query cannot contribute gain.
-						a.o.CountElidedCalls(1)
-						continue
-					}
-					if cfgRel[qi] == 0 {
-						if c0, ok := bounds[qi].AtomicCost(candIDs[i]); ok {
-							a.o.CountElidedCalls(1)
-							c0 *= wt
-							if c0 < curCost[qi] {
-								p.gain += curCost[qi] - c0
-								p.newCosts[qi] = c0
-							}
-							continue
-						}
-					}
-					if e, ok := candMemo[i][qi]; ok && e.ver == qVer[qi] {
-						// Repeat probe: the query's relevant index set is
-						// unchanged since this pair was last costed, so the
-						// memoized value is the call's value verbatim.
-						a.o.CountElidedCalls(1)
-						if e.c < curCost[qi] {
-							p.gain += curCost[qi] - e.c
-							p.newCosts[qi] = e.c
-						}
-						continue
-					}
-				}
-				c, err := a.o.CostContext(ctx, q, trial)
-				if err != nil {
-					return probe{err: err}
-				}
-				c *= wt
-				if elide {
-					if candMemo[i] == nil {
-						candMemo[i] = make(map[int]probeMemo)
-					}
-					candMemo[i][qi] = probeMemo{ver: qVer[qi], c: c}
-				}
-				if c < curCost[qi] {
-					p.gain += curCost[qi] - c
-					p.newCosts[qi] = c
-				}
-			}
-			return p
-		})
-		if mapErr != nil && !isCancel(mapErr) {
-			rsp.End()
-			return nil, mapErr
-		}
-		for _, p := range probes {
-			if p.err != nil && !isCancel(p.err) {
-				rsp.End()
-				return nil, p.err
-			}
-		}
-		if mapErr != nil {
-			res.Partial = true
-			rsp.SetAttr("outcome", "cancelled")
-			rsp.End()
-			break // discard the interrupted round's partial probes
-		}
-		bestIdx := -1
-		bestGain := 0.0
-		var bestCosts map[int]float64
-		for i, p := range probes {
-			if p.newCosts == nil {
-				continue
-			}
-			res.ConfigsExplored++
-			if p.gain > bestGain+1e-9 {
-				bestGain, bestIdx, bestCosts = p.gain, i, p.newCosts
-			}
-		}
-		if bestIdx < 0 {
-			rsp.SetAttr("outcome", "no-gain")
-			rsp.End()
-			break
-		}
-		chosen := remaining[bestIdx]
-		cfg.Add(chosen.ix)
-		used += sizes[bestIdx]
-		for qi, c := range bestCosts {
-			curCost[qi] = c
-		}
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-		mems = append(mems[:bestIdx], mems[bestIdx+1:]...)
-		sizes = append(sizes[:bestIdx], sizes[bestIdx+1:]...)
-		if elide {
-			candIDs = append(candIDs[:bestIdx], candIDs[bestIdx+1:]...)
-			candMemo = append(candMemo[:bestIdx], candMemo[bestIdx+1:]...)
-			relQs = append(relQs[:bestIdx], relQs[bestIdx+1:]...)
-			for _, qi := range queriesByTable[lower(chosen.ix.Table)] {
-				cfgRel[qi]++
-				qVer[qi]++
-			}
-		}
-		res.Rounds++
-		if a.opts.Progress != nil {
-			gainSum += bestGain
-			a.opts.Progress(telemetry.ProgressEvent{
-				Phase: "advisor/enumerate", Round: res.Rounds,
-				Done: cfg.Len(), Total: a.opts.MaxIndexes,
-				Benefit: gainSum,
-			})
-		}
-		if reg != nil {
-			rsp.SetAttr("chosen", chosen.ix.ID())
-			rsp.SetAttr("gain", bestGain)
-			rsp.SetAttr("probed", len(probes))
-		}
-		rsp.End()
-	}
-	return cfg, nil
 }
 
 // dexterCandidates builds the simplified DEXTER candidate set: single

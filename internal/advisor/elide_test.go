@@ -43,14 +43,25 @@ type tuneOutput struct {
 	elidePrunes    int64
 }
 
-func runTune(t *testing.T, w *workload.Workload, cat *catalog.Catalog, opts Options, elide bool) tuneOutput {
+// runTune tunes w with the production advisor on a fresh optimizer.
+func runTune(t *testing.T, w *workload.Workload, cat *catalog.Catalog, opts Options) tuneOutput {
 	t.Helper()
 	o := cost.NewOptimizer(cat)
-	o.SetElision(elide)
 	res, err := New(o, opts).TuneContext(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return captureTune(o, w, res)
+}
+
+// runReference tunes w with the reference advisor (reference_test.go) on
+// a fresh optimizer.
+func runReference(w *workload.Workload, cat *catalog.Catalog, opts Options) tuneOutput {
+	o := cost.NewOptimizer(cat)
+	return captureTune(o, w, referenceTune(o, opts, w))
+}
+
+func captureTune(o *cost.Optimizer, w *workload.Workload, res *Result) tuneOutput {
 	var buf bytes.Buffer
 	Report(o, w, res.Config).Write(&buf, 5)
 	hits, prunes, _ := o.ElideStats()
@@ -70,9 +81,12 @@ func runTune(t *testing.T, w *workload.Workload, cat *catalog.Catalog, opts Opti
 // TestElisionDoesNotChangeOutput pins the elision layer's invisibility
 // guarantee (DESIGN.md §16): across every generator, both advisor modes,
 // and serial/parallel execution, the chosen configuration, the bitwise
-// Initial/FinalCost, ConfigsExplored, and the rendered report are
-// identical with elision on and off — while the elided runs issue
-// strictly fewer what-if calls.
+// Initial/FinalCost, ConfigsExplored, Rounds, and the rendered report
+// equal the reference advisor's, which answers every probe with a real
+// what-if call. It also pins elision's accounting: each reference call is
+// either issued or counted as elided exactly once, the only extra issued
+// calls are one union-bound prime per query, and at least 30% of the
+// reference's calls are elided.
 func TestElisionDoesNotChangeOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-generator oracle sweep")
@@ -91,11 +105,11 @@ func TestElisionDoesNotChangeOutput(t *testing.T) {
 			opts := mode.opts
 			opts.MaxIndexes = 8
 			opts.Parallelism = 1
-			ref := runTune(t, w, cat, opts, false)
+			ref := runReference(w, cat, opts)
 			for _, par := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/%s/parallelism=%d", genName, mode.name, par), func(t *testing.T) {
 					opts.Parallelism = par
-					got := runTune(t, w, cat, opts, true)
+					got := runTune(t, w, cat, opts)
 					totalHits += got.elideHits
 					if got.fingerprint != ref.fingerprint {
 						t.Fatalf("elided run recommends %q, reference %q", got.fingerprint, ref.fingerprint)
@@ -115,6 +129,14 @@ func TestElisionDoesNotChangeOutput(t *testing.T) {
 					}
 					if got.optimizerCalls >= ref.optimizerCalls {
 						t.Fatalf("elided run issued %d optimizer calls, reference %d — nothing elided",
+							got.optimizerCalls, ref.optimizerCalls)
+					}
+					if lhs, rhs := got.optimizerCalls+got.elideHits, ref.optimizerCalls+int64(len(w.Queries)); lhs != rhs {
+						t.Fatalf("issued %d + elided %d = %d, want reference calls %d + %d union primes = %d",
+							got.optimizerCalls, got.elideHits, lhs, ref.optimizerCalls, len(w.Queries), rhs)
+					}
+					if float64(got.optimizerCalls) > 0.70*float64(ref.optimizerCalls) {
+						t.Fatalf("elided run issued %d optimizer calls, over 70%% of the reference's %d",
 							got.optimizerCalls, ref.optimizerCalls)
 					}
 				})

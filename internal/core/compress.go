@@ -193,7 +193,7 @@ func isCancel(err error) bool {
 //
 // The summary features are maintained incrementally (RemoveSelected +
 // per-query ApplyDelta, applied in index order) instead of rebuilt O(n)
-// every round; Options.RebuildSummary restores the literal rebuild.
+// every round; the rebuildSummary test hook restores the literal rebuild.
 //
 // Cancellation is observed at round boundaries and inside the parallel
 // sweeps. A benefit sweep cut short discards the round (no selection from
@@ -203,7 +203,7 @@ func isCancel(err error) bool {
 func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, k int, res *Result) error {
 	workers := parallel.Workers(c.opts.Parallelism)
 	summary := c.opts.Algorithm != AllPairs
-	incremental := summary && !c.opts.RebuildSummary
+	incremental := summary && !c.opts.rebuildSummary
 	var ss *SummaryState
 	if summary {
 		ss = BuildSummary(states)
@@ -242,7 +242,7 @@ func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, k i
 		rsp := reg.Start("core/greedy/round")
 		rounds.Inc()
 		if summary {
-			if c.opts.RebuildSummary {
+			if c.opts.rebuildSummary {
 				ss.rebuild(states)
 			}
 			ss.V() // snapshot serially: the bound sweep reads it from every worker

@@ -18,7 +18,7 @@ import (
 func (c *Compressor) fullScanSelectGreedy(ctx context.Context, states []*QueryState, k int, res *Result) error {
 	workers := parallel.Workers(c.opts.Parallelism)
 	summary := c.opts.Algorithm != AllPairs
-	incremental := summary && !c.opts.RebuildSummary
+	incremental := summary && !c.opts.rebuildSummary
 	var ss *SummaryState
 	if summary {
 		ss = BuildSummary(states)
@@ -30,7 +30,7 @@ func (c *Compressor) fullScanSelectGreedy(ctx context.Context, states []*QuerySt
 			res.Partial = true
 			return nil
 		}
-		if summary && c.opts.RebuildSummary {
+		if summary && c.opts.rebuildSummary {
 			ss = BuildSummary(states)
 		}
 		if summary {
@@ -183,7 +183,7 @@ func TestBoundedArgmaxMatchesFullScan(t *testing.T) {
 		{"isum-s", ISUMSOptions()},
 		{"weight-subtract", withUpdate(DefaultOptions(), UpdateWeightSubtract)},
 		{"consed", func() Options { o := DefaultOptions(); o.ConsTemplates = true; return o }()},
-		{"rebuild-summary", func() Options { o := DefaultOptions(); o.RebuildSummary = true; return o }()},
+		{"rebuild-summary", func() Options { o := DefaultOptions(); o.rebuildSummary = true; return o }()},
 	}
 	type workloadCase struct {
 		gen   string

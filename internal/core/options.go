@@ -114,11 +114,12 @@ type Options struct {
 	// mutated by BuildStates, so compressions sharing one must not run
 	// concurrently.
 	Interner *features.Interner
-	// RebuildSummary forces the summary features to be rebuilt from
+	// rebuildSummary forces the summary features to be rebuilt from
 	// scratch every greedy round (the literal Algorithm 3 reading) instead
-	// of being maintained incrementally. Debug/validation knob: the
-	// incremental path is algebraically identical and O(rounds) cheaper.
-	RebuildSummary bool
+	// of being maintained incrementally. A test hook: the in-package
+	// oracles use the rebuild as the reference the incremental path, which
+	// is algebraically identical and O(rounds) cheaper, is pinned to.
+	rebuildSummary bool
 	// Telemetry receives the compressor's metrics and phase spans
 	// (core/build-states, per-round core/greedy spans with argmax and
 	// update timings — see DESIGN.md §8). nil, the default, disables

@@ -173,13 +173,13 @@ func oracleCompress(w *workload.Workload, k int, opts Options) *Result {
 	}
 	states, in := oracleBuildStates(w, opts)
 	summary := opts.Algorithm != AllPairs
-	incremental := summary && !opts.RebuildSummary
+	incremental := summary && !opts.rebuildSummary
 	var ss *oracleSummary
 	if summary {
 		ss = oracleBuildSummary(states)
 	}
 	for len(res.Indices) < k {
-		if summary && opts.RebuildSummary {
+		if summary && opts.rebuildSummary {
 			ss = oracleBuildSummary(states)
 		}
 		benefits := make([]float64, n)
@@ -395,7 +395,7 @@ func TestSparseVecPipelineMatchesMapOracle(t *testing.T) {
 		{"utility-only", withUpdate(DefaultOptions(), UpdateUtilityOnly)},
 		{"isum-s", ISUMSOptions()},
 		{"allpairs", func() Options { o := DefaultOptions(); o.Algorithm = AllPairs; return o }()},
-		{"rebuild-summary", func() Options { o := DefaultOptions(); o.RebuildSummary = true; return o }()},
+		{"rebuild-summary", func() Options { o := DefaultOptions(); o.rebuildSummary = true; return o }()},
 		{"weigh-selection", func() Options { o := DefaultOptions(); o.Weighing = WeighSelectionBenefit; return o }()},
 	}
 	const n, k = 60, 12

@@ -76,14 +76,14 @@ func TestIncrementalSummaryMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestRebuildSummaryFlagEquivalence checks the debug flag end to end: the
-// incremental default and the per-round rebuild select the same queries
-// with the same weights.
+// TestRebuildSummaryFlagEquivalence checks the rebuild test hook end to
+// end: the incremental default and the per-round rebuild select the same
+// queries with the same weights.
 func TestRebuildSummaryFlagEquivalence(t *testing.T) {
 	w := testWorkload(t)
 	incOpts := DefaultOptions()
 	rebOpts := DefaultOptions()
-	rebOpts.RebuildSummary = true
+	rebOpts.rebuildSummary = true
 
 	for _, k := range []int{1, 4, 8, 16} {
 		incRes := New(incOpts).Compress(w, k)

@@ -55,11 +55,10 @@ type queryEntry struct {
 // configuration whose key another one already holds is simply not cached.
 // The shard's mu guards every field but ids, which never changes.
 //
-// With elision on, a record is stored as soon as its plan computation
-// starts, pending until the computation ends: concurrent identical misses
-// wait for it instead of computing it again (singleflight). The first
-// waiter makes done; the computation publishes v or err before closing
-// it.
+// A record is stored as soon as its plan computation starts, pending
+// until the computation ends: concurrent identical misses wait for it
+// instead of computing it again (singleflight). The first waiter makes
+// done; the computation publishes v or err before closing it.
 type costRec struct {
 	ids     []string
 	v       cacheVal

@@ -187,11 +187,8 @@ func (o *Optimizer) recordParts(q *workload.Query, rel []*index.Member, v cacheV
 // PrimeUnionBound issues one real what-if call for q against the union of
 // every candidate index and derives the query's lower bound, valid for
 // all configurations the enumeration can probe (subsets of the union).
-// Counted as a normal what-if call; a no-op when elision is disabled.
+// Counted as a normal what-if call.
 func (o *Optimizer) PrimeUnionBound(ctx context.Context, q *workload.Query, union *index.Configuration) error {
-	if !o.elideOn {
-		return nil
-	}
 	v, err := o.costParts(ctx, q, union)
 	if err != nil {
 		return err
@@ -302,17 +299,6 @@ func IndexRelevant(q *workload.Query, ix index.Index) bool {
 	}
 	return false
 }
-
-// SetElision enables or disables the elision layer: the atomic-cost memo,
-// the in-flight deduplication (singleflight) of identical plan
-// computations, and the bound APIs the advisor consults. Elision is on by
-// default and bitwise-invisible — it changes how many what-if calls are
-// issued, never any cost value or recommendation. Call during setup,
-// before the optimizer is used concurrently.
-func (o *Optimizer) SetElision(on bool) { o.elideOn = on }
-
-// ElisionEnabled reports whether the elision layer is active.
-func (o *Optimizer) ElisionEnabled() bool { return o.elideOn }
 
 // CountElidedCalls records n what-if calls answered from memoized values
 // or bounds instead of being issued (cost/elide/hits).

@@ -50,10 +50,8 @@ func DefaultRetryPolicy() RetryPolicy {
 //
 // All methods are safe for concurrent use. The cache is sharded by query
 // text and the counters are atomics, so parallel callers only contend when
-// two queries hash to the same shard. Cost values are pure functions of
-// (query, configuration), so concurrent duplicate misses compute the same
-// value; the only concurrency artefact is that Plans may count such a
-// duplicate computation twice.
+// two queries hash to the same shard. Concurrent identical misses share
+// one plan computation (singleflight, costPartsFlight).
 //
 // Failure model: with no injector installed the optimizer cannot fail and
 // Cost never panics. Under fault injection (SetInjector) transient plan
@@ -79,10 +77,8 @@ type Optimizer struct {
 	retryExhausted *telemetry.Counter // faults/retry/exhausted: plans failed after all attempts
 	cancelled      *telemetry.Counter // faults/cancelled: plans aborted by ctx
 
-	// Elision layer (elide.go, DESIGN.md §16). elideOn is set once during
-	// setup (SetElision) before concurrent use; the memo maps are guarded
+	// Elision layer (elide.go, DESIGN.md §16). The memo maps are guarded
 	// by elideMu.
-	elideOn     bool
 	elideMu     sync.Mutex
 	elideBounds map[string]*QueryBounds // per query text
 	elideIDs    map[string]int32        // interned index identities
@@ -124,7 +120,6 @@ func NewOptimizerWithTelemetry(cat *catalog.Catalog, par Params, reg *telemetry.
 		par:            par,
 		reg:            reg,
 		retry:          DefaultRetryPolicy(),
-		elideOn:        true,
 		elideBounds:    make(map[string]*QueryBounds),
 		elideIDs:       make(map[string]int32),
 		calls:          reg.Counter("cost/whatif/calls"),
@@ -202,8 +197,8 @@ func (o *Optimizer) CostContext(ctx context.Context, q *workload.Query, cfg *ind
 }
 
 // costParts is the full what-if pipeline behind CostContext: counters,
-// cache lookup, singleflight (elision on), plan computation with retry,
-// cache store, and atomic-cost recording for the elision memo. It returns
+// cache lookup, singleflight, plan computation with retry, cache store,
+// and atomic-cost recording for the elision memo. It returns
 // the cost together with the access+join subtotal the bound derivations
 // need. A cache hit allocates nothing: the relevant members are gathered
 // into a stack buffer and the cache is keyed by a hash of their IDs.
@@ -226,19 +221,7 @@ func (o *Optimizer) costParts(ctx context.Context, q *workload.Query, cfg *index
 	if e == nil {
 		e = sh.entry(q.Text)
 	}
-	if o.elideOn {
-		return o.costPartsFlight(ctx, q, rel, key, sh, e)
-	}
-
-	sh.misses.Inc()
-	v, err := o.planWithRetry(ctx, q, rel, e)
-	if err != nil {
-		return cacheVal{}, err
-	}
-	sh.mu.Lock()
-	e.insert(key, &costRec{ids: memberIDs(rel), v: v})
-	sh.mu.Unlock()
-	return v, nil
+	return o.costPartsFlight(ctx, q, rel, key, sh, e)
 }
 
 // costPartsFlight resolves a cache miss under singleflight: concurrent
@@ -246,8 +229,7 @@ func (o *Optimizer) costParts(ctx context.Context, q *workload.Query, cfg *index
 // that computes the plan while the others wait on its pending record, so
 // parallel enumeration never computes the same probe twice. Cost values
 // are pure functions of (query, configuration), so coalescing is
-// invisible; only the plans/misses counters see fewer computations
-// (already documented as a concurrency artefact).
+// invisible; a waiter counts no plan and no miss.
 func (o *Optimizer) costPartsFlight(ctx context.Context, q *workload.Query, rel []*index.Member, key uint64, sh *cacheShard, e *queryEntry) (cacheVal, error) {
 	for {
 		sh.mu.Lock()

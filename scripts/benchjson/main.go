@@ -1,16 +1,10 @@
 // Command benchjson converts `go test -bench` output on stdin to a JSON
 // report on stdout, pairing each benchmark's baseline and optimised
 // variants into a speedup figure. Recognised pairs, per benchmark base
-// name: parallelism=1 vs parallelism=max, cons=off vs cons=on, and
-// elide=off vs elide=on. scripts/ci.sh uses it to write
-// BENCH_parallel.json, BENCH_cons.json and BENCH_whatif.json so the perf
-// trajectories of the parallel, hash-consed and elided pipelines are
-// tracked in-repo.
-//
-// Custom b.ReportMetric units ("*/op" beyond the standard three) are kept
-// per benchmark under "metrics"; for elide pairs reporting
-// "whatif-calls/op", the report also carries call_reductions — the
-// fraction of what-if optimizer calls the elided variant avoided.
+// name: parallelism=1 vs parallelism=max, and cons=off vs cons=on.
+// scripts/ci.sh uses it to write the BENCH_*.json files (BENCH_parallel.json
+// and BENCH_cons.json carry the pairs) so the perf trajectories of the
+// parallel and hash-consed pipelines are tracked in-repo.
 //
 // Benchmark lines that fail to parse are reported on stderr instead of
 // being dropped silently, and an input containing zero parseable
@@ -31,12 +25,11 @@ import (
 
 // result is one benchmark line.
 type result struct {
-	Name        string             `json:"name"`
-	Iterations  int64              `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
-	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"` // custom b.ReportMetric units
+	Name        string  `json:"name"`
+	Iterations  int64   `json:"iterations"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 }
 
 // report is the whole document.
@@ -47,11 +40,7 @@ type report struct {
 	Gomaxprocs int                `json:"gomaxprocs"`
 	Benchmarks []result           `json:"benchmarks"`
 	Speedups   map[string]float64 `json:"speedups"`
-	// CallReductions maps a benchmark base name to the fraction of
-	// what-if optimizer calls its elide=on variant avoided versus
-	// elide=off (from the custom whatif-calls/op metric).
-	CallReductions map[string]float64 `json:"call_reductions,omitempty"`
-	Note           string             `json:"note"`
+	Note       string             `json:"note"`
 }
 
 func main() {
@@ -97,27 +86,19 @@ func run(in io.Reader, out, warn io.Writer) error {
 	}
 
 	// Pair each base's baseline variant with its optimised counterpart:
-	// parallelism=1/parallelism=max, cons=off/cons=on, elide=off/elide=on.
+	// parallelism=1/parallelism=max, cons=off/cons=on.
 	serial := map[string]float64{}
 	parallel := map[string]float64{}
-	callsOff := map[string]float64{}
-	callsOn := map[string]float64{}
 	for _, r := range rep.Benchmarks {
 		base, variant, ok := strings.Cut(r.Name, "/")
 		if !ok {
 			continue
 		}
 		switch variant {
-		case "parallelism=1", "cons=off", "elide=off":
+		case "parallelism=1", "cons=off":
 			serial[base] = r.NsPerOp
-			if c, ok := r.Metrics["whatif-calls/op"]; ok {
-				callsOff[base] = c
-			}
-		case "parallelism=max", "cons=on", "elide=on":
+		case "parallelism=max", "cons=on":
 			parallel[base] = r.NsPerOp
-			if c, ok := r.Metrics["whatif-calls/op"]; ok {
-				callsOn[base] = c
-			}
 		}
 	}
 	for base, s := range serial {
@@ -125,18 +106,10 @@ func run(in io.Reader, out, warn io.Writer) error {
 			rep.Speedups[base] = s / p
 		}
 	}
-	for base, off := range callsOff {
-		if on, ok := callsOn[base]; ok && off > 0 {
-			if rep.CallReductions == nil {
-				rep.CallReductions = map[string]float64{}
-			}
-			rep.CallReductions[base] = 1 - on/off
-		}
-	}
 	if rep.Gomaxprocs <= 1 {
-		rep.Note = "single-core runner: parallelism=max degenerates to the serial path, those speedups are ~1.0x by construction (cons=off/cons=on and elide=off/elide=on pairs are unaffected); the parallel speedup targets apply to GOMAXPROCS >= 2"
+		rep.Note = "single-core runner: parallelism=max degenerates to the serial path, those speedups are ~1.0x by construction (cons=off/cons=on pairs are unaffected); the parallel speedup targets apply to GOMAXPROCS >= 2"
 	} else {
-		rep.Note = "speedup = baseline ns/op (parallelism=1, cons=off, elide=off) divided by optimised ns/op (parallelism=max, cons=on, elide=on); call_reductions = fraction of what-if optimizer calls avoided by elide=on"
+		rep.Note = "speedup = baseline ns/op (parallelism=1, cons=off) divided by optimised ns/op (parallelism=max, cons=on)"
 	}
 
 	enc := json.NewEncoder(out)
@@ -170,20 +143,13 @@ func parseLine(line string) (result, int, bool) {
 		if err != nil {
 			continue
 		}
-		switch unit := fields[i+1]; unit {
+		switch fields[i+1] {
 		case "ns/op":
 			r.NsPerOp = v
 		case "B/op":
 			r.BytesPerOp = v
 		case "allocs/op":
 			r.AllocsPerOp = v
-		default:
-			if strings.HasSuffix(unit, "/op") {
-				if r.Metrics == nil {
-					r.Metrics = map[string]float64{}
-				}
-				r.Metrics[unit] = v
-			}
 		}
 	}
 	return r, procs, r.NsPerOp > 0

@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
-# CI gate: formatting, vet, build, race-enabled tests, then the
-# serial-vs-parallel benchmark pair recorded to BENCH_parallel.json
-# (plus the elide=off/elide=on pair recorded to BENCH_whatif.json).
-# The race detector is the correctness gate for the concurrent pipeline.
+# CI gate: formatting, vet, build, race-enabled tests, smokes, the
+# end-to-end benchmark's deterministic pins, then the micro-benchmarks
+# recorded to BENCH_*.json. The race detector is the correctness gate for
+# the concurrent pipeline.
 #
 # Usage: scripts/ci.sh [--no-bench]
 #   BENCHTIME overrides the benchmark duration (default 3x iterations).
-#   WHATIF_BENCHTIME overrides the elision benchmark duration (default 1x).
 #   FUZZTIME overrides the fuzz smoke duration (default 10s).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -234,6 +233,28 @@ go test -fuzz 'FuzzCompiledPlan' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./intern
 go test -fuzz 'FuzzWALReplay' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/durable
 go test -fuzz 'FuzzSnapshotDecode' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/durable
 
+echo "== end-to-end benchmark pins =="
+# e2ebench is a module of its own, so `go test ./...` skips it: run its
+# smoke test, then one short seed-1 run per workload. The selections are
+# deterministic, so the digest of every recommendation and the mean
+# what-if call count must equal the pins exactly; times are not gated. A
+# change that moves a pin on purpose updates it here and says why.
+(cd e2ebench && go test .)
+e2e_pin() {
+    local workload=$1 want_digest=$2 want_calls=$3 out digest calls
+    out=$(bash e2ebench/run.sh -workload "$workload" -seed 1 -seconds 1 -trace 0)
+    digest=$(awk '$1 == "digest:" { print $2 }' <<<"$out")
+    calls=$(awk '$1 == "whatif_calls" { print $2 }' <<<"$out")
+    if [ "$digest" != "$want_digest" ] || [ "$calls" != "$want_calls" ]; then
+        echo "$workload: digest $digest whatif_calls $calls, want $want_digest $want_calls" >&2
+        exit 1
+    fi
+    echo "$workload: digest $digest whatif_calls $calls"
+}
+e2e_pin tpch-2200 ceeb5400778e82e9 40525.125000
+e2e_pin scalem-10k 345856537ec4f6e5 4249.500000
+e2e_pin tpcds-fig3-full 80b5ebbe30bb9f55 34250.812500
+
 if [ "${1:-}" = "--no-bench" ]; then
     echo "CI OK (benchmarks skipped)"
     exit 0
@@ -249,18 +270,6 @@ go test -bench '^BenchmarkLintModule$' -benchmem \
     -benchtime "${LINT_BENCHTIME:-1x}" -run '^$' ./internal/analysis | tee "$lint_out"
 go run ./scripts/benchjson <"$lint_out" >BENCH_lint.json
 echo "wrote BENCH_lint.json"
-
-echo "== what-if elision benchmark =="
-# The elide=off/elide=on pair runs the advisor at Parallelism 1 on
-# fresh optimizers, so the recorded call_reductions figure (fraction of
-# what-if optimizer calls elision avoids; target >= 0.30) is meaningful
-# on any runner and records before the multi-core gate below.
-whatif_out=$(mktemp)
-trap 'rm -f "$whatif_out" "$lint_out" "$metrics_out"; rm -rf "$fm_dir" "$dbg_dir" "$du_dir"' EXIT
-go test -bench '^BenchmarkTuneElided$' -benchmem \
-    -benchtime "${WHATIF_BENCHTIME:-1x}" -run '^$' . | tee "$whatif_out"
-go run ./scripts/benchjson <"$whatif_out" >BENCH_whatif.json
-echo "wrote BENCH_whatif.json"
 
 # The recorded parallel numbers are only meaningful on a multi-core
 # runner: at GOMAXPROCS=1 every parallelism=max variant silently
@@ -278,7 +287,7 @@ fi
 
 echo "== parallel benchmarks =="
 bench_out=$(mktemp)
-trap 'rm -f "$bench_out" "$whatif_out" "$lint_out" "$metrics_out"; rm -rf "$fm_dir" "$dbg_dir" "$du_dir"' EXIT
+trap 'rm -f "$bench_out" "$lint_out" "$metrics_out"; rm -rf "$fm_dir" "$dbg_dir" "$du_dir"' EXIT
 go test -bench '^(BenchmarkCompress|BenchmarkTune)$' -benchmem \
     -benchtime "${BENCHTIME:-3x}" -run '^$' . | tee "$bench_out"
 go run ./scripts/benchjson <"$bench_out" >BENCH_parallel.json
@@ -288,7 +297,7 @@ echo "== hash-consing benchmark =="
 # One iteration by default: the cons=off baseline runs the greedy loop
 # over all 10^5 per-query states and takes tens of seconds per op.
 cons_out=$(mktemp)
-trap 'rm -f "$bench_out" "$cons_out" "$whatif_out" "$lint_out" "$metrics_out"; rm -rf "$fm_dir" "$dbg_dir" "$du_dir"' EXIT
+trap 'rm -f "$bench_out" "$cons_out" "$lint_out" "$metrics_out"; rm -rf "$fm_dir" "$dbg_dir" "$du_dir"' EXIT
 go test -bench '^BenchmarkCompressConsed$' -benchmem \
     -benchtime "${CONS_BENCHTIME:-1x}" -run '^$' -timeout 30m . | tee "$cons_out"
 go run ./scripts/benchjson <"$cons_out" >BENCH_cons.json
@@ -296,7 +305,7 @@ echo "wrote BENCH_cons.json"
 
 echo "== vector benchmarks =="
 vec_out=$(mktemp)
-trap 'rm -f "$bench_out" "$cons_out" "$vec_out" "$whatif_out" "$lint_out" "$metrics_out"; rm -rf "$fm_dir" "$dbg_dir" "$du_dir"' EXIT
+trap 'rm -f "$bench_out" "$cons_out" "$vec_out" "$lint_out" "$metrics_out"; rm -rf "$fm_dir" "$dbg_dir" "$du_dir"' EXIT
 go test -bench '^(BenchmarkJaccard|BenchmarkSummaryDelta)$' -benchmem \
     -benchtime "${BENCHTIME:-3x}" -run '^$' \
     ./internal/features ./internal/core | tee "$vec_out"
