@@ -6,14 +6,6 @@
 //
 //	inspect -benchmark tpch -n 44 [-sf 10] [-top 10] [-features]
 //	inspect -benchmark tpcds -in workload.json -top 20
-//
-// With -wal-dir it instead prints a recovery report for a durable store
-// directory (DESIGN.md §14): the state a crashed or closed session
-// recovers to — snapshot used, WAL records replayed, corrupt records
-// skipped, and the recovered pool. The report is read-only and
-// deterministic: running it twice prints byte-identical output. Recovery
-// replays the log through the same recompression the writer ran, so -k
-// (and the catalog flags) must match the session that wrote the store.
 package main
 
 import (
@@ -25,7 +17,6 @@ import (
 	"isum/internal/benchmarks"
 	"isum/internal/core"
 	"isum/internal/cost"
-	"isum/internal/durable"
 	"isum/internal/faults"
 	"isum/internal/features"
 	"isum/internal/parallel"
@@ -36,20 +27,17 @@ import (
 var logger = telemetry.NewLogger(os.Stderr)
 
 func main() {
-	bench := flag.String("benchmark", "tpch", "benchmark catalog: tpch, tpcds, dsb, realm")
+	bench := flag.String("benchmark", "tpch", "benchmark catalog: tpch, tpcds, dsb, realm, scalem")
 	sf := flag.Float64("sf", 10, "scale factor")
 	seed := flag.Int64("seed", 1, "generation seed")
 	n := flag.Int("n", 44, "generated workload size (ignored with -in)")
 	in := flag.String("in", "", "workload JSON to inspect instead of generating")
 	top := flag.Int("top", 10, "how many queries to detail")
 	showFeatures := flag.Bool("features", false, "print feature vectors for the top queries")
-	k := flag.Int("k", 20, "pool size of the durable session being inspected (with -wal-dir)")
 	var tf telemetry.Flags
 	tf.Register(flag.CommandLine)
 	var ff faults.Flags
 	ff.Register(flag.CommandLine)
-	var df durable.Flags
-	df.Register(flag.CommandLine)
 	flag.Parse()
 
 	trun, err := tf.Open(logger)
@@ -66,42 +54,6 @@ func main() {
 	g, err := benchmarks.FromName(*bench, *sf, *seed)
 	if err != nil {
 		fatal(err)
-	}
-
-	if df.Enabled() {
-		dopts, err := df.Build()
-		if err != nil {
-			fatal(err)
-		}
-		dopts.Catalog = g.Cat
-		dopts.Compressor = core.DefaultOptions()
-		dopts.Compressor.Telemetry = reg
-		dopts.PoolSize = *k
-		dopts.Telemetry = reg
-		ic, rinfo, err := durable.Recover(ctx, dopts)
-		if err != nil {
-			fatal(err)
-		}
-		logger.Info("recovered durable store", "dir", df.Dir,
-			"elapsed", rinfo.Elapsed.Round(1000).String())
-		fmt.Printf("durable store: %s\n", df.Dir)
-		fmt.Printf("recovered state: lsn %d, %d queries seen, pool %d\n",
-			rinfo.LSN, rinfo.Seen, ic.Pool().Len())
-		fmt.Printf("recovery: snapshot lsn %d (%d skipped), %d records replayed, %d corrupt skipped\n",
-			rinfo.SnapshotLSN, rinfo.SnapshotsSkipped, rinfo.Replayed, rinfo.CorruptSkipped)
-		fmt.Println("recovered pool (accumulated weights):")
-		for i, q := range ic.Pool().Queries {
-			fmt.Printf("  %3d  id %5d  weight %10.4f  cost %12.0f  %.60s\n",
-				i, q.ID, q.Weight, q.Cost, q.Text)
-		}
-		if err := trun.Close(); err != nil {
-			fatal(err)
-		}
-		if rinfo.Partial {
-			logger.Warn("recovery cut short by the deadline; report covers the replayed prefix")
-			os.Exit(faults.ExitPartial)
-		}
-		return
 	}
 
 	var w *workload.Workload

@@ -16,16 +16,6 @@
 // -debug-addr serves /metrics, /healthz, /progress, and /debug/pprof live
 // while the run is in flight; -progress streams rate-limited progress
 // lines to stderr (DESIGN.md §13).
-//
-// Durability: -wal-dir switches to a restartable session (DESIGN.md §14).
-// The workload is observed in -batch sized batches through the durable
-// store — each batch is appended to a checksummed write-ahead log before
-// it is folded into the bounded pool, with periodic snapshots
-// (-snapshot-every) and a -fsync policy. Killing the process mid-run
-// loses nothing durable: rerunning with the same -wal-dir (and the same
-// input stream) recovers the logged state, resumes after the recovered
-// prefix, and converges on the same output as an uninterrupted run. The
-// inspect command prints a recovery report for the same directory.
 package main
 
 import (
@@ -36,7 +26,6 @@ import (
 	"isum/internal/benchmarks"
 	"isum/internal/core"
 	"isum/internal/cost"
-	"isum/internal/durable"
 	"isum/internal/faults"
 	"isum/internal/features"
 	"isum/internal/parallel"
@@ -47,9 +36,9 @@ import (
 var logger = telemetry.NewLogger(os.Stderr)
 
 func main() {
-	bench := flag.String("benchmark", "tpch", "benchmark catalog: tpch, tpcds, dsb, realm")
+	bench := flag.String("benchmark", "tpch", "benchmark catalog: tpch, tpcds, dsb, realm, scalem")
 	sf := flag.Float64("sf", 10, "scale factor")
-	seed := flag.Int64("seed", 1, "seed (for realm catalog)")
+	seed := flag.Int64("seed", 1, "seed for workload generation and the realm and scalem catalogs")
 	in := flag.String("in", "", "input workload JSON (default: generate the benchmark workload)")
 	n := flag.Int("n", 473, "generated workload size (ignored with -in)")
 	k := flag.Int("k", 20, "compressed workload size")
@@ -60,14 +49,10 @@ func main() {
 		"worker goroutines for compression hot paths (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 	cons := flag.Bool("cons", false,
 		"hash-cons queries by template before selection: one state per distinct template, utilities pooled per Algorithm 4")
-	batch := flag.Int("batch", 8,
-		"observed batch size for the durable session (with -wal-dir): queries per WAL record and recompression")
 	var tf telemetry.Flags
 	tf.Register(flag.CommandLine)
 	var ff faults.Flags
 	ff.Register(flag.CommandLine)
-	var df durable.Flags
-	df.Register(flag.CommandLine)
 	flag.Parse()
 
 	trun, err := tf.Open(logger)
@@ -142,70 +127,10 @@ func main() {
 	opts.Telemetry = reg
 	opts.Progress = trun.ProgressFunc()
 
-	var cw *workload.Workload
-	var res *core.Result
-	var name string
-	if df.Enabled() {
-		if *batch < 1 {
-			fatal(fmt.Errorf("-batch must be >= 1"))
-		}
-		dopts, err := df.Build()
-		if err != nil {
-			fatal(err)
-		}
-		dopts.Catalog = g.Cat
-		dopts.Compressor = opts
-		dopts.PoolSize = *k
-		dopts.Telemetry = reg
-		st, rinfo, err := durable.Open(ctx, dopts)
-		if err != nil {
-			fatal(err)
-		}
-		logger.Info("durable store opened", "dir", df.Dir,
-			"recovered_lsn", rinfo.LSN, "seen", rinfo.Seen,
-			"snapshot_lsn", rinfo.SnapshotLSN, "replayed", rinfo.Replayed,
-			"corrupt_skipped", rinfo.CorruptSkipped,
-			"recovery", rinfo.Elapsed.Round(1000).String())
-		// Resume after the recovered prefix: the store has already durably
-		// observed the first rinfo.Seen queries of this stream, so a restart
-		// picks up where the crashed session stopped instead of
-		// double-counting. This assumes the same input stream (-in, or the
-		// same -benchmark/-n/-seed) across restarts.
-		skip := rinfo.Seen
-		if skip > w.Len() {
-			skip = w.Len()
-		}
-		if skip > 0 {
-			logger.Info("resuming after recovered prefix", "skipped", skip)
-		}
-		for i := skip; i < w.Len(); i += *batch {
-			end := i + *batch
-			if end > w.Len() {
-				end = w.Len()
-			}
-			res, err = st.Observe(ctx, w.Queries[i:end])
-			if err != nil {
-				fatal(err)
-			}
-			if res.Partial {
-				break
-			}
-		}
-		cw = st.Pool()
-		if res == nil {
-			res = &core.Result{}
-		}
-		if err := st.Close(); err != nil {
-			fatal(err)
-		}
-		name = "durable/" + core.New(opts).Name()
-	} else {
-		comp := core.New(opts)
-		cw, res, err = comp.CompressedWorkloadContext(ctx, w, *k)
-		if err != nil {
-			fatal(err)
-		}
-		name = comp.Name()
+	comp := core.New(opts)
+	cw, res, err := comp.CompressedWorkloadContext(ctx, w, *k)
+	if err != nil {
+		fatal(err)
 	}
 
 	f := os.Stdout
@@ -220,7 +145,7 @@ func main() {
 		fatal(err)
 	}
 	logger.Info("compressed workload",
-		"variant", name, "selected", cw.Len(), "of", w.Len(),
+		"variant", comp.Name(), "selected", cw.Len(), "of", w.Len(),
 		"elapsed", res.Elapsed.Round(1000).String())
 	for i, idx := range res.Indices {
 		logger.Info("selection",

@@ -1,8 +1,8 @@
 // Command isumlint is the repo's custom static-analysis gate: it
 // enforces the pipeline's determinism, context, concurrency, telemetry,
-// anytime-contract, allocation, durability, lock-safety, and
-// error-hygiene invariants (DESIGN.md §10, §15) over the whole module
-// using only the standard library's go/ast and go/types.
+// anytime-contract, allocation, lock-safety, and error-hygiene
+// invariants (DESIGN.md §10, §15) over the whole module using only the
+// standard library's go/ast and go/types.
 //
 // Usage:
 //

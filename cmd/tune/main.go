@@ -33,9 +33,9 @@ import (
 var logger = telemetry.NewLogger(os.Stderr)
 
 func main() {
-	bench := flag.String("benchmark", "tpch", "benchmark catalog: tpch, tpcds, dsb, realm")
+	bench := flag.String("benchmark", "tpch", "benchmark catalog: tpch, tpcds, dsb, realm, scalem")
 	sf := flag.Float64("sf", 10, "scale factor")
-	seed := flag.Int64("seed", 1, "seed (for realm catalog)")
+	seed := flag.Int64("seed", 1, "seed for the realm and scalem catalogs")
 	in := flag.String("in", "", "workload JSON to tune (required)")
 	eval := flag.String("eval", "", "workload JSON to evaluate improvement on (default: the tuned one)")
 	maxIndexes := flag.Int("max-indexes", 20, "configuration size constraint (0 = unlimited)")

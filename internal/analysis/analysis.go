@@ -17,15 +17,12 @@
 //     internal/advisor never return a bare ctx.Err(): cancellation
 //     yields best-so-far + Partial, never an error (DESIGN.md §9)
 //
-// plus four dataflow analyzers built on a per-function CFG and forward
+// plus three dataflow analyzers built on a per-function CFG and forward
 // worklist solver (cfg.go, DESIGN.md §15):
 //
 //   - alloc       — no heap allocation inside //lint:hotpath functions
 //     (the PR 5 zero-alloc kernel pins, statically enforced); pooled
 //     scratch Put back on every path
-//   - durability  — fsync before rename on all paths, CRC32-C folded
-//     into every framed write, no write after writer poisoning (the
-//     PR 8 write→fsync→rename discipline)
 //   - locksafety  — locks released on every path out of a function,
 //     never held across channel/ctx waits; every goroutine joinable
 //   - errhygiene  — no silently discarded errors in internal/, wrap
@@ -92,7 +89,7 @@ type Analyzer struct {
 }
 
 // Analyzers returns the full suite in a fixed order: the five PR 4
-// syntactic analyzers followed by the four dataflow analyzers
+// syntactic analyzers followed by the three dataflow analyzers
 // (DESIGN.md §15).
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
@@ -102,7 +99,6 @@ func Analyzers() []*Analyzer {
 		TelemetryAnalyzer,
 		AnytimeAnalyzer,
 		AllocAnalyzer,
-		DurabilityAnalyzer,
 		LockSafetyAnalyzer,
 		ErrHygieneAnalyzer,
 	}
@@ -255,6 +251,30 @@ func inspectShallow(body ast.Node, fn func(ast.Node) bool) {
 		}
 		return fn(n)
 	})
+}
+
+// exprKey canonicalises a simple ident/selector chain ("w.f", "mu") for
+// use as a dataflow key; non-simple expressions are not tracked.
+func exprKey(e ast.Expr) (string, bool) {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return x.Name, true
+	case *ast.SelectorExpr:
+		base, ok := exprKey(x.X)
+		if !ok {
+			return "", false
+		}
+		return base + "." + x.Sel.Name, true
+	}
+	return "", false
+}
+
+func isErrorType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return t == types.Universe.Lookup("error").Type()
+	}
+	return named.Obj().Name() == "error" && named.Obj().Pkg() == nil
 }
 
 // pkgFunc reports whether the call's callee resolves to the named

@@ -36,9 +36,6 @@ var fixtureCases = []struct {
 	{"alloc/flagged", "fixture/alloc/flagged"},
 	{"alloc/allowed", "fixture/alloc/allowed"},
 	{"alloc/clean", "fixture/alloc/clean"},
-	{"durability/flagged", "fixture/durability/flagged"},
-	{"durability/allowed", "fixture/durability/allowed"},
-	{"durability/clean", "fixture/durability/clean"},
 	// Loaded under cmd/ so the syntactic bare-go ban stays out of the
 	// way of the flow-level goroutine-join findings.
 	{"locksafety/flagged", "fixture/cmd/lockflagged"},

@@ -6,11 +6,11 @@ import (
 )
 
 // BenchmarkLintModule records the analyzer suite's wall time over the
-// whole module — load + type-check + all nine analyzers — so CI's
-// BENCH_lint.json catches analyzer slowdowns the same way BENCH.json
-// catches kernel regressions. One iteration is a full cold run; the
-// loader is not reused across iterations so the numbers stay
-// comparable as packages are added.
+// whole module — load + type-check + all eight analyzers — so CI's
+// BENCH_lint.json catches analyzer slowdowns the same way
+// BENCH_vectors.json catches kernel regressions. One iteration is a full
+// cold run; the loader is not reused across iterations so the numbers
+// stay comparable as packages are added.
 func BenchmarkLintModule(b *testing.B) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {

@@ -7,14 +7,14 @@ import (
 // This file is the dataflow core added for the deep analyzers (DESIGN.md
 // §15): a statement-level control-flow graph per function body plus a
 // small forward worklist solver. The PR 4 analyzers are syntactic; the
-// alloc/durability/locksafety passes need "on all paths" and "on any
-// path" questions (is every pooled buffer Put before return? may a
-// Rename see an unsynced write?), which are answered by running a
-// transfer function over this graph to a fixed point.
+// alloc and locksafety passes need "on all paths" and "on any path"
+// questions (is every pooled buffer Put before return? is a lock still
+// held at some exit?), which are answered by running a transfer
+// function over this graph to a fixed point.
 //
 // The graph is deliberately modest: blocks hold statements (plus
 // condition expressions wrapped as pseudo-statements so transfers see
-// calls inside `if f.Sync() != nil`), and the builder covers the
+// calls inside `if w.Flush() != nil`), and the builder covers the
 // control flow the module actually uses — if/else, for/range,
 // switch/type-switch, select, return, break/continue (with labels),
 // defer (recorded per function, not as edges), and panic calls as

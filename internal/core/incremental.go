@@ -46,24 +46,6 @@ func NewIncremental(cat *catalog.Catalog, opts Options, k int) *Incremental {
 	}
 }
 
-// RestoreIncremental returns an incremental compressor whose pool and
-// seen count are restored from previously captured state (e.g. a durable
-// snapshot). pool may be nil for an empty pool; it is adopted as-is, so
-// callers hand over ownership. To reproduce a never-crashed run exactly,
-// opts.Interner must also be restored to the dictionary the original run
-// had built (internal/durable snapshots it for this reason).
-func RestoreIncremental(cat *catalog.Catalog, opts Options, k int, pool *workload.Workload, seen int) *Incremental {
-	ic := NewIncremental(cat, opts, k)
-	if pool != nil {
-		pool.Catalog = cat
-		ic.pool = pool
-	}
-	if seen > 0 {
-		ic.seen = seen
-	}
-	return ic
-}
-
 // Observe folds a batch of queries (with costs filled) into the pool and
 // returns the compression result of the recompression step.
 func (ic *Incremental) Observe(batch []*workload.Query) *Result {

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"isum/internal/cost"
@@ -134,5 +136,55 @@ func TestIncrementalDegenerateK(t *testing.T) {
 	ic.Observe(nil)
 	if ic.Pool().Len() != 1 {
 		t.Fatal("empty batch should keep the pool")
+	}
+}
+
+// TestIncrementalReplayDeterministic pins what restarting a killed
+// incremental session rests on: rerunning it over the same input
+// reproduces the pool bit for bit after every batch, at any
+// parallelism. Each run rebuilds its input from the generator, as a
+// restarted process would reread its log.
+func TestIncrementalReplayDeterministic(t *testing.T) {
+	const n, k, batch = 473, 8, 8
+	type entry struct {
+		id           int
+		text         string
+		cost, weight uint64
+	}
+	type snapshot struct {
+		seen int
+		pool []entry
+	}
+	run := func(t *testing.T, name string, parallelism int) []snapshot {
+		w := seededWorkload(t, name, n, 1)
+		opts := DefaultOptions()
+		opts.Parallelism = parallelism
+		ic := NewIncremental(w.Catalog, opts, k)
+		var snaps []snapshot
+		for i := 0; i < w.Len(); i += batch {
+			ic.Observe(w.Queries[i:min(i+batch, w.Len())])
+			s := snapshot{seen: ic.Seen()}
+			for _, q := range ic.Pool().Queries {
+				s.pool = append(s.pool, entry{q.ID, q.Text, math.Float64bits(q.Cost), math.Float64bits(q.Weight)})
+			}
+			snaps = append(snaps, s)
+		}
+		return snaps
+	}
+	for _, name := range []string{"tpch", "tpcds", "scalem"} {
+		t.Run(name, func(t *testing.T) {
+			ref := run(t, name, 1)
+			for _, p := range []int{1, 4} {
+				got := run(t, name, p)
+				for b := range ref {
+					if got[b].seen != ref[b].seen {
+						t.Fatalf("parallelism %d, batch %d: seen %d, want %d", p, b, got[b].seen, ref[b].seen)
+					}
+					if !slices.Equal(got[b].pool, ref[b].pool) {
+						t.Fatalf("parallelism %d, batch %d: pool differs from the serial run's\n got %v\nwant %v", p, b, got[b].pool, ref[b].pool)
+					}
+				}
+			}
+		})
 	}
 }

@@ -1,25 +1,22 @@
 package features
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Interner is a workload-scoped dictionary mapping feature keys
 // ("table.column") to dense uint32 IDs. It is built once during feature
 // extraction and shared by every SparseVec derived from the workload
 // (core threads it through Options and QueryState). IDs are assigned in
-// batches: each AddVectors/AddKeys call sorts its unseen keys
-// lexicographically before appending, so a dictionary built in one batch
-// (the common case) numbers keys in lexicographic order, and rebuilding
+// batches: each AddVectors call sorts its unseen keys lexicographically
+// before appending, so a dictionary built in one batch (the common
+// case) numbers keys in lexicographic order, and rebuilding
 // it from the same workload reproduces the same IDs. Ascending-ID
 // iteration is therefore a canonical order over features, which is what
 // lets SparseVec's merge-join kernels produce bit-identical sums across
 // runs without any per-call sorting (DESIGN.md §11).
 //
 // Concurrency: lookups (ID, Key, Len, FromMap) are safe for concurrent
-// use once the table is built; AddKeys/AddVectors mutate the table and
-// must not race with anything else. Sharing one Interner across repeated
+// use once the table is built; AddVectors mutates the table and must
+// not race with anything else. Sharing one Interner across repeated
 // compressions (Options.Interner, the incremental pool) keeps IDs stable
 // but makes those compressions mutually unsafe to run concurrently.
 type Interner struct {
@@ -30,19 +27,6 @@ type Interner struct {
 // NewInterner returns an empty dictionary.
 func NewInterner() *Interner {
 	return &Interner{ids: map[string]uint32{}}
-}
-
-// AddKeys interns every key not yet present, as one batch.
-func (in *Interner) AddKeys(keys []string) {
-	fresh := make([]string, 0, len(keys))
-	seen := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		if _, ok := in.ids[k]; !ok && !seen[k] {
-			seen[k] = true
-			fresh = append(fresh, k)
-		}
-	}
-	in.appendSorted(fresh)
 }
 
 // AddVectors interns the union of the vectors' keys as one batch.
@@ -72,31 +56,6 @@ func (in *Interner) appendSorted(fresh []string) {
 	if m := vtel.Load(); m != nil {
 		m.internSize.Set(float64(len(in.keys)))
 	}
-}
-
-// RestoreKeys rebuilds the dictionary with exactly the given keys in ID
-// order, bypassing the per-batch lexicographic canonicalisation — the
-// recovery hook for dictionaries persisted by internal/durable. IDs were
-// originally assigned across many batches, so the full table in ID order
-// is generally NOT globally sorted; restoring must reproduce the exact
-// assignment or every downstream merge-join would sum in a different
-// order. Only an empty interner can be restored into, and duplicate keys
-// are rejected (a corrupt snapshot must not silently alias IDs).
-func (in *Interner) RestoreKeys(keys []string) error {
-	if len(in.keys) > 0 {
-		return fmt.Errorf("features: RestoreKeys on a non-empty interner (%d keys)", len(in.keys))
-	}
-	for i, k := range keys {
-		if _, dup := in.ids[k]; dup {
-			return fmt.Errorf("features: RestoreKeys: duplicate key %q at ID %d", k, i)
-		}
-		in.ids[k] = uint32(i)
-		in.keys = append(in.keys, k)
-	}
-	if m := vtel.Load(); m != nil {
-		m.internSize.Set(float64(len(in.keys)))
-	}
-	return nil
 }
 
 // ID returns the key's ID and whether the key is interned.

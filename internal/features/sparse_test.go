@@ -65,48 +65,6 @@ func TestInternerDeterministicIDs(t *testing.T) {
 	}
 }
 
-// RestoreKeys rebuilds a persisted dictionary in exact ID order — even
-// an order AddKeys could never produce — and refuses duplicates or a
-// non-empty interner, since either would silently remap feature IDs.
-func TestInternerRestoreKeys(t *testing.T) {
-	// Cross-batch growth produces IDs that are not globally sorted.
-	in := NewInterner()
-	in.AddKeys([]string{"m.b", "m.a"})
-	in.AddKeys([]string{"a.a", "z.z"})
-	var keys []string
-	for id := 0; id < in.Len(); id++ {
-		keys = append(keys, in.Key(uint32(id)))
-	}
-
-	back := NewInterner()
-	if err := back.RestoreKeys(keys); err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != in.Len() {
-		t.Fatalf("len %d, want %d", back.Len(), in.Len())
-	}
-	for id := 0; id < in.Len(); id++ {
-		if back.Key(uint32(id)) != in.Key(uint32(id)) {
-			t.Fatalf("ID %d: %q, want %q", id, back.Key(uint32(id)), in.Key(uint32(id)))
-		}
-		if got, ok := back.ID(in.Key(uint32(id))); !ok || got != uint32(id) {
-			t.Fatalf("reverse lookup of %q = %d (ok=%v)", in.Key(uint32(id)), got, ok)
-		}
-	}
-	// Growth after restore continues appending, preserving restored IDs.
-	back.AddKeys([]string{"new.key"})
-	if id, ok := back.ID("new.key"); !ok || int(id) != back.Len()-1 {
-		t.Fatalf("post-restore append got ID %d (ok=%v)", id, ok)
-	}
-
-	if err := back.RestoreKeys([]string{"x.y"}); err == nil {
-		t.Fatal("restore onto a non-empty interner must fail")
-	}
-	if err := NewInterner().RestoreKeys([]string{"d.d", "d.d"}); err == nil {
-		t.Fatal("duplicate keys must fail")
-	}
-}
-
 // firstKey returns the lexicographically smallest key (test helper).
 func (v Vector) firstKey() string {
 	best := ""

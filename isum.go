@@ -31,7 +31,6 @@ import (
 	"isum/internal/catalog"
 	"isum/internal/core"
 	"isum/internal/cost"
-	"isum/internal/durable"
 	"isum/internal/faults"
 	"isum/internal/index"
 	"isum/internal/telemetry"
@@ -269,36 +268,6 @@ func TuneContext(ctx context.Context, o *Optimizer, w *Workload, opts AdvisorOpt
 // EvaluateContext is Evaluate with cancellation and failure reporting.
 func EvaluateContext(ctx context.Context, o *Optimizer, w *Workload, cfg *Configuration) (pct, before, after float64, err error) {
 	return advisor.EvaluateImprovementContext(ctx, o, w, cfg, 0)
-}
-
-// Durable workload store (DESIGN.md §14). A DurableStore is an
-// IncrementalCompressor whose observed batches are written ahead to a
-// checksummed log with periodic state snapshots, so a tuning session
-// survives process death: reopen the directory and continue where the
-// log ends.
-type (
-	// DurableStore is the persistent incremental-compression session.
-	DurableStore = durable.Store
-	// DurableOptions configure the store (directory, catalog, compressor
-	// options, pool size, fsync policy, snapshot cadence).
-	DurableOptions = durable.Options
-	// RecoveryInfo reports what crash recovery found and replayed.
-	RecoveryInfo = durable.RecoveryInfo
-)
-
-// OpenDurable opens (creating or recovering) a durable store directory
-// for appending. Corrupt or torn log tails are detected by checksum,
-// repaired, and skipped — recovery returns the last-good state, never an
-// error for corruption.
-func OpenDurable(ctx context.Context, opts DurableOptions) (*DurableStore, *RecoveryInfo, error) {
-	return durable.Open(ctx, opts)
-}
-
-// Recover rebuilds the compression state from a durable store directory
-// read-only — inspection without touching the log. It honours the
-// anytime contract: cancellation yields a valid partial state.
-func Recover(ctx context.Context, opts DurableOptions) (*IncrementalCompressor, *RecoveryInfo, error) {
-	return durable.Recover(ctx, opts)
 }
 
 // TPCH, TPCDS, DSB, and RealM return the paper's evaluation workload

@@ -10,6 +10,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every step writes its temporary files under one directory, removed on exit.
+ci_tmp=$(mktemp -d)
+trap 'rm -rf "$ci_tmp"' EXIT
+
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -23,8 +27,8 @@ go vet ./...
 
 # Project-specific invariants beyond what vet knows: the five syntactic
 # analyzers (determinism, ctx hygiene, concurrency, telemetry, anytime)
-# plus the four dataflow ones (alloc, durability, locksafety,
-# errhygiene — DESIGN.md §15). The baseline makes CI fail on NEW
+# plus the three dataflow ones (alloc, locksafety, errhygiene —
+# DESIGN.md §15). The baseline makes CI fail on NEW
 # findings only — and on baselined findings that disappeared, so the
 # file tracks reality (regenerate with -write-baseline). lint.sarif is
 # the machine-readable artifact for CI annotation. The second run fails
@@ -53,8 +57,7 @@ echo "== loader race test =="
 go test -race -count=10 -run 'TestLoadMatchesSerialReference' ./internal/workload
 
 echo "== telemetry smoke run =="
-metrics_out=$(mktemp)
-trap 'rm -f "$metrics_out"' EXIT
+metrics_out="$ci_tmp/metrics.json"
 # -cons exercises the hash-consed path so its counters
 # (workload/templates/*) appear in the export.
 go run ./cmd/isum -benchmark tpch -n 60 -k 8 -cons -trace -metrics-out "$metrics_out" >/dev/null
@@ -75,8 +78,8 @@ echo "== debug-server smoke =="
 # address from the "debug server listening" log line, scrape /healthz
 # and /metrics mid-run, validate the exposition with metricscheck, and
 # assert the process still exits cleanly afterwards.
-dbg_dir=$(mktemp -d)
-trap 'rm -rf "$dbg_dir"; rm -f "$metrics_out"' EXIT
+dbg_dir="$ci_tmp/dbg"
+mkdir "$dbg_dir"
 go build -o "$dbg_dir/" ./cmd/isum ./scripts/metricscheck
 "$dbg_dir/isum" -benchmark scalem -n 20000 -k 12 -cons \
     -debug-addr 127.0.0.1:0 -progress \
@@ -119,8 +122,8 @@ grep -q 'msg=progress' "$dbg_dir/stderr.log" || {
 }
 
 echo "== failure-model smoke =="
-fm_dir=$(mktemp -d)
-trap 'rm -rf "$fm_dir" "$dbg_dir"; rm -f "$metrics_out"' EXIT
+fm_dir="$ci_tmp/fm"
+mkdir "$fm_dir"
 go build -o "$fm_dir/" ./cmd/isum ./cmd/tune
 
 # Chaos determinism (DESIGN.md §9): a seeded fault-injected run with
@@ -175,54 +178,6 @@ go run ./scripts/metricscheck \
     -require cost/elide/singleflight_waits \
     "$fm_dir/elide_metrics.json"
 
-echo "== durability smoke =="
-# Crash recovery end to end (DESIGN.md §14). Baseline: an uninterrupted
-# durable session, with its metrics export validated against every
-# literal durable/* name in the code.
-du_dir=$(mktemp -d)
-trap 'rm -rf "$du_dir" "$fm_dir" "$dbg_dir"; rm -f "$metrics_out"' EXIT
-go build -o "$du_dir/" ./cmd/isum ./cmd/inspect ./scripts/metricscheck
-"$du_dir/isum" -benchmark tpch -n 473 -k 8 -wal-dir "$du_dir/wA" -snapshot-every 3 \
-    -metrics-out "$du_dir/durable_metrics.json" -out "$du_dir/a.json" >/dev/null 2>&1
-"$du_dir/metricscheck" \
-    -require durable/wal/appended \
-    -require durable/snapshot/written \
-    -names-from internal/durable \
-    "$du_dir/durable_metrics.json"
-
-# Real SIGKILL against a second session. Wherever the kill lands (mid-run
-# or after completion), the recovery report must be clean and
-# deterministic — two inspect runs print byte-identical reports — and a
-# restart with the same -wal-dir resumes after the recovered prefix and
-# converges on the baseline output.
-"$du_dir/isum" -benchmark tpch -n 473 -k 8 -wal-dir "$du_dir/wB" -snapshot-every 3 \
-    -out "$du_dir/b_partial.json" >/dev/null 2>&1 &
-du_pid=$!
-sleep 0.15
-kill -9 "$du_pid" 2>/dev/null || true
-wait "$du_pid" 2>/dev/null || true
-"$du_dir/inspect" -benchmark tpch -k 8 -wal-dir "$du_dir/wB" 2>/dev/null >"$du_dir/rep1.txt"
-"$du_dir/inspect" -benchmark tpch -k 8 -wal-dir "$du_dir/wB" 2>/dev/null >"$du_dir/rep2.txt"
-cmp "$du_dir/rep1.txt" "$du_dir/rep2.txt"
-grep -q 'recovered state' "$du_dir/rep1.txt"
-"$du_dir/isum" -benchmark tpch -n 473 -k 8 -wal-dir "$du_dir/wB" -snapshot-every 3 \
-    -out "$du_dir/b.json" >/dev/null 2>&1
-cmp "$du_dir/a.json" "$du_dir/b.json"
-
-# Deterministic torn tail: with snapshots off the whole session lives in
-# the WAL; truncating the segment mid-record forces recovery to detect
-# the torn record by checksum, skip it, replay the good prefix, and
-# repair the tail on the next open — which then converges again.
-"$du_dir/isum" -benchmark tpch -n 473 -k 8 -wal-dir "$du_dir/wC" -snapshot-every 0 \
-    -out /dev/null >/dev/null 2>&1
-seg=$(ls "$du_dir/wC"/wal-*.log | sort | tail -n1)
-truncate -s $(($(wc -c <"$seg") - 7)) "$seg"
-"$du_dir/inspect" -benchmark tpch -k 8 -wal-dir "$du_dir/wC" 2>/dev/null >"$du_dir/rep3.txt"
-grep -q '1 corrupt skipped' "$du_dir/rep3.txt"
-"$du_dir/isum" -benchmark tpch -n 473 -k 8 -wal-dir "$du_dir/wC" -snapshot-every 3 \
-    -out "$du_dir/c.json" >/dev/null 2>&1
-cmp "$du_dir/a.json" "$du_dir/c.json"
-
 echo "== fuzz smoke =="
 go test -fuzz 'FuzzSplitStatements' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/workload
 go test -fuzz 'FuzzParse' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/sqlparser
@@ -230,8 +185,6 @@ go test -fuzz 'FuzzSparseVecOps' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./intern
 go test -fuzz 'FuzzSummaryBound' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/features
 go test -fuzz 'FuzzCostBounds' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/cost
 go test -fuzz 'FuzzCompiledPlan' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/cost
-go test -fuzz 'FuzzWALReplay' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/durable
-go test -fuzz 'FuzzSnapshotDecode' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/durable
 
 echo "== end-to-end benchmark pins =="
 # e2ebench is a module of its own, so `go test ./...` skips it: run its
@@ -261,11 +214,10 @@ if [ "${1:-}" = "--no-bench" ]; then
 fi
 
 echo "== lint benchmark =="
-# Analyzer wall time over the whole module (load + type-check + all nine
+# Analyzer wall time over the whole module (load + type-check + all eight
 # analyzers, cold per iteration). Single-threaded by nature, so it runs
 # before the multi-core gate below.
-lint_out=$(mktemp)
-trap 'rm -f "$lint_out" "$metrics_out"; rm -rf "$fm_dir" "$dbg_dir" "$du_dir"' EXIT
+lint_out="$ci_tmp/lint.txt"
 go test -bench '^BenchmarkLintModule$' -benchmem \
     -benchtime "${LINT_BENCHTIME:-1x}" -run '^$' ./internal/analysis | tee "$lint_out"
 go run ./scripts/benchjson <"$lint_out" >BENCH_lint.json
@@ -286,8 +238,7 @@ if [ "$maxprocs" -lt 2 ] && [ -z "${ALLOW_SINGLE_CORE_BENCH:-}" ]; then
 fi
 
 echo "== parallel benchmarks =="
-bench_out=$(mktemp)
-trap 'rm -f "$bench_out" "$lint_out" "$metrics_out"; rm -rf "$fm_dir" "$dbg_dir" "$du_dir"' EXIT
+bench_out="$ci_tmp/bench.txt"
 go test -bench '^(BenchmarkCompress|BenchmarkTune)$' -benchmem \
     -benchtime "${BENCHTIME:-3x}" -run '^$' . | tee "$bench_out"
 go run ./scripts/benchjson <"$bench_out" >BENCH_parallel.json
@@ -296,16 +247,14 @@ echo "wrote BENCH_parallel.json"
 echo "== hash-consing benchmark =="
 # One iteration by default: the cons=off baseline runs the greedy loop
 # over all 10^5 per-query states and takes tens of seconds per op.
-cons_out=$(mktemp)
-trap 'rm -f "$bench_out" "$cons_out" "$lint_out" "$metrics_out"; rm -rf "$fm_dir" "$dbg_dir" "$du_dir"' EXIT
+cons_out="$ci_tmp/cons.txt"
 go test -bench '^BenchmarkCompressConsed$' -benchmem \
     -benchtime "${CONS_BENCHTIME:-1x}" -run '^$' -timeout 30m . | tee "$cons_out"
 go run ./scripts/benchjson <"$cons_out" >BENCH_cons.json
 echo "wrote BENCH_cons.json"
 
 echo "== vector benchmarks =="
-vec_out=$(mktemp)
-trap 'rm -f "$bench_out" "$cons_out" "$vec_out" "$lint_out" "$metrics_out"; rm -rf "$fm_dir" "$dbg_dir" "$du_dir"' EXIT
+vec_out="$ci_tmp/vec.txt"
 go test -bench '^(BenchmarkJaccard|BenchmarkSummaryDelta)$' -benchmem \
     -benchtime "${BENCHTIME:-3x}" -run '^$' \
     ./internal/features ./internal/core | tee "$vec_out"
