@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"time"
 
 	"isum/internal/parallel"
@@ -111,15 +112,16 @@ func (c *Compressor) CompressContext(ctx context.Context, w *workload.Workload, 
 	if k > len(states) {
 		k = len(states)
 	}
+	idx := buildPostings(states)
 	sg := reg.Start("core/select-greedy")
-	err = c.selectGreedy(ctx, states, k, res)
+	err = c.selectGreedy(ctx, states, idx, k, res)
 	sg.SetAttr("selected", len(res.Indices))
 	sg.End()
 	if err != nil {
 		return nil, err
 	}
 	sw := reg.Start("core/weigh")
-	res.Weights = c.weigh(w, states, res)
+	res.Weights = c.weigh(states, idx, res)
 	sw.End()
 	c.opts.Progress.Emit(telemetry.ProgressEvent{
 		Phase: "core/weigh",
@@ -195,12 +197,18 @@ func isCancel(err error) bool {
 // per-query ApplyDelta, applied in index order) instead of rebuilt O(n)
 // every round; the rebuildSummary test hook restores the literal rebuild.
 //
+// The update sweep after a pick visits only the unselected states idx
+// lists under the pick's IDs, in ascending order. Every other state
+// shares no ID with the pick, so its update is a bitwise no-op with no
+// delta (DESIGN.md §20), and folding the visited states' deltas in
+// ascending order folds exactly the deltas a sweep over all n would.
+//
 // Cancellation is observed at round boundaries and inside the parallel
 // sweeps. A benefit sweep cut short discards the round (no selection from
 // partial bounds); an update sweep cut short keeps the round's selection
 // — it was already decided — and abandons the state updates, which only
 // feed rounds that will never run.
-func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, k int, res *Result) error {
+func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, idx *postings, k int, res *Result) error {
 	workers := parallel.Workers(c.opts.Parallelism)
 	summary := c.opts.Algorithm != AllPairs
 	incremental := summary && !c.opts.rebuildSummary
@@ -214,13 +222,14 @@ func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, k i
 	// time.Now.
 	reg := c.opts.Telemetry
 	var argmaxNanos, updateNanos *telemetry.Histogram
-	var rounds, resets, exactBenefits *telemetry.Counter
+	var rounds, resets, exactBenefits, touchedStates *telemetry.Counter
 	if reg != nil {
 		argmaxNanos = reg.Histogram("core/greedy/argmax_nanos", telemetry.DurationBuckets)
 		updateNanos = reg.Histogram("core/greedy/update_nanos", telemetry.DurationBuckets)
 		rounds = reg.Counter("core/greedy/rounds")
 		resets = reg.Counter("core/greedy/feature_resets")
 		exactBenefits = reg.Counter("core/greedy/exact_benefits")
+		touchedStates = reg.Counter("core/greedy/touched")
 	}
 
 	// live counts unselected states whose vectors still carry weight, so
@@ -231,9 +240,11 @@ func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, k i
 	progress := c.opts.Progress
 	var benefitSum float64
 	ineligible := math.Inf(-1)
-	// Per-round sweep outputs, index-addressed and reused across rounds.
+	// Per-round sweep outputs, reused across rounds: bounds is
+	// index-addressed, updates parallel to the round's touched states.
 	bounds := make([]float64, len(states))
-	updates := make([]updateResult, len(states))
+	var updates []updateResult
+	unselected := func(i int32) bool { return !states[i].Selected }
 	for len(res.Indices) < k {
 		if ctx.Err() != nil {
 			res.Partial = true
@@ -350,13 +361,13 @@ func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, k i
 		if incremental {
 			ss.RemoveSelected(best)
 		}
-		err = parallel.ForEach(ctx, workers, len(states), func(i int) {
-			s := states[i]
-			if s.Selected {
-				updates[i] = updateResult{}
-				return
-			}
-			updates[i] = applyUpdateWithDelta(best, s, c.opts.Update, incremental)
+		var touched []int32
+		if c.opts.Update != UpdateNone {
+			touched = idx.touched(best.Vec, unselected)
+		}
+		updates = slices.Grow(updates[:0], len(touched))[:len(touched)]
+		err = parallel.ForEach(ctx, workers, len(touched), func(j int) {
+			updates[j] = applyUpdateWithDelta(best, states[touched[j]], c.opts.Update, incremental)
 		})
 		if err != nil {
 			rsp.SetAttr("outcome", "cancelled")
@@ -366,6 +377,10 @@ func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, k i
 				return nil
 			}
 			return err
+		}
+		if reg != nil {
+			touchedStates.Add(int64(len(touched)))
+			rsp.SetAttr("touched", len(touched))
 		}
 		for i := range updates {
 			u := &updates[i]

@@ -6,15 +6,17 @@ import (
 	"math"
 	"testing"
 
+	"isum/internal/features"
 	"isum/internal/parallel"
 	"isum/internal/workload"
 )
 
-// fullScanSelectGreedy is selectGreedy before the bound-gated argmax: every
-// eligible state's benefit is computed exactly in the parallel sweep and
-// the epsilon scan runs over all of them. It is the reference the
-// production greedy is pinned to; telemetry and progress emission are
-// left out, since they never change the selection.
+// fullScanSelectGreedy is selectGreedy before the bound-gated argmax and
+// the posting-list update sweep: every eligible state's benefit is
+// computed exactly in the parallel sweep, the epsilon scan runs over all
+// of them, and every unselected state is updated after each pick. It is
+// the reference the production greedy is pinned to; telemetry and
+// progress emission are left out, since they never change the selection.
 func (c *Compressor) fullScanSelectGreedy(ctx context.Context, states []*QueryState, k int, res *Result) error {
 	workers := parallel.Workers(c.opts.Parallelism)
 	summary := c.opts.Algorithm != AllPairs
@@ -114,7 +116,107 @@ func (c *Compressor) fullScanSelectGreedy(ctx context.Context, states []*QuerySt
 	return nil
 }
 
-// fullScanCompress is Compress with the full-scan reference greedy.
+// fullScanWeigh is weigh with the reference recalibration.
+func (c *Compressor) fullScanWeigh(states []*QueryState, res *Result) []float64 {
+	switch c.opts.Weighing {
+	case WeighNone, WeighSelectionBenefit:
+		return c.weigh(states, nil, res)
+	default:
+		return fullScanRecalibrate(states, res, c.opts.Weighing == WeighTemplateRecalibrated)
+	}
+}
+
+// fullScanRecalibrate is recalibrate before the posting-list sweep:
+// after each pick it updates every query of W_u, each held as a fresh
+// clone of its OrigVec, and it keeps its tables in maps keyed by state
+// position. It is the reference the production weighing is pinned to.
+func fullScanRecalibrate(states []*QueryState, res *Result, useTemplates bool) []float64 {
+	selectedSet := map[int]bool{}
+	for _, idx := range res.Indices {
+		selectedSet[idx] = true
+	}
+
+	utility := map[int]float64{}
+	excluded := map[int]bool{} // unselected queries removed from W_u
+	if useTemplates {
+		freq := map[string]int{}
+		for _, idx := range res.Indices {
+			freq[states[idx].Query.TemplateID]++
+		}
+		totalU := map[string]float64{}
+		for _, s := range states {
+			tid := s.Query.TemplateID
+			if freq[tid] > 0 {
+				totalU[tid] += s.OrigUtility
+				if !selectedSet[s.Index] {
+					excluded[s.Index] = true
+				}
+			}
+		}
+		for _, idx := range res.Indices {
+			tid := states[idx].Query.TemplateID
+			utility[idx] = totalU[tid] / float64(freq[tid])
+		}
+	} else {
+		for _, idx := range res.Indices {
+			utility[idx] = states[idx].OrigUtility
+		}
+	}
+
+	type refState struct {
+		vec  features.SparseVec
+		util float64
+	}
+	var wu []*refState
+	for _, s := range states {
+		if selectedSet[s.Index] || excluded[s.Index] {
+			continue
+		}
+		wu = append(wu, &refState{vec: s.OrigVec.Clone(), util: s.OrigUtility})
+	}
+
+	remaining := append([]int{}, res.Indices...)
+	benefit := map[int]float64{}
+	total := 0.0
+	acc := features.NewDenseVec(featureSpace(states))
+	for len(remaining) > 0 {
+		acc.Reset()
+		for _, u := range wu {
+			acc.AddScaled(u.vec, u.util)
+		}
+		summary := acc.Snapshot()
+		bestPos, bestB := -1, -1.0
+		for pos, idx := range remaining {
+			b := utility[idx] + states[idx].OrigVec.WeightedJaccard(summary)
+			if b > bestB+1e-9 {
+				bestB, bestPos = b, pos
+			}
+		}
+		idx := remaining[bestPos]
+		remaining = append(remaining[:bestPos], remaining[bestPos+1:]...)
+		benefit[idx] = bestB
+		total += bestB
+		chosenVec := states[idx].OrigVec
+		for _, u := range wu {
+			sim := chosenVec.WeightedJaccard(u.vec)
+			u.util -= u.util * sim
+			u.vec.ZeroShared(chosenVec)
+		}
+	}
+
+	out := make([]float64, len(res.Indices))
+	for i, idx := range res.Indices {
+		if total > 0 {
+			out[i] = benefit[idx] / total
+		} else {
+			out[i] = 1.0 / float64(len(res.Indices))
+		}
+	}
+	return out
+}
+
+// fullScanCompress is Compress with the full-scan reference greedy and
+// weighing.
 func fullScanCompress(t testing.TB, c *Compressor, w *workload.Workload, k int) *Result {
 	t.Helper()
 	res := &Result{}
@@ -131,7 +233,7 @@ func fullScanCompress(t testing.TB, c *Compressor, w *workload.Workload, k int) 
 	if err := c.fullScanSelectGreedy(context.Background(), states, k, res); err != nil {
 		t.Fatal(err)
 	}
-	res.Weights = c.weigh(w, states, res)
+	res.Weights = c.fullScanWeigh(states, res)
 	for i, g := range res.Indices {
 		if repIdx != nil {
 			res.Indices[i] = repIdx[g]
@@ -167,23 +269,39 @@ func sameResult(t *testing.T, got, want *Result) {
 	}
 }
 
-// TestBoundedArgmaxMatchesFullScan pins the bound-gated argmax to the full
-// scan at the sizes where a divergence would show: Scale-M at 10⁴ queries
-// (k = 50, 150) and the four paper generators at 2–3×10³, under five
-// option variants, two instance seeds, and parallelism 1 and 4. Indices,
-// weights, selection benefits and rounds must match exactly. The 10⁴
-// cases are skipped under -short and -race.
+// TestBoundedArgmaxMatchesFullScan pins the bound-gated argmax and the
+// posting-list update sweeps of selection and weighing to the full scans
+// at the sizes where a divergence would show: Scale-M at 10⁴ queries
+// (k = 50, 150) and the four paper generators at 2–3×10³, under option
+// variants covering every update strategy and weighing sweep, two
+// instance seeds, and parallelism 1 and 4. Indices, weights, selection
+// benefits and rounds must match exactly. The 10⁴ cases run the first
+// five variants only and are skipped under -short and -race; AllPairs,
+// O(k·n²), runs on each workload's first 300 queries. Under -race the
+// 2–3×10³ cases also run only the first five: the others add option
+// combinations, not concurrent code, and would add minutes to the run.
 func TestBoundedArgmaxMatchesFullScan(t *testing.T) {
 	type variant struct {
-		name string
-		opts Options
+		name  string
+		opts  Options
+		small bool // skipped on the 10⁴ case and under -race
+		n     int  // if set, compress only the workload's first n queries
 	}
+	allPairs := DefaultOptions()
+	allPairs.Algorithm = AllPairs
+	recalibrated := DefaultOptions()
+	recalibrated.Weighing = WeighRecalibrated
 	variants := []variant{
-		{"default", DefaultOptions()},
-		{"isum-s", ISUMSOptions()},
-		{"weight-subtract", withUpdate(DefaultOptions(), UpdateWeightSubtract)},
-		{"consed", func() Options { o := DefaultOptions(); o.ConsTemplates = true; return o }()},
-		{"rebuild-summary", func() Options { o := DefaultOptions(); o.rebuildSummary = true; return o }()},
+		{name: "default", opts: DefaultOptions()},
+		{name: "isum-s", opts: ISUMSOptions()},
+		{name: "weight-subtract", opts: withUpdate(DefaultOptions(), UpdateWeightSubtract)},
+		{name: "consed", opts: func() Options { o := DefaultOptions(); o.ConsTemplates = true; return o }()},
+		{name: "rebuild-summary", opts: func() Options { o := DefaultOptions(); o.rebuildSummary = true; return o }()},
+		{name: "utility-only", opts: withUpdate(DefaultOptions(), UpdateUtilityOnly), small: true},
+		{name: "update-none", opts: withUpdate(DefaultOptions(), UpdateNone), small: true},
+		{name: "weigh-recalibrated", opts: recalibrated, small: true},
+		{name: "notable", opts: NoTableOptions(), small: true},
+		{name: "allpairs", opts: allPairs, small: true, n: 300},
 	}
 	type workloadCase struct {
 		gen   string
@@ -205,8 +323,15 @@ func TestBoundedArgmaxMatchesFullScan(t *testing.T) {
 				if wc.large && (testing.Short() || raceEnabled) {
 					t.Skip("10⁴-query case: skipped under -short and -race")
 				}
-				w := seededWorkload(t, wc.gen, wc.n, seed)
+				full := seededWorkload(t, wc.gen, wc.n, seed)
 				for _, v := range variants {
+					if v.small && (wc.large || raceEnabled) {
+						continue
+					}
+					w := full
+					if v.n > 0 {
+						w = &workload.Workload{Catalog: full.Catalog, Queries: full.Queries[:v.n]}
+					}
 					for _, k := range wc.ks {
 						ref := v.opts
 						ref.Parallelism = 4

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"isum/internal/workload"
@@ -68,4 +69,60 @@ func scaleCosts(w *workload.Workload, c float64) *workload.Workload {
 		out.Queries = append(out.Queries, &cp)
 	}
 	return out
+}
+
+// fuzzBaseN is the size of FuzzCompressMetamorphic's base workloads.
+const fuzzBaseN = 400
+
+// fuzzBases caches each generator's cost-filled base workload per
+// instance seed, so FuzzCompressMetamorphic builds it once per process
+// and each exec only compresses a prefix of it.
+var fuzzBases = struct {
+	sync.Mutex
+	m map[string]*workload.Workload
+}{m: map[string]*workload.Workload{}}
+
+func fuzzBase(t *testing.T, gen string, seed int64) *workload.Workload {
+	fuzzBases.Lock()
+	defer fuzzBases.Unlock()
+	key := fmt.Sprintf("%s/%d", gen, seed)
+	w, ok := fuzzBases.m[key]
+	if !ok {
+		w = seededWorkload(t, gen, fuzzBaseN, seed)
+		fuzzBases.m[key] = w
+	}
+	return w
+}
+
+// FuzzCompressMetamorphic is the fuzz half of
+// TestCompressCostScalingInvariant. It draws a generator, an instance
+// seed, a prefix of n ∈ [20, 400] queries, k ∈ [1, 40], an exponent
+// e ∈ [−10, 10] and an option set, multiplies every cost by 2^e, and
+// requires equal indices and rounds and bit-equal weights and selection
+// benefits. When k exceeds the prefix's distinct templates, feature
+// resets run, so the posting index's superset invariant is exercised
+// too.
+func FuzzCompressMetamorphic(f *testing.F) {
+	gens := []string{"tpch", "tpcds", "dsb", "realm", "scalem"}
+	seeds := []int64{1, 2, 3, 104729}
+	cons := DefaultOptions()
+	cons.ConsTemplates = true
+	variants := []Options{
+		DefaultOptions(),
+		ISUMSOptions(),
+		NoTableOptions(),
+		cons,
+		withUpdate(DefaultOptions(), UpdateWeightSubtract),
+	}
+	f.Add(uint8(0), uint8(0), uint16(100), uint8(10), int8(3), uint8(0))
+	f.Add(uint8(4), uint8(3), uint16(380), uint8(40), int8(-10), uint8(3))
+	f.Add(uint8(2), uint8(1), uint16(0), uint8(39), int8(10), uint8(4))
+	f.Fuzz(func(t *testing.T, gen, seed uint8, n uint16, k uint8, e int8, variant uint8) {
+		base := fuzzBase(t, gens[int(gen)%len(gens)], seeds[int(seed)%len(seeds)])
+		w := &workload.Workload{Catalog: base.Catalog, Queries: base.Queries[:20+int(n)%(fuzzBaseN-19)]}
+		kk := 1 + int(k)%40
+		opts := variants[int(variant)%len(variants)]
+		want := New(opts).Compress(w, kk)
+		sameResult(t, New(opts).Compress(scaleCosts(w, math.Ldexp(1, int(e)%11)), kk), want)
+	})
 }

@@ -1,13 +1,11 @@
 package core
 
-import (
-	"isum/internal/features"
-	"isum/internal/workload"
-)
+import "isum/internal/features"
 
 // weigh assigns weights to the selected queries per the configured strategy
-// (Section 7) and returns them parallel to res.Indices.
-func (c *Compressor) weigh(w *workload.Workload, states []*QueryState, res *Result) []float64 {
+// (Section 7) and returns them parallel to res.Indices. idx is the
+// compression's posting index over states.
+func (c *Compressor) weigh(states []*QueryState, idx *postings, res *Result) []float64 {
 	k := len(res.Indices)
 	if k == 0 {
 		return nil
@@ -22,101 +20,126 @@ func (c *Compressor) weigh(w *workload.Workload, states []*QueryState, res *Resu
 	case WeighSelectionBenefit:
 		return normalizeWeights(res.SelectionBenefits)
 	default:
-		return c.recalibrate(w, states, res, c.opts.Weighing == WeighTemplateRecalibrated)
+		return recalibrate(states, idx, res, c.opts.Weighing == WeighTemplateRecalibrated)
 	}
+}
+
+// uState is one W_u query's working copy in recalibrate. vec aliases the
+// state's OrigVec until the query is first touched by an update, which
+// clones it: an untouched vector is only read.
+type uState struct {
+	vec   features.SparseVec
+	util  float64
+	owned bool
 }
 
 // recalibrate implements Algorithm 5 (with Algorithm 4's template-based
 // utility pooling when useTemplates is set): the selected queries' benefits
 // are recomputed greedily against summary features built from the
 // *unselected* remainder only, so selection-order bias disappears.
-func (c *Compressor) recalibrate(w *workload.Workload, states []*QueryState, res *Result, useTemplates bool) []float64 {
-	selectedSet := map[int]bool{}
-	for _, idx := range res.Indices {
-		selectedSet[idx] = true
+//
+// After each pick only the W_u queries idx lists under the pick's IDs
+// are updated; the rest share no ID with it, and their update is a
+// bitwise no-op (DESIGN.md §20).
+func recalibrate(states []*QueryState, idx *postings, res *Result, useTemplates bool) []float64 {
+	k := len(res.Indices)
+	// wuPos maps a state position to its W_u position, or -1 for the
+	// selected queries and those template pooling excludes from W_u.
+	wuPos := make([]int32, len(states))
+	for _, i := range res.Indices {
+		wuPos[i] = -1
 	}
 
-	// Per-query recalibrated utility for the selected queries, and the set
-	// of unselected queries forming W_u.
-	utility := map[int]float64{}
-	excluded := map[int]bool{} // unselected queries removed from W_u
+	// Recalibrated utility of each selected query, parallel to res.Indices.
+	utility := make([]float64, k)
 	if useTemplates {
 		// Algorithm 4: pool utilities per template.
 		freq := map[string]int{}
-		for _, idx := range res.Indices {
-			freq[states[idx].Query.TemplateID]++
+		for _, i := range res.Indices {
+			freq[states[i].Query.TemplateID]++
 		}
 		totalU := map[string]float64{}
-		for _, s := range states {
+		for i, s := range states {
 			tid := s.Query.TemplateID
 			if freq[tid] > 0 {
 				totalU[tid] += s.OrigUtility
-				if !selectedSet[s.Index] {
-					excluded[s.Index] = true // same template: represented already
-				}
+				wuPos[i] = -1 // same template: represented already
 			}
 		}
-		for _, idx := range res.Indices {
-			tid := states[idx].Query.TemplateID
-			utility[idx] = totalU[tid] / float64(freq[tid])
+		for p, i := range res.Indices {
+			tid := states[i].Query.TemplateID
+			utility[p] = totalU[tid] / float64(freq[tid])
 		}
 	} else {
-		for _, idx := range res.Indices {
-			utility[idx] = states[idx].OrigUtility
+		for p, i := range res.Indices {
+			utility[p] = states[i].OrigUtility
 		}
 	}
 
-	// Fresh working copies of the unselected remainder (W_u).
-	type uState struct {
-		vec  features.SparseVec
-		util float64
+	// W_u, the unselected remainder, in state order. Until numbered here,
+	// wuPos is 0 exactly for W_u's members.
+	m := 0
+	for _, p := range wuPos {
+		if p == 0 {
+			m++
+		}
 	}
-	var wu []*uState
-	for _, s := range states {
-		if selectedSet[s.Index] || excluded[s.Index] {
+	wu := make([]uState, 0, m)
+	for i, s := range states {
+		if wuPos[i] < 0 {
 			continue
 		}
-		wu = append(wu, &uState{vec: s.OrigVec.Clone(), util: s.OrigUtility})
+		wuPos[i] = int32(len(wu))
+		wu = append(wu, uState{vec: s.OrigVec, util: s.OrigUtility})
 	}
+	inWu := func(i int32) bool { return wuPos[i] >= 0 }
 
-	remaining := append([]int{}, res.Indices...)
-	benefit := map[int]float64{}
+	// remaining holds positions into res.Indices, in selection order.
+	remaining := make([]int, k)
+	for p := range remaining {
+		remaining[p] = p
+	}
+	benefit := make([]float64, k)
 	total := 0.0
 	acc := features.NewDenseVec(featureSpace(states))
 	for len(remaining) > 0 {
 		// Summary features over the current W_u, rebuilt in reused storage.
 		acc.Reset()
-		for _, u := range wu {
-			acc.AddScaled(u.vec, u.util)
+		for i := range wu {
+			acc.AddScaled(wu[i].vec, wu[i].util)
 		}
 		summary := acc.Snapshot()
 		bestPos, bestB := -1, -1.0
-		for pos, idx := range remaining {
-			b := utility[idx] + states[idx].OrigVec.WeightedJaccard(summary)
+		for pos, p := range remaining {
+			b := utility[p] + states[res.Indices[p]].OrigVec.WeightedJaccard(summary)
 			if b > bestB+1e-9 { // epsilon tie-break, see selectGreedy
 				bestB, bestPos = b, pos
 			}
 		}
-		idx := remaining[bestPos]
+		p := remaining[bestPos]
 		remaining = append(remaining[:bestPos], remaining[bestPos+1:]...)
-		benefit[idx] = bestB
+		benefit[p] = bestB
 		total += bestB
 		// Update W_u with the chosen query: discount utilities and remove
 		// covered features, as during selection.
-		chosenVec := states[idx].OrigVec
-		for _, u := range wu {
+		chosenVec := states[res.Indices[p]].OrigVec
+		for _, i := range idx.touched(chosenVec, inWu) {
+			u := &wu[wuPos[i]]
 			sim := chosenVec.WeightedJaccard(u.vec)
 			u.util -= u.util * sim
+			if !u.owned {
+				u.vec, u.owned = u.vec.Clone(), true
+			}
 			u.vec.ZeroShared(chosenVec)
 		}
 	}
 
-	out := make([]float64, len(res.Indices))
-	for i, idx := range res.Indices {
+	out := make([]float64, k)
+	for p := range out {
 		if total > 0 {
-			out[i] = benefit[idx] / total
+			out[p] = benefit[p] / total
 		} else {
-			out[i] = 1.0 / float64(len(res.Indices))
+			out[p] = 1.0 / float64(k)
 		}
 	}
 	return out

@@ -40,7 +40,7 @@ type report struct {
 	Gomaxprocs int                `json:"gomaxprocs"`
 	Benchmarks []result           `json:"benchmarks"`
 	Speedups   map[string]float64 `json:"speedups"`
-	Note       string             `json:"note"`
+	Note       string             `json:"note,omitempty"` // set only beside speedups
 }
 
 func main() {
@@ -106,9 +106,11 @@ func run(in io.Reader, out, warn io.Writer) error {
 			rep.Speedups[base] = s / p
 		}
 	}
-	if rep.Gomaxprocs <= 1 {
+	switch {
+	case len(rep.Speedups) == 0:
+	case rep.Gomaxprocs <= 1:
 		rep.Note = "single-core runner: parallelism=max degenerates to the serial path, those speedups are ~1.0x by construction (cons=off/cons=on pairs are unaffected); the parallel speedup targets apply to GOMAXPROCS >= 2"
-	} else {
+	default:
 		rep.Note = "speedup = baseline ns/op (parallelism=1, cons=off) divided by optimised ns/op (parallelism=max, cons=on)"
 	}
 

@@ -46,6 +46,9 @@ func TestRun(t *testing.T) {
 	if got := rep.Speedups["BenchmarkCompressConsed"]; got != 80 {
 		t.Errorf("BenchmarkCompressConsed speedup = %v, want 80", got)
 	}
+	if rep.Note == "" {
+		t.Error("report with speedups carries no note")
+	}
 }
 
 func TestRunWarnsOnUnparsedLines(t *testing.T) {
@@ -74,5 +77,25 @@ func TestRunFailsOnZeroBenchmarks(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Errorf("wrote a report despite the error: %s", out.String())
+	}
+}
+
+// TestRunOmitsNoteWithoutPairs checks that a report with no
+// baseline/optimised pair carries no speedup note.
+func TestRunOmitsNoteWithoutPairs(t *testing.T) {
+	in := "goos: linux\nBenchmarkJaccard/overlap=50-2   100   1234 ns/op   0 B/op   0 allocs/op\nPASS\n"
+	var out, warn bytes.Buffer
+	if err := run(strings.NewReader(in), &out, &warn); err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if note, ok := doc["note"]; ok {
+		t.Errorf("report without speedups carries a note: %q", note)
+	}
+	if sp, ok := doc["speedups"].(map[string]any); !ok || len(sp) != 0 {
+		t.Errorf("speedups = %v, want an empty object", doc["speedups"])
 	}
 }

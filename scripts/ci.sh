@@ -67,6 +67,7 @@ go run ./scripts/metricscheck \
     -require cost/whatif/calls \
     -require core/greedy/rounds \
     -require core/greedy/exact_benefits \
+    -require core/greedy/touched \
     -require workload/templates/consed \
     -require workload/templates/deduped \
     -names-from internal/cost \
@@ -185,6 +186,8 @@ go test -fuzz 'FuzzSparseVecOps' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./intern
 go test -fuzz 'FuzzSummaryBound' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/features
 go test -fuzz 'FuzzCostBounds' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/cost
 go test -fuzz 'FuzzCompiledPlan' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/cost
+go test -fuzz 'FuzzSkippedUpdateIsNoop' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/core
+go test -fuzz 'FuzzCompressMetamorphic' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/core
 
 echo "== end-to-end benchmark pins =="
 # e2ebench is a module of its own, so `go test ./...` skips it: run its
