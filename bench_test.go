@@ -149,20 +149,6 @@ func BenchmarkFeatureExtraction(b *testing.B) {
 	}
 }
 
-func BenchmarkWeightedJaccard(b *testing.B) {
-	gen := benchmarks.TPCH(1)
-	w, _ := gen.Workload(22, 1)
-	ex := features.NewExtractor(gen.Cat)
-	vecs := make([]features.Vector, w.Len())
-	for i, q := range w.Queries {
-		vecs[i] = ex.Features(q)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		features.WeightedJaccard(vecs[i%22], vecs[(i+7)%22])
-	}
-}
-
 func BenchmarkWhatIfCost(b *testing.B) {
 	w, o := benchWorkload(b, 22)
 	cfg := index.NewConfiguration(

@@ -155,19 +155,8 @@ func main() {
 		fmt.Printf("  #%-4d benefit %.4f  utility %.4f  cost %10.0f  %.60s\n",
 			d.idx, d.benefit, d.utility, q.Cost, q.Text)
 		if *showFeatures {
-			v := states[d.idx].OrigVec.ToMap(states[d.idx].Interner)
-			keys := make([]string, 0, len(v))
-			for k := range v {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(a, b int) bool {
-				if v[keys[a]] != v[keys[b]] {
-					return v[keys[a]] > v[keys[b]]
-				}
-				return keys[a] < keys[b] // total order: keys was collected in map order
-			})
-			for _, k := range keys {
-				fmt.Printf("        %-30s %.3f\n", k, v[k])
+			for _, f := range byWeight(states[d.idx].OrigVec, states[d.idx].Interner) {
+				fmt.Printf("        %-30s %.3f\n", f.Key, f.W)
 			}
 		}
 	}
@@ -175,27 +164,30 @@ func main() {
 	// Summary features.
 	fmt.Printf("\nworkload summary features (top weights):\n")
 	if len(states) > 0 {
-		sv := ss.V().ToMap(states[0].Interner)
-		keys := make([]string, 0, len(sv))
-		for k := range sv {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(a, b int) bool {
-			if sv[keys[a]] != sv[keys[b]] {
-				return sv[keys[a]] > sv[keys[b]]
-			}
-			return keys[a] < keys[b] // total order: keys was collected in map order
-		})
-		for i, k := range keys {
+		for i, f := range byWeight(ss.V(), states[0].Interner) {
 			if i >= *top {
 				break
 			}
-			fmt.Printf("  %-32s %.4f\n", k, sv[k])
+			fmt.Printf("  %-32s %.4f\n", f.Key, f.W)
 		}
 	}
 	if err := trun.Close(); err != nil {
 		fatal(err)
 	}
+}
+
+// byWeight lists v's entries as (key, weight) pairs under the dictionary
+// that issued its IDs, weight descending, then key.
+func byWeight(v features.SparseVec, in *features.Interner) []features.Feature {
+	fs := make([]features.Feature, 0, v.Len())
+	v.Each(func(id uint32, w float64) { fs = append(fs, features.Feature{Key: in.Key(id), W: w}) })
+	sort.Slice(fs, func(a, b int) bool {
+		if fs[a].W != fs[b].W {
+			return fs[a].W > fs[b].W
+		}
+		return fs[a].Key < fs[b].Key
+	})
+	return fs
 }
 
 func fatal(err error) {

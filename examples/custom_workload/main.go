@@ -87,8 +87,8 @@ func main() {
 	// Peek at ISUM's featurization of one query.
 	ex := features.NewExtractor(cat)
 	fmt.Println("features of the join query:")
-	for key, wgt := range ex.Features(w.Queries[len(sqls)-1]) {
-		fmt.Printf("  %-22s %.3f\n", key, wgt)
+	for _, f := range ex.Features(w.Queries[len(sqls)-1]) {
+		fmt.Printf("  %-22s %.3f\n", f.Key, f.W)
 	}
 
 	// Compare compressors at k=5.

@@ -9,10 +9,11 @@ import (
 
 // DeterminismAnalyzer guards the byte-identical-runs invariant (PR 1's
 // serial/parallel equivalence, PR 3's chaos byte-identity): it flags
-// wall-clock reads, draws from math/rand's shared unseeded source, and —
-// the exact bug class fixed by features.DetSum — map-iteration-order
-// float accumulation or map-order slice collection with no subsequent
-// canonical ordering.
+// wall-clock reads, draws from math/rand's shared unseeded source, and
+// map-iteration-order float accumulation or map-order slice collection
+// with no subsequent canonical ordering — float sums whose bits depend on
+// Go's randomised map order, the bug class that sorting before summing
+// fixes.
 var DeterminismAnalyzer = &Analyzer{
 	ID:  "determinism",
 	Doc: "no time.Now, unseeded math/rand, or map-iteration-order accumulation on result paths",
@@ -29,8 +30,8 @@ var seededRandCtors = map[string]bool{
 }
 
 // canonicalizerPat matches call names that impose a canonical order on a
-// collected slice: the sort/slices packages, the repo's DetSum, and any
-// helper advertising itself as sorting or canonicalising.
+// collected slice: the sort/slices packages, detSum-style sort-then-sum
+// helpers, and any helper advertising itself as sorting or canonicalising.
 var canonicalizerPat = regexp.MustCompile(`(?i)(sort|canonical|detsum)`)
 
 func runDeterminism(pass *Pass) {
@@ -89,7 +90,7 @@ func checkMapRanges(pass *Pass, fs funcScope) {
 						continue
 					}
 					if t := pass.TypeOf(lhs); t != nil && isFloat(t) {
-						pass.Reportf(as.Pos(), "float accumulation inside a map-range loop sums in randomized iteration order; collect values and sum canonically (features.DetSum)")
+						pass.Reportf(as.Pos(), "float accumulation inside a map-range loop sums in randomized iteration order; collect the values and sort before summing")
 					}
 				}
 
@@ -119,7 +120,7 @@ func checkMapRanges(pass *Pass, fs funcScope) {
 				continue
 			}
 			if !canonicalizedAfter(pass, fs.body, rng.End(), obj) {
-				pass.Reportf(id.Pos(), "slice %q collects map-range elements in randomized order and is never canonically sorted afterwards; sort it (or sum via features.DetSum) before it reaches results", id.Name)
+				pass.Reportf(id.Pos(), "slice %q collects map-range elements in randomized order and is never canonically sorted afterwards; sort it before it reaches results (sort before summing)", id.Name)
 			}
 		}
 		return true
@@ -128,7 +129,7 @@ func checkMapRanges(pass *Pass, fs funcScope) {
 
 // canonicalizedAfter reports whether, after pos and within body, obj is
 // passed to a call whose name matches canonicalizerPat (sort.*, slices
-// sorting helpers, DetSum, canonical*). The object may reach the call as
+// sorting helpers, detSum, canonical*). The object may reach the call as
 // an argument or as the method receiver (sv.sortByID()), and one level
 // of aliasing is followed: a variable assigned from an expression that
 // mentions obj — the collect-into-struct idiom,

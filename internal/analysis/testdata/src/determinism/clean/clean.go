@@ -66,9 +66,9 @@ func (v *intVec) sortByID() {
 	sort.Slice(v.ids, func(i, j int) bool { return v.ids[i] < v.ids[j] })
 }
 
-// FromMap collects map entries into parallel slices and sorts them via
+// FromEntries collects map entries into parallel slices and sorts them via
 // the struct's method: the merge-join ascending-ID regime.
-func FromMap(m map[uint32]float64) intVec {
+func FromEntries(m map[uint32]float64) intVec {
 	ids := make([]uint32, 0, len(m))
 	ws := make([]float64, 0, len(m))
 	for id, w := range m {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"isum/internal/core"
-	"isum/internal/features"
 	"isum/internal/workload"
 )
 
@@ -107,7 +106,7 @@ func (g *GSUM) Compress(w *workload.Workload, k int) *core.Result {
 		}
 		// Accumulate the per-feature deviations canonically: a float sum
 		// in map-iteration order would drift by an ulp from run to run
-		// (the features.DetSum bug class caught by isumlint).
+		// (the bug class isumlint's determinism analyzer catches).
 		terms := make([]float64, 0, len(workloadFreq))
 		for key, wf := range workloadFreq {
 			sf := sumFreq[key]
@@ -116,7 +115,7 @@ func (g *GSUM) Compress(w *workload.Workload, k int) *core.Result {
 			}
 			terms = append(terms, math.Abs(sf/total-wf))
 		}
-		tv := features.DetSum(terms)
+		tv := detSum(terms)
 		rep := 1 - tv/2
 		return alpha*coverage + (1-alpha)*rep
 	}
@@ -146,4 +145,17 @@ func (g *GSUM) Compress(w *workload.Workload, k int) *core.Result {
 	res.Weights = uniformWeights(len(res.Indices))
 	res.Elapsed = time.Since(start)
 	return res
+}
+
+// detSum adds vals in ascending value order (mutating vals). Floating-point
+// addition is not associative, so summing in Go's randomised map iteration
+// order perturbs the last ulp from run to run; sorting by value first makes
+// every sum over the same multiset reproduce the same bits.
+func detSum(vals []float64) float64 {
+	sort.Float64s(vals)
+	var s float64
+	for _, v := range vals {
+		s += v
+	}
+	return s
 }

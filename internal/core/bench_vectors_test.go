@@ -18,10 +18,10 @@ func BenchmarkSummaryDelta(b *testing.B) {
 	opts := DefaultOptions()
 
 	b.Run("impl=map", func(b *testing.B) {
-		states, in := oracleBuildStates(w, opts)
+		states, keys := oracleBuildStates(w, opts)
 		sel := states[0]
 		sel.selected = true
-		snap := make([]features.Vector, len(states))
+		snap := make([]mapVec, len(states))
 		utils := make([]float64, len(states))
 		for i, s := range states {
 			snap[i] = s.vec.Clone()
@@ -31,7 +31,7 @@ func BenchmarkSummaryDelta(b *testing.B) {
 		b.ResetTimer()
 		for it := 0; it < b.N; it++ {
 			for _, s := range states[1:] {
-				_ = oracleApplyUpdateWithDelta(sel, s, opts.Update, true, in)
+				_ = oracleApplyUpdateWithDelta(sel, s, opts.Update, true, keys)
 			}
 			b.StopTimer()
 			for i, s := range states[1:] {

@@ -62,7 +62,8 @@ func (c *Compressor) Name() string {
 }
 
 // Compress selects k queries from w (Problem 1) and weighs them. For k ≥
-// n every query is selected with weight 1/n.
+// n every query is selected with weight 1/n. It panics where
+// CompressContext returns an error.
 func (c *Compressor) Compress(w *workload.Workload, k int) *Result {
 	res, err := c.CompressContext(context.Background(), w, k)
 	if err != nil {
@@ -76,8 +77,9 @@ func (c *Compressor) Compress(w *workload.Workload, k int) *Result {
 // its next round boundary and the queries selected so far are weighed and
 // returned as a valid Result with Partial set — never a panic, never nil.
 // An already-cancelled ctx yields an empty Partial result. The error is
-// reserved for real failures (a contained worker panic); cancellation is
-// not an error.
+// reserved for real failures — a query whose cost is NaN, ±Inf or
+// negative (the lowest such position is named), or a contained worker
+// panic; cancellation is not an error.
 func (c *Compressor) CompressContext(ctx context.Context, w *workload.Workload, k int) (*Result, error) {
 	start := time.Now() //lint:allow determinism Result.Elapsed timing only; greedy selection never reads the clock
 	reg := c.opts.Telemetry

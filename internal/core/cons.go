@@ -2,11 +2,7 @@ package core
 
 import (
 	"context"
-	"sync/atomic"
 
-	"isum/internal/features"
-	"isum/internal/parallel"
-	"isum/internal/telemetry"
 	"isum/internal/workload"
 )
 
@@ -24,83 +20,29 @@ import (
 // utilities U(q) = Δ(q)/ΣΔ — Algorithm 4's template-based utility pooling
 // applied before selection instead of after — so a template selected by
 // the greedy loop carries the combined weight of every query it
-// represents. ΣΔ still ranges over all queries and is reduced serially in
-// query-index order, making utilities bit-identical at any parallelism.
+// represents. Both builders share one implementation (buildStates): ΣΔ
+// still ranges over all queries and is reduced serially in query-index
+// order, making utilities bit-identical at any parallelism, and invalid
+// costs are the same error.
 //
 // On a workload with no repeated templates this is BuildStatesContext
 // with extra bookkeeping; on template-heavy million-query workloads it
 // collapses the greedy universe by orders of magnitude.
 func BuildConsedStatesContext(ctx context.Context, w *workload.Workload, opts Options) ([]*QueryState, []int, error) {
-	sp := opts.Telemetry.Start("core/build-consed-states")
+	const phase = "core/build-consed-states"
+	sp := opts.Telemetry.Start(phase)
 	defer sp.End()
 	groups := w.TemplateGroups()
 	sp.SetAttr("queries", w.Len())
 	sp.SetAttr("templates", len(groups))
-
-	workers := parallel.Workers(opts.Parallelism)
-	deltas, err := parallel.Map(ctx, workers, w.Len(), func(i int) float64 {
-		return delta(w.Queries[i], opts.Utility)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	var totalDelta float64
-	for _, d := range deltas {
-		totalDelta += d
-	}
-
-	ex := opts.extractor(w.Catalog)
-	in := opts.Interner
-	if in == nil {
-		in = features.NewInterner()
-	}
-	vecs := make([]features.Vector, len(groups))
-	var built atomic.Int64 // progress stride counter; workers emit, so Progress must be concurrency-safe
-	err = parallel.ForEach(ctx, workers, len(groups), func(g int) {
-		vecs[g] = ex.Features(w.Queries[groups[g].Indices[0]])
-		if opts.Progress != nil {
-			if d := built.Add(1); d%progressStride == 0 {
-				opts.Progress(telemetry.ProgressEvent{
-					Phase: "core/build-consed-states", Done: int(d), Total: len(groups),
-				})
-			}
-		}
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	opts.Progress.Emit(telemetry.ProgressEvent{
-		Phase: "core/build-consed-states", Done: len(groups), Total: len(groups),
-	})
-	in.AddVectors(vecs)
-	sp.SetAttr("features", in.Len())
-
-	states := make([]*QueryState, len(groups))
 	repIdx := make([]int, len(groups))
-	err = parallel.ForEach(ctx, workers, len(groups), func(g int) {
-		rep := groups[g].Indices[0]
-		repIdx[g] = rep
-		sv := in.FromMap(vecs[g])
-		states[g] = &QueryState{
-			Index:    g,
-			Query:    w.Queries[rep],
-			Vec:      sv.Clone(),
-			OrigVec:  sv,
-			Interner: in,
-		}
-	})
+	for g, grp := range groups {
+		repIdx[g] = grp.Indices[0]
+	}
+	states, err := buildStates(ctx, w, opts, phase, repIdx, func(g int) []int { return groups[g].Indices })
+	sp.SetAttr("features", featureSpace(states))
 	if err != nil {
 		return nil, nil, err
-	}
-	for g, grp := range groups {
-		var u float64
-		if totalDelta > 0 {
-			for _, i := range grp.Indices {
-				u += deltas[i] / totalDelta
-			}
-		}
-		states[g].Utility = u
-		states[g].OrigUtility = u
 	}
 	workload.RecordConsed(len(groups), w.Len()-len(groups))
 	return states, repIdx, nil

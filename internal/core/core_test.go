@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -208,6 +209,43 @@ func TestCompressEdgeCases(t *testing.T) {
 	empty := &workload.Workload{Catalog: w.Catalog}
 	if res := c.Compress(empty, 5); len(res.Indices) != 0 {
 		t.Fatal("empty workload should select nothing")
+	}
+}
+
+// TestInvalidCostRejected pins the builder's cost validation: a NaN,
+// ±Inf or negative cost makes CompressContext (with and without template
+// consing) and Incremental.ObserveContext return an error naming the
+// lowest bad position, and a failed Observe leaves the pool and the seen
+// count as they were.
+func TestInvalidCostRejected(t *testing.T) {
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		w := generatorWorkload(t, "tpch", 300)
+		const pos = 117
+		w.Queries[pos].Cost = bad
+		w.Queries[pos+100].Cost = -2 // a later bad cost: the lowest position is named
+		wantErr := func(at int) string {
+			return fmt.Sprintf("core: query %d: invalid cost %v (must be finite and >= 0)", at, bad)
+		}
+		for _, cons := range []bool{false, true} {
+			opts := DefaultOptions()
+			opts.ConsTemplates = cons
+			res, err := New(opts).CompressContext(context.Background(), w, 20)
+			if err == nil || err.Error() != wantErr(pos) || res != nil {
+				t.Fatalf("cost %v, cons %v: result %v, error %v; want error %q", bad, cons, res, err, wantErr(pos))
+			}
+		}
+
+		ic := NewIncremental(w.Catalog, DefaultOptions(), 8)
+		ic.Observe(w.Queries[:100])
+		pool, seen := ic.Pool(), ic.Seen()
+		res, err := ic.ObserveContext(context.Background(), w.Queries[100:])
+		// The candidate workload is the pool followed by the batch.
+		if want := wantErr(pool.Len() + pos - 100); err == nil || err.Error() != want || res != nil {
+			t.Fatalf("cost %v: Observe result %v, error %v; want error %q", bad, res, err, want)
+		}
+		if ic.Pool() != pool || ic.Seen() != seen {
+			t.Fatalf("cost %v: a failed Observe changed the pool or seen count (%d → %d)", bad, seen, ic.Seen())
+		}
 	}
 }
 

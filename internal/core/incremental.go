@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"isum/internal/catalog"
-	"isum/internal/features"
 	"isum/internal/workload"
 )
 
@@ -17,7 +16,10 @@ import (
 // representatives and the union is recompressed to the pool size. Carried
 // representatives keep their accumulated weights, so their utilities keep
 // reflecting the workload mass they stand for. Tuning Pool() at any time
-// approximates tuning everything observed so far.
+// approximates tuning everything observed so far. Each recompression is
+// an ordinary compression of pool ∪ batch — it builds its states and
+// feature dictionary from scratch — so its result equals
+// New(opts).Compress(pool ∪ batch, k) bit for bit.
 type Incremental struct {
 	comp *Compressor
 	k    int
@@ -32,12 +34,6 @@ func NewIncremental(cat *catalog.Catalog, opts Options, k int) *Incremental {
 	if k < 1 {
 		k = 1
 	}
-	if opts.Interner == nil {
-		// One dictionary across every recompression: carried representatives
-		// keep stable feature IDs, and the intern table only grows by each
-		// batch's genuinely new columns.
-		opts.Interner = features.NewInterner()
-	}
 	return &Incremental{
 		comp: New(opts),
 		k:    k,
@@ -47,7 +43,8 @@ func NewIncremental(cat *catalog.Catalog, opts Options, k int) *Incremental {
 }
 
 // Observe folds a batch of queries (with costs filled) into the pool and
-// returns the compression result of the recompression step.
+// returns the compression result of the recompression step. It panics
+// where ObserveContext returns an error.
 func (ic *Incremental) Observe(batch []*workload.Query) *Result {
 	res, err := ic.ObserveContext(context.Background(), batch)
 	if err != nil {
@@ -63,7 +60,8 @@ func (ic *Incremental) Observe(batch []*workload.Query) *Result {
 // has Partial set. When cancellation strikes before any selection was
 // made, the previous pool is kept unchanged (the batch still counts as
 // seen: it was observed, merely not folded into a new selection). The
-// error is reserved for real failures (contained worker panics), which
+// error is reserved for real failures — a query in pool ∪ batch whose
+// cost is NaN, ±Inf or negative, or a contained worker panic — which
 // leave the pool and seen count untouched.
 func (ic *Incremental) ObserveContext(ctx context.Context, batch []*workload.Query) (*Result, error) {
 	cand := &workload.Workload{Catalog: ic.cat}

@@ -188,3 +188,28 @@ func TestIncrementalReplayDeterministic(t *testing.T) {
 		})
 	}
 }
+
+// TestIncrementalMatchesOneShot pins that a recompression is an ordinary
+// compression: on the five generators, every Observe returns exactly what
+// New(opts).Compress(pool ∪ batch, k) returns — equal indices and rounds,
+// bit-equal weights and selection benefits. Each recompression builds its
+// own feature dictionary, so nothing carried between Observe calls but the
+// pool can move a bit.
+func TestIncrementalMatchesOneShot(t *testing.T) {
+	const n, k, batch = 473, 8, 8
+	for _, name := range []string{"tpch", "tpcds", "dsb", "realm", "scalem"} {
+		t.Run(name, func(t *testing.T) {
+			w := seededWorkload(t, name, n, 1)
+			opts := DefaultOptions()
+			ic := NewIncremental(w.Catalog, opts, k)
+			for i := 0; i < w.Len(); i += batch {
+				b := w.Queries[i:min(i+batch, w.Len())]
+				cand := &workload.Workload{Catalog: w.Catalog}
+				cand.Queries = append(append(cand.Queries, ic.Pool().Queries...), b...)
+				want := New(opts).Compress(cand, k)
+				got := ic.Observe(b)
+				t.Run(fmt.Sprintf("batch=%d", i/batch), func(t *testing.T) { sameResult(t, got, want) })
+			}
+		})
+	}
+}

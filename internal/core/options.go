@@ -106,14 +106,6 @@ type Options struct {
 	// queries to templates, so per-instance selection semantics (and k ≥ n
 	// meaning "every query") only hold with it disabled.
 	ConsTemplates bool
-	// Interner, when non-nil, is the feature dictionary BuildStates interns
-	// extracted vectors into, letting callers keep feature IDs stable
-	// across repeated compressions of overlapping workloads (the
-	// incremental pool does this). nil — the default — builds a fresh
-	// workload-scoped dictionary per BuildStates call. A shared Interner is
-	// mutated by BuildStates, so compressions sharing one must not run
-	// concurrently.
-	Interner *features.Interner
 	// rebuildSummary forces the summary features to be rebuilt from
 	// scratch every greedy round (the literal Algorithm 3 reading) instead
 	// of being maintained incrementally. A test hook: the in-package

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"isum/internal/benchmarks"
@@ -15,44 +16,180 @@ import (
 // compression pipeline as a reference oracle and pins the production
 // pipeline to it byte-for-byte: same selected indices, bitwise-equal
 // weights and selection benefits, on all four workload generators, at
-// parallelism 1 and >1. Similarities are computed with the Ref* kernels
-// (ascending interned-ID accumulation, the canonical order); everything
-// else is the literal map code the production path used before interning.
+// parallelism 1 and >1. Similarities are computed with the ref* kernels
+// below, which accumulate in ascending key order — the order of the
+// production dictionary's IDs, which are key ranks; everything else is
+// the literal map code the production path used before interning.
+
+// mapVec is a feature vector keyed by "table.column". Absent keys are
+// zero.
+type mapVec map[string]float64
+
+func (v mapVec) Clone() mapVec {
+	out := make(mapVec, len(v))
+	for k, w := range v {
+		out[k] = w
+	}
+	return out
+}
+
+func (v mapVec) AllZero() bool {
+	for _, w := range v {
+		if w > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Scale multiplies every weight by f in place and returns v.
+func (v mapVec) Scale(f float64) mapVec {
+	for k, w := range v {
+		v[k] = w * f
+	}
+	return v
+}
+
+// AddScaled adds f·other into v in place and returns v.
+func (v mapVec) AddScaled(other mapVec, f float64) mapVec {
+	for k, w := range other {
+		v[k] += w * f
+	}
+	return v
+}
+
+// SubClamped subtracts other from v in place, dropping entries that
+// reach zero or below, and returns v.
+func (v mapVec) SubClamped(other mapVec) mapVec {
+	for k, w := range other {
+		nw := v[k] - w
+		if nw <= 0 {
+			delete(v, k)
+		} else {
+			v[k] = nw
+		}
+	}
+	return v
+}
+
+// ZeroShared removes from v every key with positive weight in other.
+func (v mapVec) ZeroShared(other mapVec) mapVec {
+	for k, w := range other {
+		if w > 0 {
+			delete(v, k)
+		}
+	}
+	return v
+}
+
+// pairs returns v's entries ascending by key, the form
+// Extractor.Features returns.
+func (v mapVec) pairs() []features.Feature {
+	fs := make([]features.Feature, 0, len(v))
+	for k, w := range v {
+		fs = append(fs, features.Feature{Key: k, W: w})
+	}
+	sort.Slice(fs, func(i, j int) bool { return fs[i].Key < fs[j].Key })
+	return fs
+}
+
+// sortedKeys returns the union of the vectors' keys, ascending: the
+// oracle's dictionary, in the order production numbers it.
+func sortedKeys(vs []mapVec) []string {
+	seen := map[string]bool{}
+	var keys []string
+	for _, v := range vs {
+		for k := range v {
+			if !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
+			}
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// refWeightedJaccard is WeightedJaccard over map vectors, accumulated in
+// ascending key order. Entry-for-entry it matches
+// SparseVec.WeightedJaccard: keys only in a contribute min(aw,0) and
+// max(aw,0), keys only in b contribute bw to the max sum, and either
+// operand being empty yields 0.
+func refWeightedJaccard(a, b mapVec, keys []string) float64 {
+	if len(a) == 0 || len(b) == 0 {
+		return 0
+	}
+	var minSum, maxSum float64
+	for _, k := range keys {
+		aw, aok := a[k]
+		bw, bok := b[k]
+		switch {
+		case aok && bok:
+			minSum += math.Min(aw, bw)
+			maxSum += math.Max(aw, bw)
+		case aok:
+			minSum += math.Min(aw, 0)
+			maxSum += math.Max(aw, 0)
+		case bok:
+			maxSum += bw
+		}
+	}
+	if maxSum == 0 {
+		return 0
+	}
+	return minSum / maxSum
+}
+
+// refSummarySimilarity is the staged map computation of S(q, V′): V′ is
+// v with q's utility-scaled contribution subtracted (clamped at zero) and
+// the remainder rescaled, then compared with refWeightedJaccard.
+func refSummarySimilarity(q, v mapVec, qUtil, totalUtil float64, keys []string) float64 {
+	out := v.Clone()
+	out.SubClamped(q.Clone().Scale(qUtil))
+	reduced := totalUtil - qUtil
+	if reduced <= 0 {
+		return 0
+	}
+	out.Scale(totalUtil / reduced)
+	return refWeightedJaccard(q, out, keys)
+}
 
 // oracleState mirrors QueryState with map-shaped vectors.
 type oracleState struct {
 	idx      int
 	q        *workload.Query
-	vec      features.Vector
-	orig     features.Vector
+	vec      mapVec
+	orig     mapVec
 	util     float64
 	origUtil float64
 	selected bool
 }
 
 type oracleSummary struct {
-	v     features.Vector
+	v     mapVec
 	total float64
 }
 
 type oracleDelta struct {
 	util float64
-	vec  features.Vector
+	vec  mapVec
 }
 
-func oracleBuildStates(w *workload.Workload, opts Options) ([]*oracleState, *features.Interner) {
+func oracleBuildStates(w *workload.Workload, opts Options) ([]*oracleState, []string) {
 	ex := opts.extractor(w.Catalog)
 	states := make([]*oracleState, len(w.Queries))
 	deltas := make([]float64, len(w.Queries))
-	vecs := make([]features.Vector, len(w.Queries))
+	vecs := make([]mapVec, len(w.Queries))
 	for i, q := range w.Queries {
 		deltas[i] = delta(q, opts.Utility)
-		vecs[i] = ex.Features(q)
+		vecs[i] = mapVec{}
+		for _, f := range ex.Features(q) {
+			vecs[i][f.Key] = f.W
+		}
 	}
-	// Same single-batch dictionary construction as BuildStatesContext, so
-	// oracle and production agree on the canonical (ascending-ID) order.
-	in := features.NewInterner()
-	in.AddVectors(vecs)
+	// The sorted union of the keys: production numbers its dictionary in
+	// this order, so oracle and production accumulate in the same one.
+	keys := sortedKeys(vecs)
 	var totalDelta float64
 	for _, d := range deltas {
 		totalDelta += d
@@ -65,14 +202,14 @@ func oracleBuildStates(w *workload.Workload, opts Options) ([]*oracleState, *fea
 		s.origUtil = s.util
 		states[i] = s
 	}
-	return states, in
+	return states, keys
 }
 
-func oracleApplyUpdate(sel, q *oracleState, strategy UpdateStrategy, in *features.Interner) {
+func oracleApplyUpdate(sel, q *oracleState, strategy UpdateStrategy, keys []string) {
 	if strategy == UpdateNone {
 		return
 	}
-	sim := features.RefWeightedJaccard(sel.vec, q.vec, in)
+	sim := refWeightedJaccard(sel.vec, q.vec, keys)
 	q.util -= q.util * sim
 	if q.util < 0 {
 		q.util = 0
@@ -87,9 +224,9 @@ func oracleApplyUpdate(sel, q *oracleState, strategy UpdateStrategy, in *feature
 
 // oracleApplyUpdateWithDelta is the literal pre-SparseVec touched-map
 // delta computation.
-func oracleApplyUpdateWithDelta(sel, q *oracleState, strategy UpdateStrategy, track bool, in *features.Interner) *oracleDelta {
+func oracleApplyUpdateWithDelta(sel, q *oracleState, strategy UpdateStrategy, track bool, keys []string) *oracleDelta {
 	if !track {
-		oracleApplyUpdate(sel, q, strategy, in)
+		oracleApplyUpdate(sel, q, strategy, keys)
 		return nil
 	}
 	if strategy == UpdateNone {
@@ -100,10 +237,10 @@ func oracleApplyUpdateWithDelta(sel, q *oracleState, strategy UpdateStrategy, tr
 	for k := range sel.vec {
 		touched[k] = q.vec[k]
 	}
-	oracleApplyUpdate(sel, q, strategy, in)
+	oracleApplyUpdate(sel, q, strategy, keys)
 	newUtil := q.util
 
-	d := &oracleDelta{util: newUtil - oldUtil, vec: features.Vector{}}
+	d := &oracleDelta{util: newUtil - oldUtil, vec: mapVec{}}
 	for k, oldW := range touched {
 		if dd := newUtil*q.vec[k] - oldUtil*oldW; dd != 0 {
 			d.vec[k] = dd
@@ -126,7 +263,7 @@ func oracleApplyUpdateWithDelta(sel, q *oracleState, strategy UpdateStrategy, tr
 }
 
 func oracleBuildSummary(states []*oracleState) *oracleSummary {
-	ss := &oracleSummary{v: features.Vector{}}
+	ss := &oracleSummary{v: mapVec{}}
 	for _, s := range states {
 		if s.selected {
 			continue
@@ -171,7 +308,7 @@ func oracleCompress(w *workload.Workload, k int, opts Options) *Result {
 	if k > n {
 		k = n
 	}
-	states, in := oracleBuildStates(w, opts)
+	states, keys := oracleBuildStates(w, opts)
 	summary := opts.Algorithm != AllPairs
 	incremental := summary && !opts.rebuildSummary
 	var ss *oracleSummary
@@ -194,11 +331,11 @@ func oracleCompress(w *workload.Workload, k int, opts Options) *Result {
 					if qj == s || qj.selected {
 						continue
 					}
-					b += features.RefWeightedJaccard(s.vec, qj.vec, in) * qj.util
+					b += refWeightedJaccard(s.vec, qj.vec, keys) * qj.util
 				}
 				benefits[i] = b
 			} else {
-				benefits[i] = s.util + features.RefSummarySimilarity(s.vec, ss.v, s.util, ss.total, in)
+				benefits[i] = s.util + refSummarySimilarity(s.vec, ss.v, s.util, ss.total, keys)
 			}
 		}
 		const benefitEps = 1e-9
@@ -231,7 +368,7 @@ func oracleCompress(w *workload.Workload, k int, opts Options) *Result {
 			if s.selected {
 				continue
 			}
-			d := oracleApplyUpdateWithDelta(best, s, opts.Update, incremental, in)
+			d := oracleApplyUpdateWithDelta(best, s, opts.Update, incremental, keys)
 			if incremental && d != nil {
 				for dk, dw := range d.vec {
 					ss.v[dk] += dw
@@ -240,11 +377,11 @@ func oracleCompress(w *workload.Workload, k int, opts Options) *Result {
 			}
 		}
 	}
-	res.Weights = oracleWeigh(states, res, opts, in)
+	res.Weights = oracleWeigh(states, res, opts, keys)
 	return res
 }
 
-func oracleWeigh(states []*oracleState, res *Result, opts Options, in *features.Interner) []float64 {
+func oracleWeigh(states []*oracleState, res *Result, opts Options, keys []string) []float64 {
 	k := len(res.Indices)
 	if k == 0 {
 		return nil
@@ -259,11 +396,11 @@ func oracleWeigh(states []*oracleState, res *Result, opts Options, in *features.
 	case WeighSelectionBenefit:
 		return normalizeWeights(res.SelectionBenefits)
 	default:
-		return oracleRecalibrate(states, res, opts.Weighing == WeighTemplateRecalibrated, in)
+		return oracleRecalibrate(states, res, opts.Weighing == WeighTemplateRecalibrated, keys)
 	}
 }
 
-func oracleRecalibrate(states []*oracleState, res *Result, useTemplates bool, in *features.Interner) []float64 {
+func oracleRecalibrate(states []*oracleState, res *Result, useTemplates bool, keys []string) []float64 {
 	selectedSet := map[int]bool{}
 	for _, idx := range res.Indices {
 		selectedSet[idx] = true
@@ -296,7 +433,7 @@ func oracleRecalibrate(states []*oracleState, res *Result, useTemplates bool, in
 	}
 
 	type uState struct {
-		vec  features.Vector
+		vec  mapVec
 		util float64
 	}
 	var wu []*uState
@@ -311,13 +448,13 @@ func oracleRecalibrate(states []*oracleState, res *Result, useTemplates bool, in
 	benefit := map[int]float64{}
 	total := 0.0
 	for len(remaining) > 0 {
-		summary := features.Vector{}
+		summary := mapVec{}
 		for _, u := range wu {
 			summary.AddScaled(u.vec, u.util)
 		}
 		bestPos, bestB := -1, -1.0
 		for pos, idx := range remaining {
-			b := utility[idx] + features.RefWeightedJaccard(states[idx].orig, summary, in)
+			b := utility[idx] + refWeightedJaccard(states[idx].orig, summary, keys)
 			if b > bestB+1e-9 {
 				bestB, bestPos = b, pos
 			}
@@ -328,7 +465,7 @@ func oracleRecalibrate(states []*oracleState, res *Result, useTemplates bool, in
 		total += bestB
 		chosenVec := states[idx].orig
 		for _, u := range wu {
-			sim := features.RefWeightedJaccard(chosenVec, u.vec, in)
+			sim := refWeightedJaccard(chosenVec, u.vec, keys)
 			u.util -= u.util * sim
 			u.vec.ZeroShared(chosenVec)
 		}

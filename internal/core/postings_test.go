@@ -39,7 +39,7 @@ func fuzzUpdatePair(data []byte) (pick, state, pickCtl, stateCtl features.Sparse
 	const slots = 16
 	shared := int(next()) % slots
 	key := func(j int) string { return fmt.Sprintf("t.c%02d", j) }
-	p, s := features.Vector{}, features.Vector{}
+	p, s := mapVec{}, mapVec{}
 	for j := 0; j < slots; j++ {
 		role, b := next()%3, next()
 		w := 0.0
@@ -55,16 +55,30 @@ func fuzzUpdatePair(data []byte) (pick, state, pickCtl, stateCtl features.Sparse
 		}
 	}
 	util = float64(next()) / 255
-	pc, sc := features.Vector{key(shared): 0.5}, features.Vector{key(shared): 0.75}
+	pc, sc := mapVec{key(shared): 0.5}, mapVec{key(shared): 0.75}
 	for k, w := range p {
 		pc[k] = w
 	}
 	for k, w := range s {
 		sc[k] = w
 	}
-	in := features.NewInterner()
-	in.AddVectors([]features.Vector{pc, sc})
-	return in.FromMap(p), in.FromMap(s), in.FromMap(pc), in.FromMap(sc), util
+	_, vs := internMaps(pc, sc, p, s)
+	return vs[2], vs[3], vs[0], vs[1], util
+}
+
+// internMaps builds one dictionary over the vectors' keys, as a state
+// build does, and converts each vector under it.
+func internMaps(ms ...mapVec) (*features.Interner, []features.SparseVec) {
+	batch := make([][]features.Feature, len(ms))
+	for i, m := range ms {
+		batch[i] = m.pairs()
+	}
+	in := features.NewInterner(batch)
+	vs := make([]features.SparseVec, len(ms))
+	for i, fs := range batch {
+		vs[i] = in.FromFeatures(fs)
+	}
+	return in, vs
 }
 
 // FuzzSkippedUpdateIsNoop checks the lemma the posting-list sweeps rest
@@ -112,33 +126,30 @@ func FuzzSkippedUpdateIsNoop(f *testing.F) {
 // duplicate-free union of the lists under a vector's IDs, filtered by
 // keep, on a hand-built universe.
 func TestPostingsTouched(t *testing.T) {
-	in := features.NewInterner()
-	raw := []features.Vector{
-		{"a.x": 1, "a.y": 0.5},
-		{"a.y": 1},
-		{"b.z": 1},
-		{"a.x": 0, "b.z": 0.25},
-		{},
-	}
-	in.AddVectors(raw)
-	states := make([]*QueryState, len(raw))
-	for i, v := range raw {
-		sv := in.FromMap(v)
+	in, vs := internMaps(
+		mapVec{"a.x": 1, "a.y": 0.5},
+		mapVec{"a.y": 1},
+		mapVec{"b.z": 1},
+		mapVec{"a.x": 0, "b.z": 0.25},
+		mapVec{},
+	)
+	states := make([]*QueryState, len(vs))
+	for i, sv := range vs {
 		states[i] = &QueryState{Index: i, Vec: sv.Clone(), OrigVec: sv, Interner: in}
 	}
 	idx := buildPostings(states)
 	all := func(int32) bool { return true }
 	for _, tc := range []struct {
-		vec  features.Vector
+		vec  mapVec
 		keep func(int32) bool
 		want []int32
 	}{
-		{features.Vector{"a.x": 1}, all, []int32{0, 3}},
-		{features.Vector{"a.y": 1, "b.z": 1}, all, []int32{0, 1, 2, 3}},
-		{features.Vector{"a.x": 1, "a.y": 1}, func(i int32) bool { return i != 0 }, []int32{1, 3}},
-		{features.Vector{}, all, nil},
+		{mapVec{"a.x": 1}, all, []int32{0, 3}},
+		{mapVec{"a.y": 1, "b.z": 1}, all, []int32{0, 1, 2, 3}},
+		{mapVec{"a.x": 1, "a.y": 1}, func(i int32) bool { return i != 0 }, []int32{1, 3}},
+		{mapVec{}, all, nil},
 	} {
-		got := idx.touched(in.FromMap(tc.vec), tc.keep)
+		got := idx.touched(in.FromFeatures(tc.vec.pairs()), tc.keep)
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("touched(%v) = %v, want %v", tc.vec, got, tc.want)
 		}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -37,9 +39,9 @@ type QueryState struct {
 	// Selected marks membership in the compressed workload.
 	Selected bool
 
-	// Interner is the workload-scoped feature dictionary shared by every
-	// state built in the same BuildStates call; it maps the IDs in
-	// Vec/OrigVec back to "table.column" keys.
+	// Interner is the feature dictionary shared by every state built in
+	// the same BuildStates call; it maps the IDs in Vec/OrigVec back to
+	// "table.column" keys.
 	Interner *features.Interner
 }
 
@@ -67,9 +69,10 @@ func delta(q *workload.Query, mode UtilityMode) float64 {
 
 // BuildStates computes the initial per-query states for a workload:
 // feature vectors via the configured extractor and normalised utilities
-// U(q) = Δ(q)/ΣΔ (Definition 2). Feature extraction and Δ computation fan
-// out across opts.Parallelism workers; ΣΔ is reduced serially in query
-// order, so utilities are bit-identical at any parallelism.
+// U(q) = Δ(q)/ΣΔ (Definition 2). Feature extraction fans out across
+// opts.Parallelism workers; ΣΔ is reduced serially in query order, so
+// utilities are bit-identical at any parallelism. It panics where
+// BuildStatesContext returns an error.
 func BuildStates(w *workload.Workload, opts Options) []*QueryState {
 	states, err := BuildStatesContext(context.Background(), w, opts)
 	if err != nil {
@@ -78,73 +81,94 @@ func BuildStates(w *workload.Workload, opts Options) []*QueryState {
 	return states
 }
 
-// BuildStatesContext is BuildStates with cancellation: a cancelled ctx
-// aborts the feature-extraction sweep and returns the context's error
-// (states built so far are discarded — partially built states are not
-// meaningful), and a contained worker panic surfaces as a *PanicError.
-//
-// Extraction produces map-shaped vectors; their keys are interned into
-// the workload dictionary (opts.Interner if set, else a fresh one) in a
-// single serial batch, and the vectors are converted to sorted SparseVec
-// form in a second parallel sweep. Batch interning is what makes IDs —
-// and so every downstream merge-join — reproducible across runs.
+// BuildStatesContext is BuildStates with cancellation and validation: a
+// cancelled ctx aborts the feature-extraction sweep and returns the
+// context's error (states built so far are discarded — partially built
+// states are not meaningful), a query whose cost is NaN, ±Inf or
+// negative is an error naming its position, and a contained worker panic
+// surfaces as a *PanicError.
 func BuildStatesContext(ctx context.Context, w *workload.Workload, opts Options) ([]*QueryState, error) {
-	sp := opts.Telemetry.Start("core/build-states")
+	const phase = "core/build-states"
+	sp := opts.Telemetry.Start(phase)
 	defer sp.End()
 	sp.SetAttr("n", len(w.Queries))
+	reps := make([]int, len(w.Queries))
+	for i := range reps {
+		reps[i] = i
+	}
+	states, err := buildStates(ctx, w, opts, phase, reps, func(g int) []int { return reps[g : g+1] })
+	sp.SetAttr("features", featureSpace(states))
+	return states, err
+}
+
+// buildStates is the one state builder behind BuildStatesContext and
+// BuildConsedStatesContext. It builds state g from the query at workload
+// position reps[g] — every query, or each template's first instance —
+// and gives it the pooled utility Σ Δ(q_i)/ΣΔ over i ∈ members(g). phase
+// names its progress events.
+//
+// ΣΔ ranges over every query and is reduced serially in query order, so
+// utilities are bit-identical at any parallelism; the same loop rejects
+// invalid costs, so the lowest bad position is the one reported. Each
+// pooled sum starts at +0, so a singleton group's utility is Δ/ΣΔ bit for
+// bit (+0 for a −0 cost): utilities are never negative, which the
+// posting-list sweeps rely on (DESIGN.md §20).
+//
+// Extraction runs on the worker pool and yields key-sorted pairs. Their
+// keys are interned into one fresh dictionary, serially, and a second
+// parallel sweep converts each state's pairs to a SparseVec. Interning
+// the sorted union is what makes IDs — and so every downstream
+// merge-join — reproducible across runs (DESIGN.md §11).
+func buildStates(ctx context.Context, w *workload.Workload, opts Options, phase string, reps []int, members func(g int) []int) ([]*QueryState, error) {
+	deltas := make([]float64, len(w.Queries))
+	var totalDelta float64
+	for i, q := range w.Queries {
+		if math.IsNaN(q.Cost) || math.IsInf(q.Cost, 0) || q.Cost < 0 {
+			return nil, fmt.Errorf("core: query %d: invalid cost %v (must be finite and >= 0)", i, q.Cost)
+		}
+		deltas[i] = delta(q, opts.Utility)
+		totalDelta += deltas[i]
+	}
 
 	ex := opts.extractor(w.Catalog)
-	in := opts.Interner
-	if in == nil {
-		in = features.NewInterner()
-	}
-	states := make([]*QueryState, len(w.Queries))
-	deltas := make([]float64, len(w.Queries))
-	vecs := make([]features.Vector, len(w.Queries))
+	feats := make([][]features.Feature, len(reps))
 	workers := parallel.Workers(opts.Parallelism)
 	var built atomic.Int64 // progress stride counter; workers emit, so Progress must be concurrency-safe
-	err := parallel.ForEach(ctx, workers, len(w.Queries), func(i int) {
-		q := w.Queries[i]
-		deltas[i] = delta(q, opts.Utility)
-		vecs[i] = ex.Features(q)
+	err := parallel.ForEach(ctx, workers, len(reps), func(g int) {
+		feats[g] = ex.Features(w.Queries[reps[g]])
 		if opts.Progress != nil {
 			if d := built.Add(1); d%progressStride == 0 {
-				opts.Progress(telemetry.ProgressEvent{
-					Phase: "core/build-states", Done: int(d), Total: len(w.Queries),
-				})
+				opts.Progress(telemetry.ProgressEvent{Phase: phase, Done: int(d), Total: len(reps)})
 			}
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	opts.Progress.Emit(telemetry.ProgressEvent{
-		Phase: "core/build-states", Done: len(w.Queries), Total: len(w.Queries),
-	})
-	in.AddVectors(vecs)
-	sp.SetAttr("features", in.Len())
-	err = parallel.ForEach(ctx, workers, len(w.Queries), func(i int) {
-		sv := in.FromMap(vecs[i])
-		states[i] = &QueryState{
-			Index:    i,
-			Query:    w.Queries[i],
-			Vec:      sv.Clone(),
-			OrigVec:  sv,
-			Interner: in,
+	opts.Progress.Emit(telemetry.ProgressEvent{Phase: phase, Done: len(reps), Total: len(reps)})
+
+	in := features.NewInterner(feats)
+	states := make([]*QueryState, len(reps))
+	err = parallel.ForEach(ctx, workers, len(reps), func(g int) {
+		sv := in.FromFeatures(feats[g])
+		var u float64
+		if totalDelta > 0 {
+			for _, i := range members(g) {
+				u += deltas[i] / totalDelta
+			}
+		}
+		states[g] = &QueryState{
+			Index:       g,
+			Query:       w.Queries[reps[g]],
+			Vec:         sv.Clone(),
+			Utility:     u,
+			OrigVec:     sv,
+			OrigUtility: u,
+			Interner:    in,
 		}
 	})
 	if err != nil {
 		return nil, err
-	}
-	var totalDelta float64
-	for _, d := range deltas {
-		totalDelta += d
-	}
-	for i, s := range states {
-		if totalDelta > 0 {
-			s.Utility = deltas[i] / totalDelta
-		}
-		s.OrigUtility = s.Utility
 	}
 	return states, nil
 }

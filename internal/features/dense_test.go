@@ -3,6 +3,7 @@ package features
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -41,7 +42,7 @@ func TestDenseVecSnapshot(t *testing.T) {
 // rounding slack, far below the greedy's 1e-9 tie-break tolerance.
 func TestBenefitBoundTight(t *testing.T) {
 	am, bm, in := synthVecs(24, 20, 10)
-	a, b := in.FromMap(am), in.FromMap(bm)
+	a, b := sparse(in, am), sparse(in, bm)
 	d := NewDenseVec(in.Len())
 	d.AddScaled(a, 0.4)
 	d.AddScaled(b, 0.6)
@@ -77,20 +78,21 @@ func FuzzSummaryBound(f *testing.F) {
 		qUtil, totalUtil = fuzzClean(qUtil), fuzzClean(totalUtil)
 		rng := rand.New(rand.NewSource(seed))
 		const space = 96
-		// sparse draws up to n distinct IDs in [0, space), ascending.
-		sparse := func(n int, weight func() float64) SparseVec {
+		// draw draws up to n distinct IDs in [0, space), ascending.
+		draw := func(n int, weight func() float64) SparseVec {
+			ids := rng.Perm(space)[:n%space]
+			slices.Sort(ids)
 			var v SparseVec
-			for _, id := range rng.Perm(space)[:n%space] {
+			for _, id := range ids {
 				v.ids = append(v.ids, uint32(id))
 				v.ws = append(v.ws, weight())
 			}
-			v.sortByID()
 			return v
 		}
 		d := NewDenseVec(space)
 		// Contributions with explicit zeros and residues, then removals
 		// that cancel some slots exactly and leave others near zero.
-		d.AddScaled(sparse(int(nv), func() float64 {
+		d.AddScaled(draw(int(nv), func() float64 {
 			switch rng.Intn(8) {
 			case 0:
 				return 0
@@ -102,9 +104,9 @@ func FuzzSummaryBound(f *testing.F) {
 			return rng.Float64() * 2
 		}), 1)
 		for r := 0; r < 3; r++ {
-			d.AddScaled(sparse(int(nv)/2, rng.Float64), -rng.Float64())
+			d.AddScaled(draw(int(nv)/2, rng.Float64), -rng.Float64())
 		}
-		q := sparse(int(nq%24), func() float64 {
+		q := draw(int(nq%24), func() float64 {
 			if rng.Intn(8) == 0 {
 				return 0
 			}

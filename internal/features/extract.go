@@ -1,6 +1,7 @@
 package features
 
 import (
+	"sort"
 	"strings"
 
 	"isum/internal/catalog"
@@ -51,6 +52,13 @@ const (
 	PosOrderBy
 )
 
+// Feature is one entry of a query's feature vector (Definition 6): an
+// indexable column's key ("table.column") and its weight.
+type Feature struct {
+	Key string
+	W   float64
+}
+
 // Extractor computes query feature vectors against a catalog.
 type Extractor struct {
 	Cat  *catalog.Catalog
@@ -79,14 +87,15 @@ type columnRole struct {
 }
 
 // Features returns the query's feature vector (Definition 6): one weight
-// per indexable column, normalised per Norm.
-func (e *Extractor) Features(q *workload.Query) Vector {
+// per indexable column, normalised per Norm, as pairs in ascending key
+// order. Columns whose weight is not positive are left out.
+func (e *Extractor) Features(q *workload.Query) []Feature {
 	if q.Info == nil {
-		return Vector{}
+		return nil
 	}
 	roles := e.collectRoles(q.Info)
 	if len(roles) == 0 {
-		return Vector{}
+		return nil
 	}
 
 	// Per-table position counts for the rule-based candidate counting.
@@ -111,8 +120,14 @@ func (e *Extractor) Features(q *workload.Query) Vector {
 		}
 	}
 
-	v := make(Vector, len(roles))
-	for key, r := range roles {
+	keys := make([]string, 0, len(roles))
+	for key := range roles {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	fs := make([]Feature, 0, len(keys))
+	for _, key := range keys {
+		r := roles[key]
 		var w float64
 		switch e.Mode {
 		case StatsBased:
@@ -124,10 +139,10 @@ func (e *Extractor) Features(q *workload.Query) Vector {
 			w *= e.Cat.TableWeight(r.cu.Table)
 		}
 		if w > 0 {
-			v[key] = w
+			fs = append(fs, Feature{Key: key, W: w})
 		}
 	}
-	return e.normalize(v)
+	return e.normalize(fs)
 }
 
 // positionCounts holds per-table counts of columns in each position.
@@ -222,36 +237,33 @@ func (e *Extractor) collectRoles(info *workload.Info) map[string]*columnRole {
 	return roles
 }
 
-func (e *Extractor) normalize(v Vector) Vector {
-	if len(v) == 0 || e.Norm == NormNone {
-		return v
+// normalize divides every weight by the query's maximum weight (or, under
+// NormMinMaxPaper, by max − min). Min, max and each divide are independent
+// of the pairs' order.
+func (e *Extractor) normalize(fs []Feature) []Feature {
+	if len(fs) == 0 || e.Norm == NormNone {
+		return fs
 	}
-	var minW, maxW float64
-	first := true
-	for _, w := range v {
-		if first {
-			minW, maxW = w, w
-			first = false
-			continue
+	minW, maxW := fs[0].W, fs[0].W
+	for _, f := range fs[1:] {
+		if f.W < minW {
+			minW = f.W
 		}
-		if w < minW {
-			minW = w
-		}
-		if w > maxW {
-			maxW = w
+		if f.W > maxW {
+			maxW = f.W
 		}
 	}
 	if maxW <= 0 {
-		return v
+		return fs
 	}
 	denom := maxW
 	if e.Norm == NormMinMaxPaper && maxW > minW {
 		denom = maxW - minW
 	}
-	for k, w := range v {
-		v[k] = w / denom
+	for i := range fs {
+		fs[i].W /= denom
 	}
-	return v
+	return fs
 }
 
 func max64(a, b float64) float64 {

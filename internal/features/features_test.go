@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"isum/internal/benchmarks"
 	"isum/internal/catalog"
 	"isum/internal/workload"
 )
@@ -36,25 +37,27 @@ func q(t *testing.T, cat *catalog.Catalog, sql string) *workload.Query {
 }
 
 func TestWeightedJaccardProperties(t *testing.T) {
-	a := Vector{"x": 1, "y": 0.5}
-	b := Vector{"x": 0.5, "z": 1}
-	s := WeightedJaccard(a, b)
+	am := mapVec{"x": 1, "y": 0.5}
+	bm := mapVec{"x": 0.5, "z": 1}
+	in := internMaps(am, bm)
+	a, b := sparse(in, am), sparse(in, bm)
+	s := a.WeightedJaccard(b)
 	// min: x→0.5; max: x→1, y→0.5, z→1 → 0.5/2.5
 	if math.Abs(s-0.2) > 1e-12 {
 		t.Fatalf("jaccard = %f, want 0.2", s)
 	}
-	if WeightedJaccard(a, a) != 1 {
+	if a.WeightedJaccard(a) != 1 {
 		t.Fatal("self similarity must be 1")
 	}
-	if WeightedJaccard(a, Vector{}) != 0 || WeightedJaccard(Vector{}, b) != 0 {
+	if a.WeightedJaccard(SparseVec{}) != 0 || (SparseVec{}).WeightedJaccard(b) != 0 {
 		t.Fatal("empty vector similarity must be 0")
 	}
 }
 
 func TestWeightedJaccardQuickProperties(t *testing.T) {
-	gen := func(seed int64) Vector {
+	gen := func(seed int64) mapVec {
 		rng := rand.New(rand.NewSource(seed))
-		v := Vector{}
+		v := mapVec{}
 		n := rng.Intn(8)
 		for i := 0; i < n; i++ {
 			v["f"+strconv.Itoa(rng.Intn(10))] = rng.Float64() + 0.01
@@ -62,17 +65,23 @@ func TestWeightedJaccardQuickProperties(t *testing.T) {
 		return v
 	}
 	f := func(s1, s2 int64) bool {
-		a, b := gen(s1), gen(s2)
-		s := WeightedJaccard(a, b)
+		am, bm := gen(s1), gen(s2)
+		in := internMaps(am, bm)
+		a, b := sparse(in, am), sparse(in, bm)
+		s := a.WeightedJaccard(b)
 		if s < 0 || s > 1 {
 			return false
 		}
 		// Symmetry.
-		if math.Abs(s-WeightedJaccard(b, a)) > 1e-12 {
+		if math.Abs(s-b.WeightedJaccard(a)) > 1e-12 {
 			return false
 		}
 		// Identity.
-		if len(a) > 0 && WeightedJaccard(a, a) != 1 {
+		if a.Len() > 0 && a.WeightedJaccard(a) != 1 {
+			return false
+		}
+		// Empty operand.
+		if a.WeightedJaccard(SparseVec{}) != 0 || (SparseVec{}).WeightedJaccard(a) != 0 {
 			return false
 		}
 		return true
@@ -82,47 +91,13 @@ func TestWeightedJaccardQuickProperties(t *testing.T) {
 	}
 }
 
-func TestVectorOps(t *testing.T) {
-	v := Vector{"a": 1, "b": 2}
-	c := v.Clone()
-	c["a"] = 9
-	if v["a"] != 1 {
-		t.Fatal("clone not isolated")
-	}
-	if v.Sum() != 3 {
-		t.Fatalf("sum = %f", v.Sum())
-	}
-	v.Scale(2)
-	if v["b"] != 4 {
-		t.Fatal("scale failed")
-	}
-	v.AddScaled(Vector{"c": 1}, 0.5)
-	if v["c"] != 0.5 {
-		t.Fatal("addscaled failed")
-	}
-	v.SubClamped(Vector{"b": 10, "c": 0.1})
-	if _, ok := v["b"]; ok {
-		t.Fatal("subclamped should drop non-positive entries")
-	}
-	if math.Abs(v["c"]-0.4) > 1e-12 {
-		t.Fatalf("c = %f", v["c"])
-	}
-	v.ZeroShared(Vector{"a": 1})
-	if _, ok := v["a"]; ok {
-		t.Fatal("zeroshared failed")
-	}
-	if !(Vector{}).AllZero() || (Vector{"x": 1}).AllZero() {
-		t.Fatal("allzero broken")
-	}
-}
-
 func TestExtractFeatureKeys(t *testing.T) {
 	cat := testCatalog()
 	ex := NewExtractor(cat)
 	query := q(t, cat, `SELECT o_totalprice FROM customer, orders
 		WHERE c_custkey = o_custkey AND c_nationkey = 7
 		GROUP BY o_totalprice ORDER BY o_totalprice`)
-	v := ex.Features(query)
+	v := asMap(ex.Features(query))
 	for _, want := range []string{"customer.c_custkey", "orders.o_custkey", "customer.c_nationkey", "orders.o_totalprice"} {
 		if v[want] <= 0 {
 			t.Fatalf("feature %q missing: %v", want, v)
@@ -143,7 +118,7 @@ func TestRuleWeightsOrdering(t *testing.T) {
 	// use a cleaner query instead:
 	query = q(t, cat, `SELECT o_custkey FROM customer, orders
 		WHERE c_custkey = o_custkey AND o_totalprice > 100 ORDER BY o_orderdate`)
-	v := ex.Features(query)
+	v := asMap(ex.Features(query))
 	// Selection (o_totalprice) and join (o_custkey) columns should outweigh
 	// the order-by column (o_orderdate), per Section 4.2.
 	if v["orders.o_orderdate"] >= v["orders.o_totalprice"] {
@@ -163,8 +138,8 @@ func TestTableWeightEffect(t *testing.T) {
 	without := NewExtractor(cat)
 	without.UseTableWeight = false
 	query := q(t, cat, `SELECT 1 FROM customer, orders WHERE c_nationkey = 3 AND o_totalprice > 100`)
-	vw := with.Features(query)
-	vo := without.Features(query)
+	vw := asMap(with.Features(query))
+	vo := asMap(without.Features(query))
 	// orders has 10× the rows of customer: with table weighting the orders
 	// column must dominate after normalisation.
 	if vw["orders.o_totalprice"] <= vw["customer.c_nationkey"] {
@@ -183,7 +158,7 @@ func TestStatsBasedWeights(t *testing.T) {
 	ex.Mode = StatsBased
 	ex.UseTableWeight = false
 	query := q(t, cat, `SELECT 1 FROM orders WHERE o_orderkey = 77 AND o_totalprice > 100`)
-	v := ex.Features(query)
+	v := asMap(ex.Features(query))
 	// o_orderkey equality is far more selective than the (unselective)
 	// price range, so it should carry more weight.
 	if v["orders.o_orderkey"] <= v["orders.o_totalprice"] {
@@ -196,7 +171,7 @@ func TestNormalizationModes(t *testing.T) {
 	ex := NewExtractor(cat)
 	query := q(t, cat, `SELECT 1 FROM orders WHERE o_custkey = 5 AND o_totalprice > 100 ORDER BY o_orderdate`)
 
-	v := ex.Features(query)
+	v := asMap(ex.Features(query))
 	var maxW float64
 	for _, w := range v {
 		if w > maxW {
@@ -208,7 +183,7 @@ func TestNormalizationModes(t *testing.T) {
 	}
 
 	ex.Norm = NormNone
-	raw := ex.Features(query)
+	raw := asMap(ex.Features(query))
 	for _, w := range raw {
 		if w > 1 {
 			t.Fatalf("raw rule weights must be ≤ 1: %v", raw)
@@ -222,6 +197,48 @@ func TestNormalizationModes(t *testing.T) {
 	}
 }
 
+// TestFeaturesMatchMapReference pins extraction to the map assembly it
+// replaced (refFeatures): on every query of the five generators' seed-1
+// workloads, under both weight modes, all three normalisations and with
+// table weights on and off, Features returns the reference's keys in
+// strictly ascending order with bit-equal weights.
+func TestFeaturesMatchMapReference(t *testing.T) {
+	const n = 500
+	for _, name := range []string{"tpch", "tpcds", "dsb", "realm", "scalem"} {
+		gen, err := benchmarks.FromName(name, 10, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := gen.Workload(n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []WeightMode{RuleBased, StatsBased} {
+			for _, norm := range []NormMode{NormMax, NormMinMaxPaper, NormNone} {
+				for _, table := range []bool{true, false} {
+					ex := &Extractor{Cat: gen.Cat, Mode: mode, Norm: norm, UseTableWeight: table}
+					for i, q := range w.Queries {
+						got, want := ex.Features(q), refFeatures(ex, q)
+						if len(got) != len(want) {
+							t.Fatalf("%s mode=%d norm=%d table=%v query %d: %d features, reference %d", name, mode, norm, table, i, len(got), len(want))
+						}
+						for j, f := range got {
+							if j > 0 && !(got[j-1].Key < f.Key) {
+								t.Fatalf("%s mode=%d norm=%d table=%v query %d: keys out of order at %d: %q then %q", name, mode, norm, table, i, j, got[j-1].Key, f.Key)
+							}
+							rw, ok := want[f.Key]
+							if !ok || math.Float64bits(f.W) != math.Float64bits(rw) {
+								t.Fatalf("%s mode=%d norm=%d table=%v query %d: %s = %x (%v), reference %x (%v, present %v)", name, mode, norm, table, i, f.Key,
+									math.Float64bits(f.W), f.W, math.Float64bits(rw), rw, ok)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestFeaturesEmptyForNoPredicates(t *testing.T) {
 	cat := testCatalog()
 	ex := NewExtractor(cat)
@@ -231,43 +248,32 @@ func TestFeaturesEmptyForNoPredicates(t *testing.T) {
 	}
 }
 
-func TestSummaryFeatures(t *testing.T) {
-	vecs := []Vector{
-		{"a": 1, "b": 0.5},
-		{"b": 1},
-	}
-	utils := []float64{0.75, 0.25}
-	v := Summary(vecs, utils)
-	if math.Abs(v["a"]-0.75) > 1e-12 {
-		t.Fatalf("a = %f", v["a"])
-	}
-	if math.Abs(v["b"]-(0.5*0.75+0.25)) > 1e-12 {
-		t.Fatalf("b = %f", v["b"])
-	}
-}
-
+// TestExcludeFromSummary pins S(q, V′) on a hand-computed case: V′
+// excludes q's utility-scaled contribution from the summary V and rescales
+// the remainder, so it is exactly the summary of the other queries.
 func TestExcludeFromSummary(t *testing.T) {
-	vecs := []Vector{
-		{"a": 1, "b": 0.5},
-		{"b": 1, "c": 1},
-	}
+	q0m := mapVec{"a": 1, "b": 0.5}
+	q1m := mapVec{"b": 1, "c": 1}
+	in := internMaps(q0m, q1m)
+	q0, q1 := sparse(in, q0m), sparse(in, q1m)
 	utils := []float64{0.6, 0.4}
-	v := Summary(vecs, utils)
-	// Excluding query 0 should leave exactly the summary of query 1 scaled
-	// back to total utility 1.
-	vExcl := ExcludeFromSummary(v, vecs[0], utils[0], 1.0)
-	want := vecs[1].Clone().Scale(utils[1] * (1.0 / 0.4))
-	for k, w := range want {
-		if math.Abs(vExcl[k]-w) > 1e-9 {
-			t.Fatalf("excl[%s] = %f, want %f (full: %v)", k, vExcl[k], w, vExcl)
-		}
+	v := NewDenseVec(in.Len())
+	v.AddScaled(q0, utils[0])
+	v.AddScaled(q1, utils[1])
+	// V = {a: 0.6, b: 0.7, c: 0.4}; excluding q0 leaves V′ = q1 (a drops
+	// out, b and c rescale to 1), so S(q0, V′) = WeightedJaccard(q0, q1):
+	// Σmin = 0.5 (b), Σmax = 1 + 1 + 1 → 1/6.
+	if got := SummarySimilarity(q0, v.Snapshot(), utils[0], 1.0); math.Abs(got-1.0/6.0) > 1e-9 {
+		t.Fatalf("S(q0, V′) = %v, want 1/6", got)
 	}
-	if _, ok := vExcl["a"]; ok {
-		t.Fatalf("a should vanish: %v", vExcl)
+	if got, want := SummarySimilarity(q0, v.Snapshot(), utils[0], 1.0), q0.WeightedJaccard(q1); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("S(q0, V′) = %v, want WeightedJaccard(q0, q1) = %v", got, want)
 	}
-	// Excluding the only query yields empty.
-	if got := ExcludeFromSummary(Summary(vecs[:1], utils[:1]), vecs[0], 0.6, 0.6); len(got) != 0 {
-		t.Fatalf("sole-query exclusion = %v", got)
+	// Excluding the only query leaves nothing to be similar to.
+	sole := NewDenseVec(in.Len())
+	sole.AddScaled(q0, 0.6)
+	if got := SummarySimilarity(q0, sole.Snapshot(), 0.6, 0.6); got != 0 {
+		t.Fatalf("sole-query exclusion similarity = %v, want 0", got)
 	}
 }
 
@@ -306,12 +312,14 @@ func TestSetJaccard(t *testing.T) {
 }
 
 func TestPlainJaccardVector(t *testing.T) {
-	a := Vector{"x": 1, "y": 0.2}
-	b := Vector{"y": 5, "z": 3}
-	if got := Jaccard(a, b); math.Abs(got-1.0/3.0) > 1e-12 {
+	am := mapVec{"x": 1, "y": 0.2}
+	bm := mapVec{"y": 5, "z": 3}
+	in := internMaps(am, bm)
+	a, b := sparse(in, am), sparse(in, bm)
+	if got := a.Jaccard(b); math.Abs(got-1.0/3.0) > 1e-12 {
 		t.Fatalf("jaccard = %f", got)
 	}
-	if Jaccard(a, Vector{}) != 0 {
+	if a.Jaccard(SparseVec{}) != 0 {
 		t.Fatal("empty must be 0")
 	}
 }
@@ -331,7 +339,7 @@ func TestRuleWeightExactValues(t *testing.T) {
 	ex.Norm = NormNone
 	query := q(t, cat, `SELECT 1 FROM customer, orders
 		WHERE c_custkey = o_custkey AND o_totalprice > 100 ORDER BY o_orderdate`)
-	v := ex.Features(query)
+	v := asMap(ex.Features(query))
 	// orders has S=1 (o_totalprice), J=1 (o_custkey), O=1 (o_orderdate).
 	checks := map[string]float64{
 		"orders.o_totalprice": 5.0 / 7.0,
@@ -354,7 +362,7 @@ func TestRuleWeightGroupOnlyQuery(t *testing.T) {
 	ex := NewExtractor(cat)
 	ex.UseTableWeight = false
 	query := q(t, cat, "SELECT o_orderdate, COUNT(*) FROM orders GROUP BY o_orderdate")
-	v := ex.Features(query)
+	v := asMap(ex.Features(query))
 	if math.Abs(v["orders.o_orderdate"]-1) > 1e-12 {
 		t.Fatalf("group-only weight = %v", v)
 	}

@@ -2,66 +2,65 @@ package features
 
 import "sort"
 
-// Interner is a workload-scoped dictionary mapping feature keys
-// ("table.column") to dense uint32 IDs. It is built once during feature
-// extraction and shared by every SparseVec derived from the workload
-// (core threads it through Options and QueryState). IDs are assigned in
-// batches: each AddVectors call sorts its unseen keys lexicographically
-// before appending, so a dictionary built in one batch (the common
-// case) numbers keys in lexicographic order, and rebuilding
-// it from the same workload reproduces the same IDs. Ascending-ID
-// iteration is therefore a canonical order over features, which is what
-// lets SparseVec's merge-join kernels produce bit-identical sums across
-// runs without any per-call sorting (DESIGN.md §11).
+// Interner is the feature dictionary of one state build: it maps feature
+// keys ("table.column") to dense uint32 IDs. NewInterner builds it once,
+// from the sorted union of a batch's keys, and a key's ID is its rank in
+// that union. IDs are therefore lexicographic, whatever order the batch
+// was extracted in, and ascending-ID iteration is key order: a canonical
+// order over features, which is what lets SparseVec's merge-join kernels
+// produce bit-identical sums across runs without any per-call sorting
+// (DESIGN.md §11). Since Extractor.Features returns pairs ascending by
+// key, FromFeatures writes ascending IDs without a sort.
 //
-// Concurrency: lookups (ID, Key, Len, FromMap) are safe for concurrent
-// use once the table is built; AddVectors mutates the table and must
-// not race with anything else. Sharing one Interner across repeated
-// compressions (Options.Interner, the incremental pool) keeps IDs stable
-// but makes those compressions mutually unsafe to run concurrently.
+// An Interner is never mutated after NewInterner returns, so it is safe
+// for concurrent use.
 type Interner struct {
 	ids  map[string]uint32
 	keys []string
 }
 
-// NewInterner returns an empty dictionary.
-func NewInterner() *Interner {
-	return &Interner{ids: map[string]uint32{}}
-}
-
-// AddVectors interns the union of the vectors' keys as one batch.
-func (in *Interner) AddVectors(vecs []Vector) {
-	var fresh []string
-	seen := map[string]bool{}
-	for _, v := range vecs {
-		for k := range v {
-			if _, ok := in.ids[k]; !ok && !seen[k] {
-				seen[k] = true
-				fresh = append(fresh, k)
+// NewInterner returns the dictionary of the union of batch's keys.
+func NewInterner(batch [][]Feature) *Interner {
+	in := &Interner{ids: map[string]uint32{}}
+	for _, fs := range batch {
+		for _, f := range fs {
+			if _, ok := in.ids[f.Key]; !ok {
+				in.ids[f.Key] = 0
+				in.keys = append(in.keys, f.Key)
 			}
 		}
 	}
-	in.appendSorted(fresh)
-}
-
-// appendSorted canonicalises a batch of unseen keys — lexicographic
-// sort, so batch IDs are independent of collection order — and appends
-// them to the table.
-func (in *Interner) appendSorted(fresh []string) {
-	sort.Strings(fresh)
-	for _, k := range fresh {
-		in.ids[k] = uint32(len(in.keys))
-		in.keys = append(in.keys, k)
+	sort.Strings(in.keys)
+	for id, k := range in.keys {
+		in.ids[k] = uint32(id)
 	}
 	if m := vtel.Load(); m != nil {
 		m.internSize.Set(float64(len(in.keys)))
 	}
+	return in
 }
 
-// ID returns the key's ID and whether the key is interned.
-func (in *Interner) ID(key string) (uint32, bool) {
-	id, ok := in.ids[key]
-	return id, ok
+// FromFeatures converts pairs ascending by key, as Extractor.Features
+// returns them, into a SparseVec. IDs are key ranks, so they come out
+// ascending. A key missing from the dictionary, or pairs out of key
+// order, is a programming error and panics.
+func (in *Interner) FromFeatures(fs []Feature) SparseVec {
+	if len(fs) == 0 {
+		return SparseVec{}
+	}
+	ids := make([]uint32, len(fs))
+	ws := make([]float64, len(fs))
+	for i, f := range fs {
+		id, ok := in.ids[f.Key]
+		if !ok {
+			panic("features: key not interned: " + f.Key)
+		}
+		if i > 0 && id <= ids[i-1] {
+			panic("features: pairs not ascending by key at " + f.Key)
+		}
+		ids[i], ws[i] = id, f.W
+	}
+	return SparseVec{ids: ids, ws: ws}
 }
 
 // Key returns the key for an ID issued by this interner.

@@ -1,3 +1,15 @@
+// Package features implements ISUM's query featurization (Section 4.2):
+// indexable-column extraction, rule-based and statistics-based column
+// weighting, normalisation, and the weighted-Jaccard similarity of query
+// feature vectors and of the workload summary features (Definitions 6
+// and 11).
+//
+// A feature vector has one representation, SparseVec (this file), and one
+// determinism regime (DESIGN.md §11). Extraction emits key-sorted pairs
+// (extract.go); each state build interns one batch of them into a fresh
+// dictionary whose IDs are key ranks (intern.go), so every SparseVec is
+// sorted ascending by ID, and every kernel accumulates in that canonical
+// order.
 package features
 
 import (
@@ -9,14 +21,11 @@ import (
 	"isum/internal/telemetry"
 )
 
-// SparseVec is the hot-path feature-vector representation: parallel
-// ids/weights slices sorted ascending by interned feature ID. Every
-// kernel below is a merge-join over the sorted IDs, so iteration order —
-// and therefore every floating-point sum — is canonical by construction:
-// no per-call DetSum sort, no map-iteration randomness. The map-shaped
-// Vector stays as the extraction format and as the test-only reference
-// oracle; the two accumulation regimes are documented in vector.go and
-// DESIGN.md §11.
+// SparseVec is the feature-vector representation: parallel ids/weights
+// slices sorted ascending by interned feature ID. Every kernel below is a
+// merge-join over the sorted IDs, so iteration order — and therefore
+// every floating-point sum — is canonical by construction: no per-call
+// sort, no map-iteration randomness (DESIGN.md §11).
 //
 // Weights are non-negative by construction (extraction normalises rule
 // and stats weights into [0,1]); SubClamped/SubClampedScaled rely on
@@ -74,47 +83,6 @@ type vecBuf struct {
 // analyzer's sync.Pool rule.
 var vecBufs = sync.Pool{New: func() any { return &vecBuf{} }}
 
-// FromMap converts a map vector whose keys are all interned. Entries are
-// sorted ascending by ID; a non-interned key is a programming error
-// (intern the workload's vectors first) and panics.
-func (in *Interner) FromMap(v Vector) SparseVec {
-	ids := make([]uint32, 0, len(v))
-	ws := make([]float64, 0, len(v))
-	for k, w := range v {
-		id, ok := in.ids[k]
-		if !ok {
-			panic("features: FromMap key not interned: " + k)
-		}
-		ids = append(ids, id)
-		ws = append(ws, w)
-	}
-	sv := SparseVec{ids: ids, ws: ws}
-	sv.sortByID()
-	return sv
-}
-
-// sortByID canonicalises the vector: entries ascending by interned ID.
-func (v *SparseVec) sortByID() { sort.Sort((*vecSorter)(v)) }
-
-type vecSorter SparseVec
-
-func (s *vecSorter) Len() int           { return len(s.ids) }
-func (s *vecSorter) Less(i, j int) bool { return s.ids[i] < s.ids[j] }
-func (s *vecSorter) Swap(i, j int) {
-	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
-	s.ws[i], s.ws[j] = s.ws[j], s.ws[i]
-}
-
-// ToMap expands the vector back to map form under the interner that
-// issued its IDs. Test and display helper, not a hot path.
-func (v SparseVec) ToMap(in *Interner) Vector {
-	m := make(Vector, len(v.ids))
-	for i, id := range v.ids {
-		m[in.Key(id)] = v.ws[i]
-	}
-	return m
-}
-
 // Len returns the number of stored entries (including explicit zeros).
 func (v SparseVec) Len() int { return len(v.ids) }
 
@@ -157,8 +125,7 @@ func (v SparseVec) AllZero() bool {
 }
 
 // Sum returns the total weight, accumulated in ascending-ID order — the
-// canonical order, so no DetSum-style sort is needed (vector.go
-// documents the two regimes).
+// canonical order, so no sort is needed.
 //
 //lint:hotpath
 func (v SparseVec) Sum() float64 {
@@ -260,7 +227,7 @@ func (v *SparseVec) ZeroShared(other SparseVec) {
 // WeightedJaccard computes the weighted Jaccard similarity of a and b
 // (Definition 6) as a single allocation-free merge: min/max sums
 // accumulate over the union in ascending-ID order. Entry-for-entry it
-// matches the map reference (RefWeightedJaccard): IDs only in a
+// matches the map reference in reference_test.go: IDs only in a
 // contribute min(aw,0)/max(aw,0), IDs only in b contribute bw to the max
 // sum, and either operand being empty short-circuits to 0.
 //
@@ -305,8 +272,8 @@ func (a SparseVec) WeightedJaccard(b SparseVec) float64 {
 }
 
 // Jaccard computes the unweighted Jaccard similarity of the entry sets
-// (presence counts, including explicit zero-weight entries), matching
-// the map-based Jaccard.
+// (presence counts, including explicit zero-weight entries), used by the
+// Fig. 7 similarity-measure comparison.
 //
 //lint:hotpath
 func (a SparseVec) Jaccard(b SparseVec) float64 {
@@ -341,12 +308,13 @@ func (a SparseVec) Jaccard(b SparseVec) float64 {
 
 // SummarySimilarity computes S(q, V′) — WeightedJaccard between q and
 // the summary v with q's own contribution excluded (Definition 11) — as
-// one fused allocation-free merge. It reproduces the staged map path
-// (ExcludeFromSummary then WeightedJaccard) bit-for-bit: shared summary
-// entries are clamped by nw = vw − qw·qUtil and, when they survive,
-// rescaled by totalUtil/(totalUtil−qUtil); summary entries q does not
-// touch survive unclamped; a summary left with no surviving entries
-// yields 0.
+// one fused allocation-free merge. V′ is v with q's utility-scaled
+// contribution subtracted and the remainder rescaled: the summary of
+// W − {q} (DESIGN.md §5). It reproduces the staged computation (build V′,
+// then WeightedJaccard) bit-for-bit: shared summary entries are clamped
+// by nw = vw − qw·qUtil and, when they survive, rescaled by
+// totalUtil/(totalUtil−qUtil); summary entries q does not touch survive
+// unclamped; a summary left with no surviving entries yields 0.
 //
 //lint:hotpath
 func SummarySimilarity(q, v SparseVec, qUtil, totalUtil float64) float64 {

@@ -222,7 +222,8 @@ func Report(o *Optimizer, w *Workload, cfg *Configuration) *WorkloadReport {
 // implement the anytime contract: on cancellation or deadline expiry they
 // return the best-so-far result with Partial set rather than an error;
 // the error is reserved for real failures (retry-exhausted what-if calls,
-// contained worker panics).
+// contained worker panics, and — in compression — a query whose cost is
+// NaN, ±Inf or negative).
 type (
 	// RetryPolicy bounds the retries around transient what-if failures
 	// (Optimizer.SetRetryPolicy).
