@@ -60,7 +60,7 @@ func main() {
 		w = io.MultiWriter(os.Stdout, f)
 	}
 
-	trun, err := tf.Open(logger)
+	trun, err := tf.Open()
 	if err != nil {
 		fatal(err)
 	}

@@ -27,9 +27,8 @@ import (
 var logger = telemetry.NewLogger(os.Stderr)
 
 func main() {
-	bench := flag.String("benchmark", "tpch", "benchmark catalog: tpch, tpcds, dsb, realm, scalem")
-	sf := flag.Float64("sf", 10, "scale factor")
-	seed := flag.Int64("seed", 1, "generation seed")
+	var bf benchmarks.Flags
+	bf.Register(flag.CommandLine)
 	n := flag.Int("n", 44, "generated workload size (ignored with -in)")
 	in := flag.String("in", "", "workload JSON to inspect instead of generating")
 	top := flag.Int("top", 10, "how many queries to detail")
@@ -40,7 +39,7 @@ func main() {
 	ff.Register(flag.CommandLine)
 	flag.Parse()
 
-	trun, err := tf.Open(logger)
+	trun, err := tf.Open()
 	if err != nil {
 		fatal(err)
 	}
@@ -51,7 +50,7 @@ func main() {
 	ctx, cancel := ff.Context()
 	defer cancel()
 
-	g, err := benchmarks.FromName(*bench, *sf, *seed)
+	g, err := bf.Generator()
 	if err != nil {
 		fatal(err)
 	}
@@ -68,7 +67,7 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		w, err = g.Workload(*n, *seed)
+		w, err = g.Workload(*n, bf.Seed)
 		if err != nil {
 			fatal(err)
 		}
@@ -124,7 +123,6 @@ func main() {
 	// Per-query benefit diagnostics.
 	copts := core.DefaultOptions()
 	copts.Telemetry = reg
-	copts.Progress = trun.ProgressFunc()
 	states, err := core.BuildStatesContext(ctx, w, copts)
 	if err != nil {
 		if !faults.IsCancellation(err) {

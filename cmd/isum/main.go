@@ -10,12 +10,8 @@
 //	isum -benchmark tpch -in tpch.json -k 20 -variant isum-s -out small.json
 //
 // Telemetry: -trace prints the phase tree (build-states, per-round greedy
-// spans) to stderr, -metrics-out writes the JSON metrics+span export,
-// -trace-out writes Perfetto-loadable trace-event JSON, -pprof-dir
-// captures cpu/heap profiles around the run (DESIGN.md §8), and
-// -debug-addr serves /metrics, /healthz, /progress, and /debug/pprof live
-// while the run is in flight; -progress streams rate-limited progress
-// lines to stderr (DESIGN.md §13).
+// spans) to stderr, -metrics-out writes the JSON metrics+span export, and
+// -pprof-dir captures cpu/heap profiles around the run (DESIGN.md §8).
 package main
 
 import (
@@ -36,9 +32,8 @@ import (
 var logger = telemetry.NewLogger(os.Stderr)
 
 func main() {
-	bench := flag.String("benchmark", "tpch", "benchmark catalog: tpch, tpcds, dsb, realm, scalem")
-	sf := flag.Float64("sf", 10, "scale factor")
-	seed := flag.Int64("seed", 1, "seed for workload generation and the realm and scalem catalogs")
+	var bf benchmarks.Flags
+	bf.Register(flag.CommandLine)
 	in := flag.String("in", "", "input workload JSON (default: generate the benchmark workload)")
 	n := flag.Int("n", 473, "generated workload size (ignored with -in)")
 	k := flag.Int("k", 20, "compressed workload size")
@@ -55,7 +50,7 @@ func main() {
 	ff.Register(flag.CommandLine)
 	flag.Parse()
 
-	trun, err := tf.Open(logger)
+	trun, err := tf.Open()
 	if err != nil {
 		fatal(err)
 	}
@@ -66,7 +61,7 @@ func main() {
 	ctx, cancel := ff.Context()
 	defer cancel()
 
-	g, err := benchmarks.FromName(*bench, *sf, *seed)
+	g, err := bf.Generator()
 	if err != nil {
 		fatal(err)
 	}
@@ -83,7 +78,7 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		w, err = g.Workload(*n, *seed)
+		w, err = g.Workload(*n, bf.Seed)
 		if err != nil {
 			fatal(err)
 		}
@@ -125,7 +120,6 @@ func main() {
 	opts.Parallelism = *parallelism
 	opts.ConsTemplates = *cons
 	opts.Telemetry = reg
-	opts.Progress = trun.ProgressFunc()
 
 	comp := core.New(opts)
 	cw, res, err := comp.CompressedWorkloadContext(ctx, w, *k)

@@ -8,10 +8,8 @@
 //
 // Telemetry: -trace prints the tuning phase tree (candidate selection,
 // merging, per-round enumeration with what-if call deltas) to stderr,
-// -metrics-out writes the JSON metrics+span export, -trace-out writes
-// Perfetto-loadable trace-event JSON, -pprof-dir captures cpu/heap
-// profiles around the run (DESIGN.md §8), -debug-addr serves the live
-// debug plane, and -progress streams progress lines (DESIGN.md §13).
+// -metrics-out writes the JSON metrics+span export, and -pprof-dir
+// captures cpu/heap profiles around the run (DESIGN.md §8).
 package main
 
 import (
@@ -33,9 +31,8 @@ import (
 var logger = telemetry.NewLogger(os.Stderr)
 
 func main() {
-	bench := flag.String("benchmark", "tpch", "benchmark catalog: tpch, tpcds, dsb, realm, scalem")
-	sf := flag.Float64("sf", 10, "scale factor")
-	seed := flag.Int64("seed", 1, "seed for the realm and scalem catalogs")
+	var bf benchmarks.Flags
+	bf.Register(flag.CommandLine)
 	in := flag.String("in", "", "workload JSON to tune (required)")
 	eval := flag.String("eval", "", "workload JSON to evaluate improvement on (default: the tuned one)")
 	maxIndexes := flag.Int("max-indexes", 20, "configuration size constraint (0 = unlimited)")
@@ -55,7 +52,7 @@ func main() {
 	if *in == "" {
 		fatal(fmt.Errorf("-in is required"))
 	}
-	trun, err := tf.Open(logger)
+	trun, err := tf.Open()
 	if err != nil {
 		fatal(err)
 	}
@@ -65,7 +62,7 @@ func main() {
 	workload.SetTelemetry(reg)
 	ctx, cancel := ff.Context()
 	defer cancel()
-	g, err := benchmarks.FromName(*bench, *sf, *seed)
+	g, err := bf.Generator()
 	if err != nil {
 		fatal(err)
 	}
@@ -107,7 +104,6 @@ func main() {
 	opts.MaxIndexes = *maxIndexes
 	opts.Parallelism = *parallelism
 	opts.Telemetry = reg
-	opts.Progress = trun.ProgressFunc()
 	if *storageMult > 0 {
 		opts.StorageBudget = int64(*storageMult * float64(g.Cat.TotalSizeBytes()))
 	}

@@ -22,10 +22,9 @@ import (
 var logger = telemetry.NewLogger(os.Stderr)
 
 func main() {
-	bench := flag.String("benchmark", "tpch", "benchmark: tpch, tpcds, dsb, realm, scalem")
+	var bf benchmarks.Flags
+	bf.Register(flag.CommandLine)
 	n := flag.Int("n", 0, "number of query instances (default: paper's Table 2 size)")
-	sf := flag.Float64("sf", 10, "scale factor")
-	seed := flag.Int64("seed", 1, "generation seed")
 	out := flag.String("out", "", "output file (default stdout)")
 	catalogOut := flag.String("catalog-out", "", "also export the catalog (schema + statistics) as JSON")
 	var tf telemetry.Flags
@@ -34,7 +33,7 @@ func main() {
 	ff.Register(flag.CommandLine)
 	flag.Parse()
 
-	trun, err := tf.Open(logger)
+	trun, err := tf.Open()
 	if err != nil {
 		fatal(err)
 	}
@@ -45,7 +44,7 @@ func main() {
 	ctx, cancel := ff.Context()
 	defer cancel()
 
-	g, err := benchmarks.FromName(*bench, *sf, *seed)
+	g, err := bf.Generator()
 	if err != nil {
 		fatal(err)
 	}
@@ -54,7 +53,7 @@ func main() {
 		*n = defaults[g.Name]
 	}
 	sp := reg.Start("workloadgen/generate")
-	w, err := g.Workload(*n, *seed)
+	w, err := g.Workload(*n, bf.Seed)
 	if err != nil {
 		fatal(err)
 	}

@@ -1,6 +1,7 @@
 package isum_test
 
 import (
+	"context"
 	"fmt"
 
 	"isum"
@@ -9,18 +10,28 @@ import (
 // ExampleCompress shows the standard pipeline: build a workload with costs,
 // compress it, tune the compressed workload, evaluate on the original.
 func ExampleCompress() {
+	ctx := context.Background()
 	gen := isum.TPCH(1)
 	w, _ := gen.Workload(44, 1)
 	o := isum.NewOptimizer(gen.Cat)
 	o.FillCosts(w)
 
-	cw, res := isum.Compress(w, 4)
+	cw, res, err := isum.Compress(ctx, w, 4)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("selected", len(res.Indices), "queries from", w.Len())
 
 	opts := isum.DefaultAdvisorOptions()
 	opts.MaxIndexes = 8
-	tuned := isum.Tune(o, cw, opts)
-	pct, _, _ := isum.Evaluate(o, w, tuned.Config)
+	tuned, err := isum.Tune(ctx, o, cw, opts)
+	if err != nil {
+		panic(err)
+	}
+	pct, _, _, err := isum.Evaluate(ctx, o, w, tuned.Config)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("improved:", pct > 0)
 	// Output:
 	// selected 4 queries from 44

@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"isum/internal/cost"
@@ -77,15 +76,6 @@ type Options struct {
 	// optimizer with NewOptimizerWithTelemetry on a shared one) to see
 	// what-if call deltas attributed to each tuning phase.
 	Telemetry *telemetry.Registry
-	// Progress, when non-nil, receives streaming progress events while
-	// tuning runs (DESIGN.md §13): per candidate-selection stride
-	// ("advisor/candidates", emitted from worker goroutines — the
-	// function must be safe for concurrent use) and per enumeration
-	// round ("advisor/enumerate", with the configuration size and the
-	// cumulative weighted gain). Observational only: recommendations
-	// are identical with or without a sink, and nil costs a pointer
-	// check per emission site.
-	Progress telemetry.ProgressFunc
 }
 
 // DefaultOptions returns the standard DTA-style configuration.
@@ -299,18 +289,8 @@ func (a *Advisor) selectCandidates(ctx context.Context, w *workload.Workload, re
 	// probed is bumped from worker closures — counters are atomics, so
 	// this is the one advisor metric safely updated off the span path.
 	probed := a.opts.Telemetry.Counter("advisor/candidates/probed")
-	progress := a.opts.Progress
-	var processed atomic.Int64 // progress counter; workers emit, so Progress must be concurrency-safe
 	perQuery, mapErr := parallel.Map(ctx, parallel.Workers(a.opts.Parallelism), len(w.Queries),
 		func(i int) *queryCandidates {
-			if progress != nil {
-				defer func() {
-					progress(telemetry.ProgressEvent{
-						Phase: "advisor/candidates",
-						Done:  int(processed.Add(1)), Total: len(w.Queries),
-					})
-				}()
-			}
 			return a.candidatesFor(ctx, w.Queries[i], probed)
 		})
 	if mapErr != nil {

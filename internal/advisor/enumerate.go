@@ -7,7 +7,6 @@ import (
 	"isum/internal/cost"
 	"isum/internal/index"
 	"isum/internal/parallel"
-	"isum/internal/telemetry"
 	"isum/internal/workload"
 )
 
@@ -39,7 +38,6 @@ func (a *Advisor) enumerate(ctx context.Context, w *workload.Workload, cands []s
 	workers := parallel.Workers(a.opts.Parallelism)
 	reg := a.opts.Telemetry
 	roundsCtr := reg.Counter("advisor/enumerate/rounds")
-	var gainSum float64
 	for a.opts.MaxIndexes <= 0 || e.cfg.Len() < a.opts.MaxIndexes {
 		if ctx.Err() != nil {
 			res.Partial = true
@@ -78,14 +76,6 @@ func (a *Advisor) enumerate(ctx context.Context, w *workload.Workload, cands []s
 		}
 		chosen := e.commit(best, probes[best].newCosts)
 		res.Rounds++
-		if a.opts.Progress != nil {
-			gainSum += bestGain
-			a.opts.Progress(telemetry.ProgressEvent{
-				Phase: "advisor/enumerate", Round: res.Rounds,
-				Done: e.cfg.Len(), Total: a.opts.MaxIndexes,
-				Benefit: gainSum,
-			})
-		}
 		if reg != nil {
 			rsp.SetAttr("chosen", chosen.ID)
 			rsp.SetAttr("gain", bestGain)

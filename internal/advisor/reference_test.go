@@ -6,8 +6,8 @@ package advisor
 // structural-relevance test answers one, and no union bound is primed. It
 // is the oracle TestElisionDoesNotChangeOutput holds the production
 // advisor to, bit for bit. It runs serially, on a background context and
-// without fault injection, and leaves out telemetry and progress, which
-// never change a recommendation.
+// without fault injection, and leaves out telemetry, which never changes
+// a recommendation.
 
 import (
 	"sort"

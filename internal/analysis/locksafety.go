@@ -18,9 +18,9 @@ import (
 //   - no lock across blocking waits — holding any lock across a channel
 //     send/receive, a select, or a ctx.Done() wait turns a slow consumer
 //     into a pipeline-wide stall (and can deadlock against the lock's
-//     other users). The worker pool and the progress bus both emit from
-//     under callers' goroutines, so this is the invariant that keeps the
-//     telemetry registry safe to scrape mid-run.
+//     other users). The worker pool runs closures on its own goroutines
+//     while the caller waits, so this is the invariant that keeps a
+//     lock holder from stalling them.
 //   - goroutine join — every `go` statement must hand its goroutine a
 //     completion signal: a WaitGroup/errgroup Done with a matching Wait
 //     in the launching function, a send into a channel (ownership

@@ -8,16 +8,15 @@ import (
 	"strconv"
 )
 
-// TelemetryAnalyzer guards the observability conventions (DESIGN.md §8,
-// §13): a span opened by a Start/StartSpan-style call must be ended in
-// the same function (defer preferred; an explicit End on every path also
+// TelemetryAnalyzer guards the observability conventions (DESIGN.md §8):
+// a span opened by a Start/StartSpan-style call must be ended in the
+// same function (defer preferred; an explicit End on every path also
 // counts — the check requires at least one End on the span variable),
-// metric/span name literals must follow the area/sub/name convention
-// that scripts/metricscheck validates on exports, and library packages
-// under internal/ never print diagnostics directly — fmt.Print* and
-// writes to os.Stderr/os.Stdout are reserved for cmd/ binaries (which
-// own the slog logger) and internal/telemetry itself (which implements
-// the sinks). Libraries report through metrics, spans, progress events,
+// metric/span name literals must follow the area/sub/name convention,
+// and library packages under internal/ never print diagnostics directly
+// — fmt.Print* and writes to os.Stderr/os.Stdout are reserved for cmd/
+// binaries (which own the slog logger) and internal/telemetry itself
+// (which implements the sinks). Libraries report through metrics, spans,
 // and errors.
 var TelemetryAnalyzer = &Analyzer{
 	ID:  "telemetry",
@@ -25,13 +24,13 @@ var TelemetryAnalyzer = &Analyzer{
 	Run: runTelemetry,
 }
 
-// MetricNamePattern is the shared naming convention: 2–4 slash-separated
+// NamePattern is the shared naming convention: 2–4 slash-separated
 // lowercase segments, e.g. "cost/whatif/calls", "core/greedy/argmax_nanos",
-// "cost/cache/shard00/hits". scripts/metricscheck applies the same
-// pattern to exported names at runtime.
-const MetricNamePattern = `^[a-z][a-z0-9_-]*(/[a-z0-9_-]+){1,3}$`
+// "advisor/enumerate/rounds". Only string-literal names are checked;
+// names built at runtime are not.
+const NamePattern = `^[a-z][a-z0-9_-]*(/[a-z0-9_-]+){1,3}$`
 
-var metricNameRe = regexp.MustCompile(MetricNamePattern)
+var nameRe = regexp.MustCompile(NamePattern)
 
 // metricMethods are Registry methods whose first argument is a metric or
 // span name.
@@ -51,7 +50,7 @@ func runTelemetry(pass *Pass) {
 			if !ok {
 				return true
 			}
-			checkMetricName(pass, call)
+			checkNameLiteral(pass, call)
 			if checkOutput {
 				checkBareOutput(pass, call)
 			}
@@ -71,25 +70,25 @@ var fmtWriters = map[string]bool{"Fprint": true, "Fprintf": true, "Fprintln": tr
 // code: fmt.Print*, fmt.Fprint* targeting os.Stderr/os.Stdout, and
 // os.Stderr/os.Stdout method calls (Write, WriteString). Diagnostics
 // belong to the binaries' slog logger (telemetry.NewLogger); libraries
-// emit progress events and metrics instead (DESIGN.md §13).
+// record metrics and spans instead (DESIGN.md §8).
 func checkBareOutput(pass *Pass, call *ast.CallExpr) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
 	if fmtPrinters[sel.Sel.Name] && selIsPkgMember(pass.Info, sel, "fmt", sel.Sel.Name) {
-		pass.Reportf(call.Pos(), "fmt.%s writes to stdout from library code; return an error or use the telemetry progress/logging plane (DESIGN.md §13)", sel.Sel.Name)
+		pass.Reportf(call.Pos(), "fmt.%s writes to stdout from library code; return an error or record metrics and spans (DESIGN.md §8)", sel.Sel.Name)
 		return
 	}
 	if fmtWriters[sel.Sel.Name] && selIsPkgMember(pass.Info, sel, "fmt", sel.Sel.Name) && len(call.Args) > 0 {
 		if stream := osStdStream(pass, call.Args[0]); stream != "" {
-			pass.Reportf(call.Pos(), "fmt.%s to %s from library code; binaries own the logger (telemetry.NewLogger) — emit progress events or return an error instead", sel.Sel.Name, stream)
+			pass.Reportf(call.Pos(), "fmt.%s to %s from library code; binaries own the logger (telemetry.NewLogger) — return an error or record a metric instead", sel.Sel.Name, stream)
 		}
 		return
 	}
 	// os.Stderr.Write / os.Stdout.WriteString and friends.
 	if stream := osStdStream(pass, sel.X); stream != "" {
-		pass.Reportf(call.Pos(), "%s.%s from library code; binaries own the logger (telemetry.NewLogger) — emit progress events or return an error instead", stream, sel.Sel.Name)
+		pass.Reportf(call.Pos(), "%s.%s from library code; binaries own the logger (telemetry.NewLogger) — return an error or record a metric instead", stream, sel.Sel.Name)
 	}
 }
 
@@ -108,10 +107,10 @@ func osStdStream(pass *Pass, x ast.Expr) string {
 	return ""
 }
 
-// checkMetricName validates string-literal names passed to Registry
+// checkNameLiteral validates string-literal names passed to Registry
 // metric/span constructors (non-literal names are validated at runtime
 // by scripts/metricscheck on the export).
-func checkMetricName(pass *Pass, call *ast.CallExpr) {
+func checkNameLiteral(pass *Pass, call *ast.CallExpr) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || !metricMethods[sel.Sel.Name] || len(call.Args) == 0 {
 		return
@@ -127,8 +126,8 @@ func checkMetricName(pass *Pass, call *ast.CallExpr) {
 	if err != nil {
 		return
 	}
-	if !metricNameRe.MatchString(name) {
-		pass.Reportf(lit.Pos(), "metric/span name %q does not match the area/sub/name convention (%s)", name, MetricNamePattern)
+	if !nameRe.MatchString(name) {
+		pass.Reportf(lit.Pos(), "metric/span name %q does not match the area/sub/name convention (%s)", name, NamePattern)
 	}
 }
 

@@ -125,11 +125,6 @@ func (c *Compressor) CompressContext(ctx context.Context, w *workload.Workload, 
 	sw := reg.Start("core/weigh")
 	res.Weights = c.weigh(states, idx, res)
 	sw.End()
-	c.opts.Progress.Emit(telemetry.ProgressEvent{
-		Phase: "core/weigh",
-		Done:  len(res.Indices),
-		Total: len(res.Indices),
-	})
 	if repIdx != nil {
 		// Consed indices are template-state positions; translate back to
 		// workload positions (each template's representative instance).
@@ -239,8 +234,6 @@ func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, idx
 	// every round. Selections and emptying updates decrement it;
 	// feature resets recount it.
 	live := countLive(states)
-	progress := c.opts.Progress
-	var benefitSum float64
 	ineligible := math.Inf(-1)
 	// Per-round sweep outputs, reused across rounds: bounds is
 	// index-addressed, updates parallel to the round's touched states.
@@ -342,16 +335,6 @@ func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, idx
 		res.Indices = append(res.Indices, best.Index)
 		res.SelectionBenefits = append(res.SelectionBenefits, bestBenefit)
 		res.Rounds++
-		if progress != nil {
-			benefitSum += bestBenefit
-			progress(telemetry.ProgressEvent{
-				Phase:   "core/greedy",
-				Round:   res.Rounds,
-				Done:    len(res.Indices),
-				Total:   k,
-				Benefit: benefitSum,
-			})
-		}
 		if reg != nil {
 			rsp.SetAttr("selected", best.Index)
 			rsp.SetAttr("benefit", bestBenefit)

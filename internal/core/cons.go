@@ -29,8 +29,7 @@ import (
 // with extra bookkeeping; on template-heavy million-query workloads it
 // collapses the greedy universe by orders of magnitude.
 func BuildConsedStatesContext(ctx context.Context, w *workload.Workload, opts Options) ([]*QueryState, []int, error) {
-	const phase = "core/build-consed-states"
-	sp := opts.Telemetry.Start(phase)
+	sp := opts.Telemetry.Start("core/build-consed-states")
 	defer sp.End()
 	groups := w.TemplateGroups()
 	sp.SetAttr("queries", w.Len())
@@ -39,7 +38,7 @@ func BuildConsedStatesContext(ctx context.Context, w *workload.Workload, opts Op
 	for g, grp := range groups {
 		repIdx[g] = grp.Indices[0]
 	}
-	states, err := buildStates(ctx, w, opts, phase, repIdx, func(g int) []int { return groups[g].Indices })
+	states, err := buildStates(ctx, w, opts, repIdx, func(g int) []int { return groups[g].Indices })
 	sp.SetAttr("features", featureSpace(states))
 	if err != nil {
 		return nil, nil, err

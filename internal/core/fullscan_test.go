@@ -15,8 +15,8 @@ import (
 // the posting-list update sweep: every eligible state's benefit is
 // computed exactly in the parallel sweep, the epsilon scan runs over all
 // of them, and every unselected state is updated after each pick. It is
-// the reference the production greedy is pinned to; telemetry and
-// progress emission are left out, since they never change the selection.
+// the reference the production greedy is pinned to; telemetry is left
+// out, since it never changes the selection.
 func (c *Compressor) fullScanSelectGreedy(ctx context.Context, states []*QueryState, k int, res *Result) error {
 	workers := parallel.Workers(c.opts.Parallelism)
 	summary := c.opts.Algorithm != AllPairs

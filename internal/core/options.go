@@ -118,16 +118,6 @@ type Options struct {
 	// instrumentation: the no-op path is a pointer check and allocates
 	// nothing, and compression output is identical either way.
 	Telemetry *telemetry.Registry
-	// Progress, when non-nil, receives streaming progress events while
-	// the compression runs (DESIGN.md §13): per state-building stride
-	// ("core/build-states"), per greedy selection ("core/greedy", with
-	// round, k-so-far, and cumulative benefit), and after weighing
-	// ("core/weigh"). The function must be safe for concurrent use — the
-	// build sweep emits from worker goroutines. Events are observational
-	// only: compression output is byte-identical with or without a
-	// Progress sink (pinned by TestProgressDoesNotChangeOutput), and
-	// nil costs a pointer check per emission site.
-	Progress telemetry.ProgressFunc
 }
 
 // DefaultOptions returns ISUM's default configuration: summary features,

@@ -5,18 +5,11 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"isum/internal/features"
 	"isum/internal/parallel"
-	"isum/internal/telemetry"
 	"isum/internal/workload"
 )
-
-// progressStride is how many per-query units a worker sweep completes
-// between progress emissions — coarse enough that emission cost is
-// invisible next to feature extraction, fine enough for a live rate.
-const progressStride = 1024
 
 // QueryState is the mutable per-query state of a greedy run: the current
 // (possibly updated) feature vector and utility, plus the originals for
@@ -88,15 +81,14 @@ func BuildStates(w *workload.Workload, opts Options) []*QueryState {
 // negative is an error naming its position, and a contained worker panic
 // surfaces as a *PanicError.
 func BuildStatesContext(ctx context.Context, w *workload.Workload, opts Options) ([]*QueryState, error) {
-	const phase = "core/build-states"
-	sp := opts.Telemetry.Start(phase)
+	sp := opts.Telemetry.Start("core/build-states")
 	defer sp.End()
 	sp.SetAttr("n", len(w.Queries))
 	reps := make([]int, len(w.Queries))
 	for i := range reps {
 		reps[i] = i
 	}
-	states, err := buildStates(ctx, w, opts, phase, reps, func(g int) []int { return reps[g : g+1] })
+	states, err := buildStates(ctx, w, opts, reps, func(g int) []int { return reps[g : g+1] })
 	sp.SetAttr("features", featureSpace(states))
 	return states, err
 }
@@ -104,8 +96,7 @@ func BuildStatesContext(ctx context.Context, w *workload.Workload, opts Options)
 // buildStates is the one state builder behind BuildStatesContext and
 // BuildConsedStatesContext. It builds state g from the query at workload
 // position reps[g] — every query, or each template's first instance —
-// and gives it the pooled utility Σ Δ(q_i)/ΣΔ over i ∈ members(g). phase
-// names its progress events.
+// and gives it the pooled utility Σ Δ(q_i)/ΣΔ over i ∈ members(g).
 //
 // ΣΔ ranges over every query and is reduced serially in query order, so
 // utilities are bit-identical at any parallelism; the same loop rejects
@@ -119,7 +110,7 @@ func BuildStatesContext(ctx context.Context, w *workload.Workload, opts Options)
 // parallel sweep converts each state's pairs to a SparseVec. Interning
 // the sorted union is what makes IDs — and so every downstream
 // merge-join — reproducible across runs (DESIGN.md §11).
-func buildStates(ctx context.Context, w *workload.Workload, opts Options, phase string, reps []int, members func(g int) []int) ([]*QueryState, error) {
+func buildStates(ctx context.Context, w *workload.Workload, opts Options, reps []int, members func(g int) []int) ([]*QueryState, error) {
 	deltas := make([]float64, len(w.Queries))
 	var totalDelta float64
 	for i, q := range w.Queries {
@@ -133,19 +124,12 @@ func buildStates(ctx context.Context, w *workload.Workload, opts Options, phase 
 	ex := opts.extractor(w.Catalog)
 	feats := make([][]features.Feature, len(reps))
 	workers := parallel.Workers(opts.Parallelism)
-	var built atomic.Int64 // progress stride counter; workers emit, so Progress must be concurrency-safe
 	err := parallel.ForEach(ctx, workers, len(reps), func(g int) {
 		feats[g] = ex.Features(w.Queries[reps[g]])
-		if opts.Progress != nil {
-			if d := built.Add(1); d%progressStride == 0 {
-				opts.Progress(telemetry.ProgressEvent{Phase: phase, Done: int(d), Total: len(reps)})
-			}
-		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	opts.Progress.Emit(telemetry.ProgressEvent{Phase: phase, Done: len(reps), Total: len(reps)})
 
 	in := features.NewInterner(feats)
 	states := make([]*QueryState, len(reps))

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"isum/internal/index"
-	"isum/internal/telemetry"
 	"isum/internal/workload"
 )
 
@@ -31,10 +30,6 @@ type cacheShard struct {
 	// entries is keyed by query text, so copies of a Query (e.g. weighted
 	// compressed-workload entries) share cost entries and compiled plans.
 	entries map[string]*queryEntry
-	// hits/misses are this shard's cache counters, registered in the
-	// optimizer's telemetry registry as cost/cache/shardNN/{hits,misses}.
-	hits   *telemetry.Counter
-	misses *telemetry.Counter
 }
 
 // queryEntry is the cache's record of one query text: the costs computed

@@ -2,11 +2,13 @@ package cost
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"isum/internal/catalog"
 	"isum/internal/index"
+	"isum/internal/telemetry"
 	"isum/internal/workload"
 )
 
@@ -133,9 +135,15 @@ func TestOptimizerShardedCacheStress(t *testing.T) {
 	if plansAfterWarm == 0 {
 		t.Fatal("expected some plan computations during warm-up")
 	}
+	hitsAfterWarm, missesAfterWarm := o.CacheStats()
 	hammer(200)
 	if o.Plans() != plansAfterWarm {
 		t.Fatalf("plans grew from %d to %d on a fully-cached replay", plansAfterWarm, o.Plans())
+	}
+	hits, misses := o.CacheStats()
+	if hits-hitsAfterWarm != 16*200 || misses != missesAfterWarm {
+		t.Fatalf("fully-cached replay added %d hits and %d misses, want %d and 0",
+			hits-hitsAfterWarm, misses-missesAfterWarm, 16*200)
 	}
 
 	o.ResetCounters()
@@ -178,5 +186,42 @@ func TestWorkloadCostParallelDeterminism(t *testing.T) {
 		if q.Cost != serial[i] {
 			t.Fatalf("query %d: parallel fill %v != serial %v", i, q.Cost, serial[i])
 		}
+	}
+}
+
+// TestCacheCountersPartitionCalls: the registry holds one cache hit and
+// one cache miss counter, CacheStats reads them, and on a fault-free run
+// each what-if call is exactly one hit, miss or singleflight wait, also
+// when 8 workers race on the same cold probes.
+func TestCacheCountersPartitionCalls(t *testing.T) {
+	cat := testCatalog()
+	reg := telemetry.New()
+	o := NewOptimizerWithTelemetry(cat, DefaultParams(), reg)
+	w := &workload.Workload{Catalog: cat}
+	for v := 0; v < 40; v++ {
+		w.Queries = append(w.Queries, mustQueryf(t, cat, "SELECT o_totalprice FROM orders WHERE o_custkey = %d", v%10))
+	}
+	cfg := index.NewConfiguration(index.New("orders", "o_custkey"))
+	for _, p := range []int{8, 1} {
+		o.WorkloadCostN(w, nil, p)
+		o.WorkloadCostN(w, cfg, p)
+	}
+
+	counters := reg.Snapshot().Counters
+	for name := range counters {
+		if strings.HasPrefix(name, "cost/cache/") && name != "cost/cache/hits" && name != "cost/cache/misses" {
+			t.Errorf("registry has cache counter %q beyond hits and misses", name)
+		}
+	}
+	hits, misses := o.CacheStats()
+	if hits != counters["cost/cache/hits"] || misses != counters["cost/cache/misses"] {
+		t.Errorf("CacheStats() = (%d, %d), registry holds (%d, %d)",
+			hits, misses, counters["cost/cache/hits"], counters["cost/cache/misses"])
+	}
+	// 10 distinct texts under 2 configurations are 20 distinct probes.
+	calls, waits := counters["cost/whatif/calls"], counters["cost/elide/singleflight_waits"]
+	if calls != 4*40 || misses != 20 || hits+misses+waits != calls {
+		t.Errorf("calls %d, hits %d, misses %d, waits %d: want 160 calls, 20 misses, hits + misses + waits = calls",
+			calls, hits, misses, waits)
 	}
 }

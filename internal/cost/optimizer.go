@@ -69,9 +69,11 @@ type Optimizer struct {
 	inj   Injector
 	retry RetryPolicy
 
-	calls     *telemetry.Counter // cost/whatif/calls: invocations (hits included)
-	plans     *telemetry.Counter // cost/whatif/plans: plan computations (misses)
-	costNanos *telemetry.Counter // cost/whatif/cost_nanos (Fig. 2's optimizer share)
+	calls       *telemetry.Counter // cost/whatif/calls: invocations (hits included)
+	plans       *telemetry.Counter // cost/whatif/plans: plan computations (misses)
+	costNanos   *telemetry.Counter // cost/whatif/cost_nanos (Fig. 2's optimizer share)
+	cacheHits   *telemetry.Counter // cost/cache/hits: calls answered from the cache
+	cacheMisses *telemetry.Counter // cost/cache/misses: calls that led a plan computation
 
 	retryAttempts  *telemetry.Counter // faults/retry/attempts: backoff retries taken
 	retryExhausted *telemetry.Counter // faults/retry/exhausted: plans failed after all attempts
@@ -102,7 +104,7 @@ func NewOptimizerWithParams(cat *catalog.Catalog, par Params) *Optimizer {
 }
 
 // NewOptimizerWithTelemetry registers the optimizer's metrics — what-if
-// call/plan counters, cumulative cost time, per-shard cache hits/misses,
+// call/plan counters, cumulative cost time, cache hits/misses,
 // and the faults/ retry/cancellation counters — in reg, so a pipeline-wide
 // registry attributes what-if work to phases.
 // A nil reg gives the optimizer a private registry: the counters behind
@@ -125,6 +127,8 @@ func NewOptimizerWithTelemetry(cat *catalog.Catalog, par Params, reg *telemetry.
 		calls:          reg.Counter("cost/whatif/calls"),
 		plans:          reg.Counter("cost/whatif/plans"),
 		costNanos:      reg.Counter("cost/whatif/cost_nanos"),
+		cacheHits:      reg.Counter("cost/cache/hits"),
+		cacheMisses:    reg.Counter("cost/cache/misses"),
 		retryAttempts:  reg.Counter("faults/retry/attempts"),
 		retryExhausted: reg.Counter("faults/retry/exhausted"),
 		cancelled:      reg.Counter("faults/cancelled"),
@@ -134,8 +138,6 @@ func NewOptimizerWithTelemetry(cat *catalog.Catalog, par Params, reg *telemetry.
 	}
 	for i := range o.shards {
 		o.shards[i].entries = make(map[string]*queryEntry)
-		o.shards[i].hits = reg.Counter(fmt.Sprintf("cost/cache/shard%02d/hits", i))
-		o.shards[i].misses = reg.Counter(fmt.Sprintf("cost/cache/shard%02d/misses", i))
 	}
 	return o
 }
@@ -215,7 +217,7 @@ func (o *Optimizer) costParts(ctx context.Context, q *workload.Query, cfg *index
 	sh := o.shardFor(q.Text)
 	v, e, ok := sh.lookup(q.Text, key, rel)
 	if ok {
-		sh.hits.Inc()
+		o.cacheHits.Inc()
 		return v, nil
 	}
 	if e == nil {
@@ -236,7 +238,7 @@ func (o *Optimizer) costPartsFlight(ctx context.Context, q *workload.Query, rel 
 		r := e.find(key, rel)
 		if r != nil && !r.pending {
 			sh.mu.Unlock()
-			sh.hits.Inc()
+			o.cacheHits.Inc()
 			return r.v, nil
 		}
 		if r != nil {
@@ -264,7 +266,7 @@ func (o *Optimizer) costPartsFlight(ctx context.Context, q *workload.Query, rel 
 		r = &costRec{ids: memberIDs(rel), pending: true}
 		e.insert(key, r)
 		sh.mu.Unlock()
-		sh.misses.Inc()
+		o.cacheMisses.Inc()
 		return o.runFlight(ctx, q, rel, key, sh, e, r)
 	}
 }
@@ -463,14 +465,10 @@ func (o *Optimizer) CostTime() time.Duration {
 	return time.Duration(o.costNanos.Value())
 }
 
-// CacheStats sums the per-shard cache counters: hits are calls answered
-// from the what-if cache, misses are plan computations.
+// CacheStats returns the cache counters: hits are calls answered from the
+// what-if cache, misses are plan computations.
 func (o *Optimizer) CacheStats() (hits, misses int64) {
-	for i := range o.shards {
-		hits += o.shards[i].hits.Value()
-		misses += o.shards[i].misses.Value()
-	}
-	return
+	return o.cacheHits.Value(), o.cacheMisses.Value()
 }
 
 // FaultStats reports the failure-model counters: backoff retries taken,
@@ -480,12 +478,11 @@ func (o *Optimizer) FaultStats() (retries, exhausted, cancelled int64) {
 	return o.retryAttempts.Value(), o.retryExhausted.Value(), o.cancelled.Value()
 }
 
-// ResetCounters zeroes the call counters, timers, per-shard cache
-// counters, and faults counters (the cache itself is retained) — the
-// multi-run experiment hook, so harness invocations report per-run rather
-// than cumulative what-if statistics. When the optimizer shares a
-// registry, only its own metrics are reset; use Registry.Reset to clear
-// everything.
+// ResetCounters zeroes the call counters, timers, cache counters, and
+// faults counters (the cache itself is retained) — the multi-run
+// experiment hook, so harness invocations report per-run rather than
+// cumulative what-if statistics. When the optimizer shares a registry,
+// only its own metrics are reset.
 func (o *Optimizer) ResetCounters() {
 	o.calls.Reset()
 	o.plans.Reset()
@@ -493,10 +490,8 @@ func (o *Optimizer) ResetCounters() {
 	o.retryAttempts.Reset()
 	o.retryExhausted.Reset()
 	o.cancelled.Reset()
-	for i := range o.shards {
-		o.shards[i].hits.Reset()
-		o.shards[i].misses.Reset()
-	}
+	o.cacheHits.Reset()
+	o.cacheMisses.Reset()
 	o.elideHits.Reset()
 	o.elidePrunes.Reset()
 	o.elideWaits.Reset()

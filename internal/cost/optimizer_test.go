@@ -269,9 +269,15 @@ func TestCallCountersAndCache(t *testing.T) {
 	if o.Plans() != 1 {
 		t.Fatalf("plans = %d (irrelevant-index probe should be cached)", o.Plans())
 	}
+	if hits, misses := o.CacheStats(); hits != 2 || misses != 1 {
+		t.Fatalf("CacheStats() = (%d, %d), want (2, 1)", hits, misses)
+	}
 	o.ResetCounters()
 	if o.Calls() != 0 || o.Plans() != 0 {
 		t.Fatal("reset failed")
+	}
+	if hits, misses := o.CacheStats(); hits != 0 || misses != 0 {
+		t.Fatalf("CacheStats() after ResetCounters = (%d, %d), want (0, 0)", hits, misses)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"time"
 
 	"isum/internal/telemetry"
@@ -92,26 +91,14 @@ func telemetryBreakdown(id string, sp *telemetry.Span) *Table {
 		Columns: []string{"metric", "value"},
 	}
 	t.AddRow("elapsed", sp.Duration().Round(time.Microsecond).String())
-	// Collapse the per-shard cache counters into totals — 64 shard rows
-	// would drown the breakdown; the full split stays in the JSON export.
-	rollup := map[string]int64{}
-	for name, d := range sp.CounterDeltas() {
-		if strings.HasPrefix(name, "cost/cache/shard") {
-			if strings.HasSuffix(name, "/hits") {
-				name = "cost/cache/hits"
-			} else {
-				name = "cost/cache/misses"
-			}
-		}
-		rollup[name] += d
-	}
-	names := make([]string, 0, len(rollup))
-	for name := range rollup {
+	deltas := sp.CounterDeltas()
+	names := make([]string, 0, len(deltas))
+	for name := range deltas {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		t.AddRow(name, rollup[name])
+		t.AddRow(name, deltas[name])
 	}
 	return t
 }

@@ -4,29 +4,20 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
-	"time"
 )
 
 // Flags is the telemetry CLI surface shared by every cmd/ binary:
 //
 //	-metrics-out=<file.json>  versioned JSON metrics+span export
 //	-trace                    phase tree to stderr on exit
-//	-trace-out=<file.json>    Chrome trace-event JSON (Perfetto-loadable)
 //	-pprof-dir=<dir>          cpu.pprof + heap.pprof around the run
-//	-debug-addr=<host:port>   live debug HTTP server (/metrics, /healthz,
-//	                          /progress, /debug/pprof) for the run's duration
-//	-progress                 rate-limited progress lines on stderr
 //
 // Register the flags, Open before the pipeline, defer Close.
 type Flags struct {
 	MetricsOut string
 	Trace      bool
-	TraceOut   string
 	PprofDir   string
-	DebugAddr  string
-	Progress   bool
 }
 
 // Register installs the flags on fs (use flag.CommandLine in main).
@@ -35,94 +26,46 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 		"write a JSON metrics + phase-span export to this file")
 	fs.BoolVar(&f.Trace, "trace", false,
 		"print the phase/span tree (durations, counter deltas) to stderr on exit")
-	fs.StringVar(&f.TraceOut, "trace-out", "",
-		"write the span tree as Chrome trace-event JSON (load in Perfetto) to this file")
 	fs.StringVar(&f.PprofDir, "pprof-dir", "",
 		"write cpu.pprof and heap.pprof covering the run to this directory")
-	fs.StringVar(&f.DebugAddr, "debug-addr", "",
-		"serve /metrics (OpenMetrics), /healthz, /progress, /debug/pprof on this address while running (port 0 picks a free port)")
-	fs.BoolVar(&f.Progress, "progress", false,
-		"log rate-limited progress lines (phase, done/total, benefit) to stderr")
 }
 
 // Run is one CLI telemetry session. Registry is nil when no collector
-// flag was given, keeping the instrumented pipeline on its no-op path;
-// likewise Tracker is nil (and ProgressFunc returns nil) unless
-// -debug-addr or -progress asked for the progress bus.
+// flag was given, keeping the instrumented pipeline on its no-op path.
 type Run struct {
 	Registry     *Registry
-	Tracker      *Tracker
 	flags        *Flags
-	log          *slog.Logger
-	server       *Server
 	stopProfiles func() error
 }
 
-// Open starts the session: allocates the registry if any collector flag
-// is set, begins profiling if -pprof-dir was given, and launches the
-// debug server if -debug-addr was given (logging the bound address so
-// scripts can scrape a port-0 server).
-func (f *Flags) Open(log *slog.Logger) (*Run, error) {
-	run := &Run{flags: f, log: log}
-	if f.MetricsOut != "" || f.Trace || f.TraceOut != "" || f.DebugAddr != "" {
+// Open starts the session: allocates the registry if -metrics-out or
+// -trace is set and begins profiling if -pprof-dir was given.
+func (f *Flags) Open() (*Run, error) {
+	run := &Run{flags: f}
+	if f.MetricsOut != "" || f.Trace {
 		run.Registry = New()
-	}
-	if f.DebugAddr != "" || f.Progress {
-		run.Tracker = NewTracker()
 	}
 	stop, err := StartProfiles(f.PprofDir)
 	if err != nil {
 		return nil, err
 	}
 	run.stopProfiles = stop
-	if f.DebugAddr != "" {
-		srv, err := Serve(f.DebugAddr, run.Registry, run.Tracker)
-		if err != nil {
-			_ = stop()
-			return nil, fmt.Errorf("telemetry: debug server: %w", err)
-		}
-		run.server = srv
-		log.Info("debug server listening", "addr", srv.Addr())
-	}
 	return run, nil
 }
 
-// ProgressFunc returns the progress sink for core/advisor Options: nil
-// when the bus is off, the tracker's ticker (stderr lines + /progress)
-// under -progress, or the silent tracker observer under -debug-addr
-// alone.
-func (r *Run) ProgressFunc() ProgressFunc {
-	if r == nil || r.Tracker == nil {
-		return nil
-	}
-	if r.flags.Progress {
-		return r.Tracker.Ticker(r.log, time.Second)
-	}
-	return r.Tracker.Observe
-}
-
-// Close finishes the session: shuts the debug server down, stops
-// profiling, prints the trace tree to stderr (-trace), and writes the
-// JSON (-metrics-out) and trace-event (-trace-out) exports.
+// Close finishes the session: stops profiling, prints the trace tree to
+// stderr (-trace), and writes the JSON export (-metrics-out).
 func (r *Run) Close() error {
 	if r == nil {
 		return nil
 	}
 	var firstErr error
-	if err := r.server.Close(); err != nil {
-		firstErr = fmt.Errorf("telemetry: debug server shutdown: %w", err)
-	}
-	if err := r.stopProfiles(); err != nil && firstErr == nil {
+	if err := r.stopProfiles(); err != nil {
 		firstErr = fmt.Errorf("telemetry: stopping profiles: %w", err)
 	}
 	if r.flags.Trace {
 		if err := r.Registry.WriteTrace(os.Stderr); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("telemetry: writing trace: %w", err)
-		}
-	}
-	if r.flags.TraceOut != "" {
-		if err := writeFile(r.flags.TraceOut, r.Registry.WriteTraceEvents); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("telemetry: writing trace events: %w", err)
 		}
 	}
 	if r.flags.MetricsOut != "" {

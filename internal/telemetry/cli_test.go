@@ -2,31 +2,25 @@ package telemetry
 
 import (
 	"encoding/json"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 )
 
-// TestNoFlagsNoGoroutines pins the zero-overhead contract from server.go:
-// with no telemetry flag set, Open allocates no registry, no tracker, no
-// progress sink, and starts no goroutines.
+// TestNoFlagsNoGoroutines pins the zero-overhead contract: with no
+// telemetry flag set, Open allocates no registry and starts no
+// goroutines.
 func TestNoFlagsNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var f Flags
-	run, err := f.Open(NewDeterministicLogger(io.Discard))
+	run, err := f.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Registry != nil || run.Tracker != nil {
-		t.Errorf("no-flags Open allocated Registry=%v Tracker=%v", run.Registry, run.Tracker)
-	}
-	if run.ProgressFunc() != nil {
-		t.Error("no-flags ProgressFunc is non-nil")
+	if run.Registry != nil {
+		t.Errorf("no-flags Open allocated Registry=%v", run.Registry)
 	}
 	if got := runtime.NumGoroutine(); got > before {
 		t.Errorf("no-flags Open grew goroutines %d -> %d", before, got)
@@ -39,85 +33,12 @@ func TestNoFlagsNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestDebugAddrLifecycle: -debug-addr spins the server up, logs the bound
-// address (the line scripts/ci.sh greps for), serves scrapes, and Close
-// reaps the serve goroutine.
-func TestDebugAddrLifecycle(t *testing.T) {
-	var sb strings.Builder
-	log := NewDeterministicLogger(&sb)
-	f := Flags{DebugAddr: "127.0.0.1:0"}
-	run, err := f.Open(log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Registry == nil || run.Tracker == nil || run.server == nil {
-		t.Fatal("-debug-addr Open should allocate registry, tracker, and server")
-	}
-	if !strings.Contains(sb.String(), `msg="debug server listening" addr=127.0.0.1:`) {
-		t.Errorf("missing listen log line: %q", sb.String())
-	}
-	progress := run.ProgressFunc()
-	if progress == nil {
-		t.Fatal("-debug-addr ProgressFunc is nil")
-	}
-	progress(ProgressEvent{Phase: "core/greedy", Done: 1, Total: 3})
-
-	addr := run.server.Addr()
-	resp, err := http.Get("http://" + addr + "/progress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var p progressJSON
-	if err := json.Unmarshal(body, &p); err != nil {
-		t.Fatal(err)
-	}
-	if p.Phase != "core/greedy" || p.Done != 1 {
-		t.Errorf("/progress = %+v", p)
-	}
-	if err := run.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
-		t.Error("debug server still answering after Close")
-	}
-}
-
-// TestProgressFlagUsesTicker: -progress without -debug-addr keeps the
-// registry nil (no collector asked) but still wires a tracker-backed
-// ticker that writes progress lines to the logger.
-func TestProgressFlagUsesTicker(t *testing.T) {
-	var sb strings.Builder
-	f := Flags{Progress: true}
-	run, err := f.Open(NewDeterministicLogger(&sb))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Registry != nil {
-		t.Error("-progress alone should not allocate a registry")
-	}
-	progress := run.ProgressFunc()
-	if progress == nil {
-		t.Fatal("-progress ProgressFunc is nil")
-	}
-	progress(ProgressEvent{Phase: "core/build-states", Done: 1024, Total: 4096})
-	if !strings.Contains(sb.String(), "msg=progress phase=core/build-states done=1024 total=4096") {
-		t.Errorf("ticker line missing: %q", sb.String())
-	}
-	if err := run.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRunCloseWritesExports: -metrics-out and -trace-out land on disk as
-// valid documents after Close.
+// TestRunCloseWritesExports: -metrics-out lands on disk as a valid
+// document after Close.
 func TestRunCloseWritesExports(t *testing.T) {
-	dir := t.TempDir()
-	metrics := filepath.Join(dir, "metrics.json")
-	trace := filepath.Join(dir, "trace.json")
-	f := Flags{MetricsOut: metrics, TraceOut: trace}
-	run, err := f.Open(NewDeterministicLogger(io.Discard))
+	metrics := filepath.Join(t.TempDir(), "metrics.json")
+	f := Flags{MetricsOut: metrics}
+	run, err := f.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,6 +54,9 @@ func TestRunCloseWritesExports(t *testing.T) {
 		Counters []struct {
 			Name string `json:"name"`
 		} `json:"counters"`
+		Spans []struct {
+			Name string `json:"name"`
+		} `json:"spans"`
 	}
 	data, err := os.ReadFile(metrics)
 	if err != nil {
@@ -144,19 +68,7 @@ func TestRunCloseWritesExports(t *testing.T) {
 	if ex.Version != 1 || len(ex.Counters) != 1 || ex.Counters[0].Name != "cost/whatif/calls" {
 		t.Errorf("metrics export = %+v", ex)
 	}
-	var te struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-		} `json:"traceEvents"`
-	}
-	data, err = os.ReadFile(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &te); err != nil {
-		t.Fatal(err)
-	}
-	if len(te.TraceEvents) != 1 || te.TraceEvents[0].Name != "core/compress" {
-		t.Errorf("trace export = %+v", te)
+	if len(ex.Spans) != 1 || ex.Spans[0].Name != "core/compress" {
+		t.Errorf("metrics export spans = %+v", ex.Spans)
 	}
 }

@@ -114,38 +114,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return enc.Encode(r.export())
 }
 
-// WriteText writes a human-readable metrics dump (sorted by name).
-func (r *Registry) WriteText(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	s := r.Snapshot()
-	if len(s.Counters) > 0 {
-		fmt.Fprintln(w, "counters:")
-		for _, name := range sortedKeys(s.Counters) {
-			fmt.Fprintf(w, "  %-44s %d\n", name, s.Counters[name])
-		}
-	}
-	if len(s.Gauges) > 0 {
-		fmt.Fprintln(w, "gauges:")
-		for _, name := range sortedKeys(s.Gauges) {
-			fmt.Fprintf(w, "  %-44s %.6g\n", name, s.Gauges[name])
-		}
-	}
-	if len(s.Histograms) > 0 {
-		fmt.Fprintln(w, "histograms:")
-		for _, name := range sortedKeys(s.Histograms) {
-			hv := s.Histograms[name]
-			mean := 0.0
-			if hv.Count > 0 {
-				mean = hv.Sum / float64(hv.Count)
-			}
-			fmt.Fprintf(w, "  %-44s count %d  mean %.6g\n", name, hv.Count, mean)
-		}
-	}
-	return nil
-}
-
 // WriteTrace writes the span forest as an indented phase tree with
 // durations, attributes, and per-span counter deltas — the -trace output.
 func (r *Registry) WriteTrace(w io.Writer) error {

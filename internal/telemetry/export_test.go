@@ -119,20 +119,3 @@ func TestJSONExportEmpty(t *testing.T) {
 		t.Errorf("empty export = %s, want %s", sb.String(), golden)
 	}
 }
-
-func TestWriteText(t *testing.T) {
-	reg := New()
-	reg.Counter("a/b/calls").Add(7)
-	reg.Gauge("a/b/gauge").Set(1.5)
-	reg.Histogram("a/b/hist", []float64{10}).Observe(4)
-	var sb strings.Builder
-	if err := reg.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"a/b/calls", "7", "a/b/gauge", "1.5", "a/b/hist", "count 1", "mean 4"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("text export missing %q:\n%s", want, out)
-		}
-	}
-}

@@ -55,7 +55,7 @@ func TestRegistryUnderForEach(t *testing.T) {
 	}
 }
 
-func TestSnapshotDeltaReset(t *testing.T) {
+func TestSnapshotAndCounterReset(t *testing.T) {
 	reg := telemetry.New()
 	c := reg.Counter("a/b/c")
 	g := reg.Gauge("a/b/g")
@@ -65,26 +65,24 @@ func TestSnapshotDeltaReset(t *testing.T) {
 	h.Observe(0.5)
 	h.Observe(100)
 
-	before := reg.Snapshot()
-	c.Add(7)
-	h.Observe(5)
-	delta := reg.Snapshot().Delta(before)
-	if delta.Counters["a/b/c"] != 7 {
-		t.Errorf("counter delta = %d, want 7", delta.Counters["a/b/c"])
+	snap := reg.Snapshot()
+	if snap.Counters["a/b/c"] != 5 {
+		t.Errorf("counter = %d, want 5", snap.Counters["a/b/c"])
 	}
-	hv := delta.Histograms["a/b/h"]
-	if hv.Count != 1 || hv.Buckets[1] != 1 {
-		t.Errorf("histogram delta = %+v, want count 1 in bucket le=10", hv)
+	hv := snap.Histograms["a/b/h"]
+	if hv.Count != 2 || hv.Buckets[0] != 1 || hv.Buckets[2] != 1 {
+		t.Errorf("histogram = %+v, want one in le=1 and one in overflow", hv)
 	}
-	if delta.Gauges["a/b/g"] != 2.5 {
-		t.Errorf("gauge in delta = %g, want last value 2.5", delta.Gauges["a/b/g"])
+	if snap.Gauges["a/b/g"] != 2.5 {
+		t.Errorf("gauge = %g, want 2.5", snap.Gauges["a/b/g"])
 	}
 
-	reg.Reset()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
-		t.Error("Reset left metric residue")
+	// Counter.Reset (the optimizer's ResetCounters hook) zeroes in place,
+	// so a handle registered before it stays live.
+	c.Reset()
+	if c.Value() != 0 {
+		t.Error("Reset left counter residue")
 	}
-	// Handles registered before Reset must stay live.
 	c.Inc()
 	if reg.Counter("a/b/c").Value() != 1 {
 		t.Error("counter handle detached from registry after Reset")
@@ -148,9 +146,8 @@ func TestDisabledTelemetryAllocatesNothing(t *testing.T) {
 		reg.Counter("cost/whatif/calls").Add(1)
 		reg.Gauge("g").Set(1)
 		reg.Histogram("h", nil).Observe(1)
-		reg.Snapshot().Delta(nil)
+		reg.Snapshot()
 		sp.End()
-		reg.Reset()
 	})
 	if allocs != 0 {
 		t.Errorf("nil-registry path allocates %.1f per run, want 0", allocs)

@@ -1,8 +1,7 @@
 // Package telemetry is the pipeline's observability substrate: a
 // stdlib-only metrics registry (counters, gauges, fixed-bucket histograms)
-// plus a lightweight span/phase tracer, with human-readable text,
-// machine-readable JSON, and trace-tree exporters, and runtime/pprof
-// profiling helpers for the CLIs.
+// plus a lightweight span/phase tracer, with a versioned JSON export and a
+// trace-tree rendering, and runtime/pprof profiling helpers for the CLIs.
 //
 // Metric and span names follow a subsystem/phase/name convention
 // (DESIGN.md §8): "cost/whatif/calls", "core/greedy/argmax_nanos",
@@ -83,14 +82,6 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Reset zeroes the gauge.
-func (g *Gauge) Reset() {
-	if g == nil {
-		return
-	}
-	g.bits.Store(0)
-}
-
 // Histogram counts observations into fixed upper-bound buckets. Bounds are
 // immutable after registration; observations above the last bound land in
 // an overflow bucket. Count and per-bucket counts are exact under
@@ -154,18 +145,6 @@ func (h *Histogram) BucketCounts() []int64 {
 		out[i] = h.counts[i].Load()
 	}
 	return out
-}
-
-// Reset zeroes all buckets, the count, and the sum in place.
-func (h *Histogram) Reset() {
-	if h == nil {
-		return
-	}
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.total.Store(0)
-	h.sum.Store(0)
 }
 
 // Registry holds named metrics and the span forest of one pipeline run.
@@ -263,8 +242,8 @@ type HistogramValues struct {
 	Buckets []int64 // per-bucket counts; last is overflow
 }
 
-// Snapshot is a point-in-time copy of every metric, used for before/after
-// deltas around an experiment or pipeline phase.
+// Snapshot is a point-in-time copy of every metric, the source of the
+// JSON export.
 type Snapshot struct {
 	Counters   map[string]int64
 	Gauges     map[string]float64
@@ -295,66 +274,4 @@ func (r *Registry) Snapshot() *Snapshot {
 		}
 	}
 	return s
-}
-
-// Delta returns s − prev: counter and histogram values are subtracted
-// (names absent from prev count from zero), gauges are copied from s.
-// A nil prev returns a copy of s; a nil s returns nil.
-func (s *Snapshot) Delta(prev *Snapshot) *Snapshot {
-	if s == nil {
-		return nil
-	}
-	d := &Snapshot{
-		Counters:   make(map[string]int64, len(s.Counters)),
-		Gauges:     make(map[string]float64, len(s.Gauges)),
-		Histograms: make(map[string]HistogramValues, len(s.Histograms)),
-	}
-	for name, v := range s.Counters {
-		var base int64
-		if prev != nil {
-			base = prev.Counters[name]
-		}
-		d.Counters[name] = v - base
-	}
-	for name, v := range s.Gauges {
-		d.Gauges[name] = v
-	}
-	for name, hv := range s.Histograms {
-		out := HistogramValues{Count: hv.Count, Sum: hv.Sum, Bounds: hv.Bounds,
-			Buckets: append([]int64{}, hv.Buckets...)}
-		if prev != nil {
-			if p, ok := prev.Histograms[name]; ok && len(p.Buckets) == len(out.Buckets) {
-				out.Count -= p.Count
-				out.Sum -= p.Sum
-				for i := range out.Buckets {
-					out.Buckets[i] -= p.Buckets[i]
-				}
-			}
-		}
-		d.Histograms[name] = out
-	}
-	return d
-}
-
-// Reset zeroes every metric in place (handles held by callers stay valid)
-// and drops all recorded spans — the multi-run experiment-harness hook.
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	for _, c := range r.counters {
-		c.Reset()
-	}
-	for _, g := range r.gauges {
-		g.Reset()
-	}
-	for _, h := range r.hists {
-		h.Reset()
-	}
-	r.mu.Unlock()
-	r.spanMu.Lock()
-	r.roots = nil
-	r.active = nil
-	r.spanMu.Unlock()
 }

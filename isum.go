@@ -6,9 +6,14 @@
 // advisors, and the TPC-H / TPC-DS / DSB / Real-M evaluation workloads.
 //
 // This root package is the public façade: it re-exports the library's main
-// types and provides one-call helpers for the common pipeline
+// types and provides one entry point per stage of the common pipeline
 //
 //	workload  →  Compress  →  Tune  →  Evaluate
+//
+// Each stage takes a context.Context and returns an error instead of
+// panicking: a cancelled Compress or Tune returns its best-so-far result
+// with Partial set, and invalid input (a NaN, ±Inf or negative query
+// cost) is an error naming the query — see DESIGN.md, "Failure model".
 //
 // Every stage of the pipeline is parallel by default: feature extraction,
 // greedy benefit scans, advisor candidate selection/enumeration, and
@@ -86,19 +91,6 @@ type (
 	Telemetry = telemetry.Registry
 	// TelemetrySpan is one timed phase in the trace tree.
 	TelemetrySpan = telemetry.Span
-	// ProgressEvent is one streaming update from a running compression or
-	// tuning phase (CompressorOptions.Progress, AdvisorOptions.Progress —
-	// DESIGN.md §13).
-	ProgressEvent = telemetry.ProgressEvent
-	// ProgressFunc receives progress events; it must be safe for
-	// concurrent use and nil disables the bus at zero cost.
-	ProgressFunc = telemetry.ProgressFunc
-	// ProgressTracker folds progress events into the snapshot served by
-	// the debug server's /progress endpoint.
-	ProgressTracker = telemetry.Tracker
-	// DebugServer is the live debug HTTP server (/metrics in OpenMetrics
-	// form, /healthz, /progress, /debug/pprof).
-	DebugServer = telemetry.Server
 )
 
 // NewCatalog returns an empty catalog.
@@ -140,30 +132,15 @@ func NewOptimizer(cat *Catalog) *Optimizer { return cost.NewOptimizer(cat) }
 
 // NewTelemetry returns an empty telemetry registry. Pass it to
 // NewOptimizerWithTelemetry and the Telemetry fields of
-// CompressorOptions/AdvisorOptions, then export with its WriteJSON,
-// WriteText, or WriteTrace methods.
+// CompressorOptions/AdvisorOptions, then export with its WriteJSON or
+// WriteTrace method.
 func NewTelemetry() *Telemetry { return telemetry.New() }
 
 // NewOptimizerWithTelemetry returns a what-if optimizer whose call, plan,
-// and per-shard cache counters register in reg (nil reg behaves like
+// and cache counters register in reg (nil reg behaves like
 // NewOptimizer).
 func NewOptimizerWithTelemetry(cat *Catalog, reg *Telemetry) *Optimizer {
 	return cost.NewOptimizerWithTelemetry(cat, cost.DefaultParams(), reg)
-}
-
-// NewProgressTracker returns an empty progress tracker; wire its Observe
-// method into CompressorOptions.Progress / AdvisorOptions.Progress and
-// serve it with ServeDebug to watch a run live.
-func NewProgressTracker() *ProgressTracker { return telemetry.NewTracker() }
-
-// ServeDebug starts the live debug HTTP server on addr (port 0 picks a
-// free port — read it back from Addr): GET /metrics serves reg in
-// OpenMetrics/Prometheus text exposition form, /healthz liveness,
-// /progress the tracker's JSON snapshot, and /debug/pprof the runtime
-// profiles. Either argument may be nil. Close the server to release the
-// port and its goroutine — see DESIGN.md §13.
-func ServeDebug(addr string, reg *Telemetry, tr *ProgressTracker) (*DebugServer, error) {
-	return telemetry.Serve(addr, reg, tr)
 }
 
 // DefaultOptions returns ISUM's default configuration (rule-based weights,
@@ -178,8 +155,11 @@ func NewCompressor(opts CompressorOptions) *Compressor { return core.New(opts) }
 
 // Compress selects k weighted queries from w using the default ISUM
 // configuration and returns the compressed workload ready for tuning.
-func Compress(w *Workload, k int) (*Workload, *CompressionResult) {
-	return core.New(core.DefaultOptions()).CompressedWorkload(w, k)
+// On cancellation the workload holds the best-so-far weighted selection
+// and the result has Partial set; a query whose cost is NaN, ±Inf or
+// negative is an error naming its position.
+func Compress(ctx context.Context, w *Workload, k int) (*Workload, *CompressionResult, error) {
+	return core.New(core.DefaultOptions()).CompressedWorkloadContext(ctx, w, k)
 }
 
 // DefaultAdvisorOptions returns DTA-style tuning options.
@@ -189,16 +169,19 @@ func DefaultAdvisorOptions() AdvisorOptions { return advisor.DefaultOptions() }
 func DexterAdvisorOptions() AdvisorOptions { return advisor.DexterOptions() }
 
 // Tune runs the advisor on a (typically compressed, weighted) workload.
-func Tune(o *Optimizer, w *Workload, opts AdvisorOptions) *TuningResult {
-	return advisor.New(o, opts).Tune(w)
+// On cancellation the result holds the best configuration found so far
+// with Partial set.
+func Tune(ctx context.Context, o *Optimizer, w *Workload, opts AdvisorOptions) (*TuningResult, error) {
+	return advisor.New(o, opts).TuneContext(ctx, w)
 }
 
 // Evaluate returns the improvement % of cfg on w — the paper's metric
 // (C(W) − C_I(W)) / C(W) × 100 — with the before/after costs. The
 // per-query what-if calls fan out across every core; the sums reduce in
 // input order, so the result matches a serial evaluation exactly.
-func Evaluate(o *Optimizer, w *Workload, cfg *Configuration) (pct, before, after float64) {
-	return advisor.EvaluateImprovement(o, w, cfg)
+// Cancellation and retry-exhausted what-if failures are errors.
+func Evaluate(ctx context.Context, o *Optimizer, w *Workload, cfg *Configuration) (pct, before, after float64, err error) {
+	return advisor.EvaluateImprovementContext(ctx, o, w, cfg, 0)
 }
 
 // NewIncremental returns an incremental compressor keeping at most k
@@ -218,12 +201,12 @@ func Report(o *Optimizer, w *Workload, cfg *Configuration) *WorkloadReport {
 	return advisor.Report(o, w, cfg)
 }
 
-// Failure model (DESIGN.md §9). The context-taking pipeline entry points
-// implement the anytime contract: on cancellation or deadline expiry they
-// return the best-so-far result with Partial set rather than an error;
-// the error is reserved for real failures (retry-exhausted what-if calls,
-// contained worker panics, and — in compression — a query whose cost is
-// NaN, ±Inf or negative).
+// Failure model (DESIGN.md §9). Compress and Tune implement the anytime
+// contract: on cancellation or deadline expiry they return the
+// best-so-far result with Partial set rather than an error; the error is
+// reserved for real failures (retry-exhausted what-if calls, contained
+// worker panics, and — in compression — a query whose cost is NaN, ±Inf
+// or negative).
 type (
 	// RetryPolicy bounds the retries around transient what-if failures
 	// (Optimizer.SetRetryPolicy).
@@ -252,24 +235,6 @@ func DefaultRetryPolicy() RetryPolicy { return cost.DefaultRetryPolicy() }
 // IsCancellation reports whether err is a context cancellation or deadline
 // expiry — the "partial result" outcomes, as opposed to real failures.
 func IsCancellation(err error) bool { return faults.IsCancellation(err) }
-
-// CompressContext is Compress with the anytime contract: on cancellation
-// the returned workload holds the best-so-far weighted selection and the
-// result has Partial set.
-func CompressContext(ctx context.Context, w *Workload, k int) (*Workload, *CompressionResult, error) {
-	return core.New(core.DefaultOptions()).CompressedWorkloadContext(ctx, w, k)
-}
-
-// TuneContext is Tune with the anytime contract: on cancellation the
-// result holds the best configuration found so far with Partial set.
-func TuneContext(ctx context.Context, o *Optimizer, w *Workload, opts AdvisorOptions) (*TuningResult, error) {
-	return advisor.New(o, opts).TuneContext(ctx, w)
-}
-
-// EvaluateContext is Evaluate with cancellation and failure reporting.
-func EvaluateContext(ctx context.Context, o *Optimizer, w *Workload, cfg *Configuration) (pct, before, after float64, err error) {
-	return advisor.EvaluateImprovementContext(ctx, o, w, cfg, 0)
-}
 
 // TPCH, TPCDS, DSB, and RealM return the paper's evaluation workload
 // generators (DESIGN.md §1 documents the synthetic substitutions).

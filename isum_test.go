@@ -3,13 +3,43 @@ package isum_test
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math"
 	"strings"
-	"time"
-
 	"testing"
+	"time"
 
 	"isum"
 )
+
+// compress, tune and evaluate run the façade's pipeline stages on a
+// background context and fail the test on an error.
+func compress(t *testing.T, w *isum.Workload, k int) (*isum.Workload, *isum.CompressionResult) {
+	t.Helper()
+	cw, res, err := isum.Compress(context.Background(), w, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cw, res
+}
+
+func tune(t *testing.T, o *isum.Optimizer, w *isum.Workload, opts isum.AdvisorOptions) *isum.TuningResult {
+	t.Helper()
+	res, err := isum.Tune(context.Background(), o, w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func evaluate(t *testing.T, o *isum.Optimizer, w *isum.Workload, cfg *isum.Configuration) (pct, before, after float64) {
+	t.Helper()
+	pct, before, after, err := isum.Evaluate(context.Background(), o, w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pct, before, after
+}
 
 // TestPublicAPIPipeline exercises the façade end to end: generate → cost →
 // compress → tune → evaluate, entirely through the public names.
@@ -22,19 +52,19 @@ func TestPublicAPIPipeline(t *testing.T) {
 	o := isum.NewOptimizer(gen.Cat)
 	o.FillCosts(w)
 
-	cw, res := isum.Compress(w, 6)
+	cw, res := compress(t, w, 6)
 	if cw.Len() != 6 || len(res.Weights) != 6 {
 		t.Fatalf("compressed = %d queries", cw.Len())
 	}
 
 	opts := isum.DefaultAdvisorOptions()
 	opts.MaxIndexes = 10
-	tuned := isum.Tune(o, cw, opts)
+	tuned := tune(t, o, cw, opts)
 	if tuned.Config.Len() == 0 {
 		t.Fatal("no indexes recommended")
 	}
 
-	pct, before, after := isum.Evaluate(o, w, tuned.Config)
+	pct, before, after := evaluate(t, o, w, tuned.Config)
 	if pct <= 0 || after >= before {
 		t.Fatalf("no improvement: %f%% (%f -> %f)", pct, before, after)
 	}
@@ -57,7 +87,7 @@ func TestPublicAPICustomCatalog(t *testing.T) {
 		t.Fatal(err)
 	}
 	isum.NewOptimizer(cat).FillCosts(w)
-	cw, _ := isum.Compress(w, 1)
+	cw, _ := compress(t, w, 1)
 	if cw.Len() != 1 {
 		t.Fatalf("compressed = %d", cw.Len())
 	}
@@ -89,10 +119,10 @@ func TestFacadeExtensions(t *testing.T) {
 	o := isum.NewOptimizer(gen.Cat)
 	o.FillCosts(w)
 
-	cw, _ := isum.Compress(w, 6)
+	cw, _ := compress(t, w, 6)
 	opts := isum.DefaultAdvisorOptions()
 	opts.MaxIndexes = 8
-	tuned := isum.Tune(o, cw, opts)
+	tuned := tune(t, o, cw, opts)
 
 	plan := isum.Explain(o, w.Queries[0], tuned.Config)
 	if plan.Total <= 0 {
@@ -126,11 +156,11 @@ func TestAllBenchmarksEndToEnd(t *testing.T) {
 			}
 			o := isum.NewOptimizer(gen.Cat)
 			o.FillCosts(w)
-			cw, _ := isum.Compress(w, 6)
+			cw, _ := compress(t, w, 6)
 			opts := isum.DefaultAdvisorOptions()
 			opts.MaxIndexes = 8
-			tuned := isum.Tune(o, cw, opts)
-			pct, _, _ := isum.Evaluate(o, w, tuned.Config)
+			tuned := tune(t, o, cw, opts)
+			pct, _, _ := evaluate(t, o, w, tuned.Config)
 			if pct <= 0 {
 				t.Fatalf("%s: no improvement (%f)", gen.Name, pct)
 			}
@@ -168,10 +198,10 @@ func TestFacadeSerialization(t *testing.T) {
 		t.Fatal("workload round trip lost data")
 	}
 
-	cw, _ := isum.Compress(w2, 3)
+	cw, _ := compress(t, w2, 3)
 	opts := isum.DefaultAdvisorOptions()
 	opts.MaxIndexes = 4
-	tuned := isum.Tune(isum.NewOptimizer(cat2), cw, opts)
+	tuned := tune(t, isum.NewOptimizer(cat2), cw, opts)
 	if err := tuned.Config.SaveJSON(&cfgBuf); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +224,7 @@ func TestFacadeSerialization(t *testing.T) {
 }
 
 // TestFacadeFailureModel exercises the DESIGN.md §9 surface through the
-// public names: context variants, anytime partials, chaos + retries.
+// public names: anytime partials, chaos + retries.
 func TestFacadeFailureModel(t *testing.T) {
 	gen := isum.TPCH(1)
 	w, err := gen.Workload(44, 1)
@@ -204,22 +234,17 @@ func TestFacadeFailureModel(t *testing.T) {
 	o := isum.NewOptimizer(gen.Cat)
 	o.FillCosts(w)
 
-	// Background context matches the plain path exactly.
-	cw, res := isum.Compress(w, 6)
-	ctxCW, ctxRes, err := isum.CompressContext(context.Background(), w, 6)
-	if err != nil || ctxRes.Partial {
-		t.Fatalf("background CompressContext: err=%v partial=%v", err, ctxRes.Partial)
-	}
-	if cw.Len() != ctxCW.Len() || len(res.Weights) != len(ctxRes.Weights) {
-		t.Fatal("Compress and CompressContext diverge")
+	cw, res := compress(t, w, 6)
+	if res.Partial || cw.Len() != 6 {
+		t.Fatalf("background Compress: partial=%v len=%d", res.Partial, cw.Len())
 	}
 
 	// A cancelled context yields an anytime partial, never an error.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, pres, err := isum.CompressContext(cancelled, w, 6)
+	_, pres, err := isum.Compress(cancelled, w, 6)
 	if err != nil || !pres.Partial {
-		t.Fatalf("cancelled CompressContext: err=%v partial=%v", err, pres.Partial)
+		t.Fatalf("cancelled Compress: err=%v partial=%v", err, pres.Partial)
 	}
 	if !isum.IsCancellation(cancelled.Err()) {
 		t.Fatal("IsCancellation")
@@ -239,19 +264,31 @@ func TestFacadeFailureModel(t *testing.T) {
 
 	opts := isum.DefaultAdvisorOptions()
 	opts.MaxIndexes = 5
-	plain, err := isum.TuneContext(context.Background(), o, cw, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chaos, err := isum.TuneContext(context.Background(), co, cw, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := tune(t, o, cw, opts)
+	chaos := tune(t, co, cw, opts)
 	if plain.Config.Fingerprint() != chaos.Config.Fingerprint() {
 		t.Fatal("chaos run diverged from the fault-free recommendation")
 	}
+	evaluate(t, o, w, plain.Config)
+}
 
-	if _, _, _, err := isum.EvaluateContext(context.Background(), o, w, plain.Config); err != nil {
-		t.Fatal(err)
+// TestCompressInvalidCostIsError: a library caller's workload with a NaN,
+// infinite or negative cost makes Compress return an error naming the
+// query, not panic.
+func TestCompressInvalidCostIsError(t *testing.T) {
+	gen := isum.TPCH(1)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -1} {
+		t.Run(fmt.Sprint(bad), func(t *testing.T) {
+			w, err := gen.Workload(50, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			isum.NewOptimizer(gen.Cat).FillCosts(w)
+			w.Queries[7].Cost = bad
+			_, _, err = isum.Compress(context.Background(), w, 6)
+			if want := fmt.Sprintf("core: query 7: invalid cost %v", bad); err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Fatalf("Compress with cost %v: err = %v, want prefix %q", bad, err, want)
+			}
+		})
 	}
 }

@@ -70,57 +70,9 @@ go run ./scripts/metricscheck \
     -require core/greedy/touched \
     -require workload/templates/consed \
     -require workload/templates/deduped \
+    -require cost/cache/misses \
     -names-from internal/cost \
     "$metrics_out"
-
-echo "== debug-server smoke =="
-# Live observability plane (DESIGN.md §13): start a hash-consed
-# compression with -debug-addr on a kernel-chosen port, recover the
-# address from the "debug server listening" log line, scrape /healthz
-# and /metrics mid-run, validate the exposition with metricscheck, and
-# assert the process still exits cleanly afterwards.
-dbg_dir="$ci_tmp/dbg"
-mkdir "$dbg_dir"
-go build -o "$dbg_dir/" ./cmd/isum ./scripts/metricscheck
-"$dbg_dir/isum" -benchmark scalem -n 20000 -k 12 -cons \
-    -debug-addr 127.0.0.1:0 -progress \
-    >/dev/null 2>"$dbg_dir/stderr.log" &
-dbg_pid=$!
-dbg_addr=""
-for _ in $(seq 1 100); do
-    dbg_addr=$(sed -n 's/.*msg="debug server listening" addr=\([0-9.:]*\).*/\1/p' "$dbg_dir/stderr.log" | head -n1)
-    [ -n "$dbg_addr" ] && break
-    kill -0 "$dbg_pid" 2>/dev/null || { echo "isum exited before the debug server came up" >&2; cat "$dbg_dir/stderr.log" >&2; exit 1; }
-    sleep 0.1
-done
-if [ -z "$dbg_addr" ]; then
-    echo "never saw the debug-server listen line" >&2; cat "$dbg_dir/stderr.log" >&2; exit 1
-fi
-# Mid-run scrapes race the pipeline: a counter registers on first use, so
-# retry until the required families have appeared (or the run ends, in
-# which case the loop fails fast and we report the last error).
-scrape_ok=""
-for _ in $(seq 1 200); do
-    if "$dbg_dir/metricscheck" \
-        -healthz "http://$dbg_addr/healthz" \
-        -scrape "http://$dbg_addr/metrics" \
-        -require cost/whatif/calls \
-        >/dev/null 2>"$dbg_dir/scrape.err"; then
-        scrape_ok=1
-        break
-    fi
-    kill -0 "$dbg_pid" 2>/dev/null || break
-    sleep 0.05
-done
-if [ -z "$scrape_ok" ]; then
-    echo "mid-run scrape never passed metricscheck:" >&2
-    cat "$dbg_dir/scrape.err" >&2
-    exit 1
-fi
-wait "$dbg_pid" || { rc=$?; echo "isum exited $rc under the debug server" >&2; cat "$dbg_dir/stderr.log" >&2; exit "$rc"; }
-grep -q 'msg=progress' "$dbg_dir/stderr.log" || {
-    echo "-progress produced no progress lines" >&2; cat "$dbg_dir/stderr.log" >&2; exit 1
-}
 
 echo "== failure-model smoke =="
 fm_dir="$ci_tmp/fm"
