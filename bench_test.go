@@ -14,6 +14,7 @@ package isum_test
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"testing"
 
@@ -172,10 +173,13 @@ func BenchmarkFillCosts(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cost.NewOptimizer(gen.Cat).FillCostsN(w, 1)
+		if err := cost.NewOptimizer(gen.Cat).FillCostsCtx(ctx, w, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -53,8 +53,8 @@ func TestOut(t *testing.T) {
 }
 
 // TestBreakdown: with -metrics-out each experiment is followed by its
-// telemetry breakdown, whose cache rows are the two totals and partition
-// the what-if calls with the singleflight waits.
+// telemetry breakdown, in which every what-if call is one plan
+// computation and no result-cache or singleflight row remains.
 func TestBreakdown(t *testing.T) {
 	metrics := filepath.Join(t.TempDir(), "m.json")
 	res := clitest.MustRun(t, "-fast", "-parallelism", "1", "-metrics-out", metrics, "fig8")
@@ -68,18 +68,16 @@ func TestBreakdown(t *testing.T) {
 		if len(f) != 2 {
 			continue
 		}
-		if strings.HasPrefix(f[0], "cost/cache/") && f[0] != "cost/cache/hits" && f[0] != "cost/cache/misses" {
-			t.Errorf("breakdown has cache row %q beyond hits and misses", f[0])
+		if strings.HasPrefix(f[0], "cost/cache/") || strings.HasSuffix(f[0], "singleflight_waits") {
+			t.Errorf("breakdown has row %q of the retired result cache", f[0])
 		}
 		if v, err := strconv.ParseInt(f[1], 10, 64); err == nil {
 			rows[f[0]] = v
 		}
 	}
-	calls := rows["cost/whatif/calls"]
-	hits, misses, waits := rows["cost/cache/hits"], rows["cost/cache/misses"], rows["cost/elide/singleflight_waits"]
-	if calls == 0 || misses == 0 || hits+misses+waits != calls {
-		t.Errorf("calls %d, hits %d, misses %d, waits %d: want hits + misses + waits = calls > 0\n%s",
-			calls, hits, misses, waits, breakdown)
+	calls, plans := rows["cost/whatif/calls"], rows["cost/whatif/plans"]
+	if calls == 0 || plans != calls {
+		t.Errorf("calls %d, plans %d: want plans = calls > 0\n%s", calls, plans, breakdown)
 	}
 	if _, err := os.Stat(metrics); err != nil {
 		t.Errorf("-metrics-out file not written: %v", err)

@@ -84,7 +84,7 @@ func main() {
 		}
 		// Generated workloads carry no costs; fill them with the what-if
 		// optimizer so utilities reflect the paper's input contract (and so
-		// the telemetry export shows the what-if call/cache counts).
+		// the telemetry export shows the what-if call and plan counts).
 		sp := reg.Start("isum/fill-costs")
 		o := cost.NewOptimizerWithTelemetry(g.Cat, cost.DefaultParams(), reg)
 		if err := ff.Apply(o); err != nil {

@@ -128,9 +128,10 @@ func TestInAndOut(t *testing.T) {
 	}
 }
 
-// TestTelemetryOutputs: -metrics-out writes an export whose two cache
-// counters partition the fault-free what-if calls with the singleflight
-// waits, and -trace prints the phase tree to stderr.
+// TestTelemetryOutputs: -metrics-out writes an export in which every
+// fault-free what-if call is one plan computation and no result-cache or
+// singleflight counter remains, and -trace prints the phase tree to
+// stderr.
 func TestTelemetryOutputs(t *testing.T) {
 	metrics := filepath.Join(t.TempDir(), "m.json")
 	res := clitest.MustRun(t, "-n", "60", "-k", "5", "-trace", "-metrics-out", metrics)
@@ -150,14 +151,13 @@ func TestTelemetryOutputs(t *testing.T) {
 	counters := map[string]int64{}
 	for _, c := range ex.Counters {
 		counters[c.Name] = c.Value
-		if strings.HasPrefix(c.Name, "cost/cache/") && c.Name != "cost/cache/hits" && c.Name != "cost/cache/misses" {
-			t.Errorf("export has cache counter %q beyond hits and misses", c.Name)
+		if strings.HasPrefix(c.Name, "cost/cache/") || strings.HasSuffix(c.Name, "singleflight_waits") {
+			t.Errorf("export has counter %q of the retired result cache", c.Name)
 		}
 	}
-	calls := counters["cost/whatif/calls"]
-	hits, misses, waits := counters["cost/cache/hits"], counters["cost/cache/misses"], counters["cost/elide/singleflight_waits"]
-	if calls == 0 || misses == 0 || hits+misses+waits != calls {
-		t.Errorf("calls %d, hits %d, misses %d, waits %d: want hits + misses + waits = calls > 0", calls, hits, misses, waits)
+	calls, plans := counters["cost/whatif/calls"], counters["cost/whatif/plans"]
+	if calls == 0 || plans != calls {
+		t.Errorf("calls %d, plans %d: want plans = calls > 0", calls, plans)
 	}
 	for _, span := range []string{"isum/fill-costs", "core/compress"} {
 		if !strings.Contains(res.Stderr, span+"  ") {

@@ -150,9 +150,9 @@ func TestElisionDoesNotChangeOutput(t *testing.T) {
 
 // TestElisionChaosByteIdentity pins the anytime/chaos contract on the
 // elided path: a parallel elided tune under deterministic fault injection
-// (absorbed by retries, with singleflight coalescing concurrent identical
-// plans) recommends the identical configuration with bit-identical costs
-// and report as the fault-free elided run.
+// (absorbed by retries, and consulted on every what-if call) recommends
+// the identical configuration with bit-identical costs and report as the
+// fault-free elided run.
 func TestElisionChaosByteIdentity(t *testing.T) {
 	w, cat := elideOracleWorkload(t, "tpch", 40)
 	opts := DefaultOptions()

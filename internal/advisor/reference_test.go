@@ -10,6 +10,7 @@ package advisor
 // a recommendation.
 
 import (
+	"context"
 	"sort"
 
 	"isum/internal/cost"
@@ -21,15 +22,25 @@ import (
 func referenceTune(o *cost.Optimizer, opts Options, w *workload.Workload) *Result {
 	a := New(o, opts)
 	callsBefore := o.Calls()
-	res := &Result{InitialCost: o.WorkloadCostN(w, nil, 1)}
+	res := &Result{InitialCost: serialWorkloadCost(o, w, nil)}
 	cands := a.referenceSelect(w, res)
 	if a.opts.EnableMerging {
 		cands = a.addMerged(cands)
 	}
 	res.Config = a.referenceEnumerate(w, cands, res)
-	res.FinalCost = o.WorkloadCostN(w, res.Config, 1)
+	res.FinalCost = serialWorkloadCost(o, w, res.Config)
 	res.OptimizerCalls = o.Calls() - callsBefore
 	return res
+}
+
+// serialWorkloadCost is w's weighted cost under cfg, costed serially; it
+// panics when a what-if call fails, as the reference has no error path.
+func serialWorkloadCost(o *cost.Optimizer, w *workload.Workload, cfg *index.Configuration) float64 {
+	c, err := o.WorkloadCostCtx(context.Background(), w, cfg, 1)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
 // referenceWeight is q's weight in the tuning objective; ≤ 0 counts as 1.

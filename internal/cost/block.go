@@ -49,10 +49,12 @@ type skelOcc struct {
 	name     string // the table as the block names it: the key of its filters and joins
 	table    string // lower-cased name: the configuration lookup key
 	t        *catalog.Table
-	pos      int32   // position among the block's resolved occurrences in FROM order
-	scan     float64 // heap scan cost
-	outRows  float64 // rows after local filters
-	localSel float64 // combined selectivity of the table's filters
+	pos      int32    // position among the block's resolved occurrences in FROM order
+	scan     float64  // heap scan cost
+	outRows  float64  // rows after local filters
+	localSel float64  // combined selectivity of the table's filters
+	needCols []string // lower-cased columns the block needs from the table, sorted
+	needAll  bool     // SELECT *: the block needs every column
 
 	// The join step that brings this occurrence in; unset for a block's
 	// first occurrence.
@@ -93,12 +95,14 @@ func (s *planSkeleton) addBlock(cat *catalog.Catalog, par Params, blk *workload.
 		if localSel < 1e-9 {
 			localSel = 1e-9
 		}
+		needCols, needAll := blockNeededColumns(blk, tu.Table)
 		s.occs = append(s.occs, skelOcc{
 			name: tu.Table, table: strings.ToLower(tu.Table), t: t,
 			pos:      int32(len(s.occs)) - b.lo,
 			scan:     par.scanCost(t),
 			outRows:  rowsAfter(float64(t.RowCount), localSel),
 			localSel: localSel,
+			needCols: needCols, needAll: needAll,
 		})
 	}
 	b.hi = int32(len(s.occs))
@@ -276,8 +280,7 @@ func (s *planSkeleton) buildAtom(par Params, m *index.Member) *accessAtom {
 // accessPath costs ix as the access path of occurrence oc: a seek on its
 // matched key prefix, a covering scan, or nothing (+Inf).
 func accessPath(par Params, blk *workload.Block, oc *skelOcc, ix index.Index) atomOcc {
-	needCols, needAll := blockNeededColumns(blk, oc.name)
-	covering := !needAll && ix.Covers(needCols)
+	covering := !oc.needAll && ix.Covers(oc.needCols)
 	leaf := leafPages(oc.t, ix)
 
 	// Match a seekable key prefix.
@@ -348,7 +351,7 @@ func isJoinColumn(blk *workload.Block, table, col string) bool {
 // scratch, one cursor per atom.
 //
 //lint:hotpath the what-if kernel, run on every plan computation
-func (s *planSkeleton) eval(par Params, atoms []*accessAtom, cur []int32) cacheVal {
+func (s *planSkeleton) eval(par Params, atoms []*accessAtom, cur []int32) planCost {
 	for i := range cur {
 		cur[i] = 0
 	}
@@ -365,7 +368,7 @@ func (s *planSkeleton) eval(par Params, atoms []*accessAtom, cur []int32) cacheV
 		total = par.CPUTuple
 		aj = total
 	}
-	return cacheVal{c: total, aj: aj}
+	return planCost{c: total, aj: aj}
 }
 
 // evalBlock returns one block's cost and its access+join subtotal, the
@@ -527,41 +530,52 @@ func (s *planSkeleton) floorAJ(par Params, b *skelBlock, table string) float64 {
 }
 
 // blockNeededColumns returns the (lower-cased) columns of table needed
-// anywhere in the block, and whether the block needs every column
-// (SELECT *). Shared with the elision layer's structural relevance test
-// (IndexRelevant).
+// anywhere in the block, sorted, and whether the block needs every column
+// (SELECT *). The skeleton keeps them per occurrence; the elision layer's
+// structural relevance test (IndexRelevant) calls it directly.
 func blockNeededColumns(blk *workload.Block, table string) ([]string, bool) {
 	if blk.SelectStar {
 		return nil, true
 	}
-	seen := map[string]bool{}
-	add := func(cu workload.ColumnUse) {
+	// Count first, so the one allocation is the result: skeleton builds
+	// call this per occurrence, on the cold path of every first call.
+	n := 0
+	eachColumnUse(blk, func(cu workload.ColumnUse) {
 		if cu.Table == table {
-			seen[strings.ToLower(cu.Column)] = true
+			n++
 		}
-	}
-	for _, f := range blk.Filters {
-		add(f.ColumnUse)
-	}
-	for _, j := range blk.Joins {
-		add(j.Left)
-		add(j.Right)
-	}
-	for _, c := range blk.GroupBy {
-		add(c)
-	}
-	for _, c := range blk.OrderBy {
-		add(c)
-	}
-	for _, c := range blk.Projected {
-		add(c)
-	}
-	cols := make([]string, 0, len(seen))
-	for c := range seen {
-		cols = append(cols, c)
-	}
+	})
+	cols := make([]string, 0, n)
+	eachColumnUse(blk, func(cu workload.ColumnUse) {
+		if cu.Table == table {
+			if c := strings.ToLower(cu.Column); !slices.Contains(cols, c) {
+				cols = append(cols, c)
+			}
+		}
+	})
 	sort.Strings(cols)
 	return cols, false
+}
+
+// eachColumnUse calls fn with every column the block's filters, joins,
+// GROUP BY, ORDER BY and projection use.
+func eachColumnUse(blk *workload.Block, fn func(workload.ColumnUse)) {
+	for _, f := range blk.Filters {
+		fn(f.ColumnUse)
+	}
+	for _, j := range blk.Joins {
+		fn(j.Left)
+		fn(j.Right)
+	}
+	for _, c := range blk.GroupBy {
+		fn(c)
+	}
+	for _, c := range blk.OrderBy {
+		fn(c)
+	}
+	for _, c := range blk.Projected {
+		fn(c)
+	}
 }
 
 // leafPages estimates the number of leaf pages in an index on t.

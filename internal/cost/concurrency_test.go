@@ -1,14 +1,14 @@
 package cost
 
 import (
+	"context"
 	"fmt"
-	"strings"
+	"math"
 	"sync"
 	"testing"
 
 	"isum/internal/catalog"
 	"isum/internal/index"
-	"isum/internal/telemetry"
 	"isum/internal/workload"
 )
 
@@ -17,7 +17,7 @@ func mustQueryf(t *testing.T, cat *catalog.Catalog, pat string, args ...any) *wo
 	return mustQuery(t, cat, fmt.Sprintf(pat, args...))
 }
 
-// TestOptimizerConcurrentCost hammers the what-if cache from many
+// TestOptimizerConcurrentCost hammers the optimizer from many
 // goroutines; run with -race to validate the locking.
 func TestOptimizerConcurrentCost(t *testing.T) {
 	cat := testCatalog()
@@ -68,10 +68,13 @@ func TestOptimizerConcurrentCost(t *testing.T) {
 }
 
 // TestOptimizerShardedCacheStress hammers a larger query/configuration
-// cross product than shard count, reads the atomic counters *while* the
-// cache is being hammered (the old mutex design deadlocked value here), and
-// then checks the cache absorbed every repeat: a second identical hammer
-// round must add zero plan computations.
+// cross product than shard count, so the compiled plans of many texts are
+// built and read concurrently, reads the atomic counters *while* the
+// optimizer is being hammered (the old mutex design deadlocked value
+// here), and then replays the same access pattern: every call must return
+// bitwise the cost the first round computed, and a fresh optimizer's
+// serial cost. No call is answered from a result cache, so plans equal
+// calls.
 func TestOptimizerShardedCacheStress(t *testing.T) {
 	cat := testCatalog()
 	o := NewOptimizer(cat)
@@ -96,15 +99,19 @@ func TestOptimizerShardedCacheStress(t *testing.T) {
 		index.NewConfiguration(index.New("customer", "c_custkey"), index.New("orders", "o_custkey")),
 	}
 
-	hammer := func(rounds int) {
+	const workers, rounds = 16, 200
+	// costs[g][i] is worker g's i-th cost; each worker writes only its own row.
+	hammer := func() [][]float64 {
+		costs := make([][]float64, workers)
 		var wg sync.WaitGroup
-		for g := 0; g < 16; g++ {
+		for g := 0; g < workers; g++ {
+			costs[g] = make([]float64, rounds)
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
 				for i := 0; i < rounds; i++ {
 					q := queries[(g*7+i)%len(queries)]
-					o.Cost(q, cfgs[(g+i)%len(cfgs)])
+					costs[g][i] = o.Cost(q, cfgs[(g+i)%len(cfgs)])
 				}
 			}(g)
 		}
@@ -123,27 +130,28 @@ func TestOptimizerShardedCacheStress(t *testing.T) {
 		}()
 		wg.Wait()
 		<-done
+		return costs
 	}
 
-	hammer(200)
-	if o.Calls() != 16*200 {
-		t.Fatalf("calls = %d, want %d", o.Calls(), 16*200)
+	first := hammer()
+	if o.Calls() != workers*rounds || o.Plans() != o.Calls() {
+		t.Fatalf("calls = %d, plans = %d, want %d each", o.Calls(), o.Plans(), workers*rounds)
 	}
-	// Everything is cached now: replaying the same access pattern must be
-	// pure cache hits.
-	plansAfterWarm := o.Plans()
-	if plansAfterWarm == 0 {
-		t.Fatal("expected some plan computations during warm-up")
+	replay := hammer()
+	serial := NewOptimizer(cat)
+	for g := range first {
+		for i, c := range first[g] {
+			q, cfg := queries[(g*7+i)%len(queries)], cfgs[(g+i)%len(cfgs)]
+			if math.Float64bits(replay[g][i]) != math.Float64bits(c) {
+				t.Fatalf("worker %d call %d: replay cost %v != first %v", g, i, replay[g][i], c)
+			}
+			if want := serial.Cost(q, cfg); math.Float64bits(c) != math.Float64bits(want) {
+				t.Fatalf("worker %d call %d: concurrent cost %v != serial %v", g, i, c, want)
+			}
+		}
 	}
-	hitsAfterWarm, missesAfterWarm := o.CacheStats()
-	hammer(200)
-	if o.Plans() != plansAfterWarm {
-		t.Fatalf("plans grew from %d to %d on a fully-cached replay", plansAfterWarm, o.Plans())
-	}
-	hits, misses := o.CacheStats()
-	if hits-hitsAfterWarm != 16*200 || misses != missesAfterWarm {
-		t.Fatalf("fully-cached replay added %d hits and %d misses, want %d and 0",
-			hits-hitsAfterWarm, misses-missesAfterWarm, 16*200)
+	if o.Calls() != 2*workers*rounds || o.Plans() != o.Calls() {
+		t.Fatalf("after replay calls = %d, plans = %d, want %d each", o.Calls(), o.Plans(), 2*workers*rounds)
 	}
 
 	o.ResetCounters()
@@ -153,11 +161,12 @@ func TestOptimizerShardedCacheStress(t *testing.T) {
 }
 
 // TestWorkloadCostParallelDeterminism checks the ordered-reduction
-// guarantee: WorkloadCostN returns bit-identical sums at any parallelism,
-// and FillCostsN matches serial filling.
+// guarantee: WorkloadCostCtx returns bit-identical sums at any
+// parallelism, and FillCostsCtx matches serial filling.
 func TestWorkloadCostParallelDeterminism(t *testing.T) {
 	cat := testCatalog()
 	o := NewOptimizer(cat)
+	ctx := context.Background()
 	w := &workload.Workload{Catalog: cat}
 	for v := 0; v < 40; v++ {
 		q := mustQueryf(t, cat, "SELECT o_totalprice FROM orders WHERE o_custkey = %d", v)
@@ -166,62 +175,36 @@ func TestWorkloadCostParallelDeterminism(t *testing.T) {
 	}
 	cfg := index.NewConfiguration(index.New("orders", "o_custkey"))
 
-	want := o.WorkloadCostN(w, cfg, 1)
+	want, err := o.WorkloadCostCtx(ctx, w, cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if want <= 0 {
 		t.Fatal("non-positive workload cost")
 	}
 	for _, p := range []int{0, 2, 8} {
-		if got := o.WorkloadCostN(w, cfg, p); got != want {
+		got, err := o.WorkloadCostCtx(ctx, w, cfg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
 			t.Fatalf("parallelism %d: workload cost %v != serial %v", p, got, want)
 		}
 	}
 
-	o.FillCostsN(w, 1)
+	if err := o.FillCostsCtx(ctx, w, 1); err != nil {
+		t.Fatal(err)
+	}
 	serial := make([]float64, len(w.Queries))
 	for i, q := range w.Queries {
 		serial[i] = q.Cost
 	}
-	o.FillCostsN(w, 8)
+	if err := o.FillCostsCtx(ctx, w, 8); err != nil {
+		t.Fatal(err)
+	}
 	for i, q := range w.Queries {
 		if q.Cost != serial[i] {
 			t.Fatalf("query %d: parallel fill %v != serial %v", i, q.Cost, serial[i])
 		}
-	}
-}
-
-// TestCacheCountersPartitionCalls: the registry holds one cache hit and
-// one cache miss counter, CacheStats reads them, and on a fault-free run
-// each what-if call is exactly one hit, miss or singleflight wait, also
-// when 8 workers race on the same cold probes.
-func TestCacheCountersPartitionCalls(t *testing.T) {
-	cat := testCatalog()
-	reg := telemetry.New()
-	o := NewOptimizerWithTelemetry(cat, DefaultParams(), reg)
-	w := &workload.Workload{Catalog: cat}
-	for v := 0; v < 40; v++ {
-		w.Queries = append(w.Queries, mustQueryf(t, cat, "SELECT o_totalprice FROM orders WHERE o_custkey = %d", v%10))
-	}
-	cfg := index.NewConfiguration(index.New("orders", "o_custkey"))
-	for _, p := range []int{8, 1} {
-		o.WorkloadCostN(w, nil, p)
-		o.WorkloadCostN(w, cfg, p)
-	}
-
-	counters := reg.Snapshot().Counters
-	for name := range counters {
-		if strings.HasPrefix(name, "cost/cache/") && name != "cost/cache/hits" && name != "cost/cache/misses" {
-			t.Errorf("registry has cache counter %q beyond hits and misses", name)
-		}
-	}
-	hits, misses := o.CacheStats()
-	if hits != counters["cost/cache/hits"] || misses != counters["cost/cache/misses"] {
-		t.Errorf("CacheStats() = (%d, %d), registry holds (%d, %d)",
-			hits, misses, counters["cost/cache/hits"], counters["cost/cache/misses"])
-	}
-	// 10 distinct texts under 2 configurations are 20 distinct probes.
-	calls, waits := counters["cost/whatif/calls"], counters["cost/elide/singleflight_waits"]
-	if calls != 4*40 || misses != 20 || hits+misses+waits != calls {
-		t.Errorf("calls %d, hits %d, misses %d, waits %d: want 160 calls, 20 misses, hits + misses + waits = calls",
-			calls, hits, misses, waits)
 	}
 }

@@ -48,9 +48,9 @@ func slackUp(x float64) float64 { return x + math.Abs(x)*boundSlack }
 // inner loop. Safe for concurrent use.
 type QueryBounds struct {
 	mu      sync.Mutex
-	base    cacheVal // exact cost/AJ under the empty configuration
+	base    planCost // exact cost/AJ under the empty configuration
 	baseOK  bool
-	atomics map[int32]cacheVal // exact cost/AJ per interned single index
+	atomics map[int32]planCost // exact cost/AJ per interned single index
 
 	minTail, maxTail float64 // Σ per-block tail bounds (skelBlock.tailBounds)
 	tailsOK          bool
@@ -133,20 +133,10 @@ func (b *QueryBounds) UpperWith(id int32) (float64, bool) {
 
 // QueryBounds returns the elision memo handle for q, creating it if
 // needed. Handles are shared across queries with identical text (cost is
-// a pure function of the text and the relevant configuration).
+// a pure function of the text and the relevant configuration): each lives
+// in its text's compiled plan.
 func (o *Optimizer) QueryBounds(q *workload.Query) *QueryBounds {
-	return o.boundsFor(q.Text)
-}
-
-func (o *Optimizer) boundsFor(text string) *QueryBounds {
-	o.elideMu.Lock()
-	b, ok := o.elideBounds[text]
-	if !ok {
-		b = &QueryBounds{atomics: make(map[int32]cacheVal), floors: make(map[string]float64)}
-		o.elideBounds[text] = b
-	}
-	o.elideMu.Unlock()
-	return b
+	return &o.planFor(q.Text).bounds
 }
 
 // InternIndexID maps a canonical index identity (index.Index.ID) to a
@@ -163,10 +153,10 @@ func (o *Optimizer) InternIndexID(id string) int32 {
 	return n
 }
 
-// recordParts feeds the atomic-cost memo from cache-miss plan
-// computations: the empty configuration and configurations with exactly
-// one index relevant to the query (rel holds the relevant members).
-func (o *Optimizer) recordParts(q *workload.Query, rel []*index.Member, v cacheVal) {
+// recordParts feeds the atomic-cost memo from what-if calls: the empty
+// configuration and configurations with exactly one index relevant to the
+// query (rel holds the relevant members).
+func (o *Optimizer) recordParts(b *QueryBounds, rel []*index.Member, v planCost) {
 	if len(rel) > 1 {
 		return
 	}
@@ -174,11 +164,13 @@ func (o *Optimizer) recordParts(q *workload.Query, rel []*index.Member, v cacheV
 	if len(rel) == 1 {
 		id = o.InternIndexID(rel[0].ID)
 	}
-	b := o.boundsFor(q.Text)
 	b.mu.Lock()
 	if id < 0 {
 		b.base, b.baseOK = v, true
 	} else {
+		if b.atomics == nil {
+			b.atomics = make(map[int32]planCost)
+		}
 		b.atomics[id] = v
 	}
 	b.mu.Unlock()
@@ -193,7 +185,7 @@ func (o *Optimizer) PrimeUnionBound(ctx context.Context, q *workload.Query, unio
 	if err != nil {
 		return err
 	}
-	b := o.boundsFor(q.Text)
+	b := o.QueryBounds(q)
 	b.mu.Lock()
 	b.ensureTails(o, q)
 	lb := slackDown(v.aj + b.minTail)
@@ -215,7 +207,7 @@ func (o *Optimizer) FloorCost(q *workload.Query, table string) float64 {
 		return 0
 	}
 	t := strings.ToLower(table)
-	b := o.boundsFor(q.Text)
+	b := o.QueryBounds(q)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if f, ok := b.floors[t]; ok {
@@ -230,6 +222,9 @@ func (o *Optimizer) FloorCost(q *workload.Query, table string) float64 {
 	f := slackDown(aj + b.minTail)
 	if f < 0 {
 		f = 0
+	}
+	if b.floors == nil {
+		b.floors = make(map[string]float64)
 	}
 	b.floors[t] = f
 	return f
@@ -308,9 +303,11 @@ func (o *Optimizer) CountElidedCalls(n int64) { o.elideHits.Add(n) }
 // comparison (cost/elide/bound_prunes).
 func (o *Optimizer) CountBoundPrune() { o.elidePrunes.Inc() }
 
-// ElideStats reports the elision counters: what-if calls elided,
-// candidates pruned by bounds, and plan computations that waited on an
-// identical in-flight computation instead of duplicating it.
+// ElideStats reports the elision counters: what-if calls elided and
+// candidates pruned by bounds. The third result is always 0: identical
+// concurrent calls each compute their plan, none waits on another. It
+// stays for the end-to-end benchmark's trace, which still reads it;
+// ROADMAP item 1's benchmark change removes it.
 func (o *Optimizer) ElideStats() (hits, boundPrunes, singleflightWaits int64) {
-	return o.elideHits.Value(), o.elidePrunes.Value(), o.elideWaits.Value()
+	return o.elideHits.Value(), o.elidePrunes.Value(), 0
 }

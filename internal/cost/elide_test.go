@@ -5,21 +5,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"isum/internal/catalog"
 	"isum/internal/index"
 	"isum/internal/workload"
 )
-
-// sleepInjector injects pure latency into every plan attempt, keeping the
-// leader in flight long enough for waiters to pile onto the flight.
-type sleepInjector struct{ d time.Duration }
-
-func (s sleepInjector) PlanFault(string, string, int) error {
-	time.Sleep(s.d)
-	return nil
-}
 
 // elideFixture is the shared workload/index pool for the bound tests and
 // FuzzCostBounds: a mix of scans, seeks, joins, aggregates, and sorts over
@@ -243,55 +233,12 @@ func TestElisionMemoExact(t *testing.T) {
 	}
 }
 
-// TestSingleflightCoalesces pins the in-flight deduplication: concurrent
-// identical costings under latency injection share one plan computation,
-// and waiters record cost/elide/singleflight_waits.
-func TestSingleflightCoalesces(t *testing.T) {
-	cat := testCatalog()
-	o := NewOptimizer(cat)
-	o.SetInjector(sleepInjector{d: 100 * time.Millisecond})
-	q, err := workload.NewQuery(cat, 0, "SELECT l_extendedprice FROM lineitem WHERE l_orderkey = 42")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const workers = 8
-	var wg sync.WaitGroup
-	costs := make([]float64, workers)
-	errs := make([]error, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			costs[i], errs[i] = o.CostContext(context.Background(), q, nil)
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < workers; i++ {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		if costs[i] != costs[0] {
-			t.Fatalf("worker %d cost %v != worker 0 cost %v", i, costs[i], costs[0])
-		}
-	}
-	if plans := o.Plans(); plans != 1 {
-		t.Fatalf("%d plan computations for %d identical concurrent calls, want 1", plans, workers)
-	}
-	if _, _, waits := o.ElideStats(); waits == 0 {
-		t.Fatal("no singleflight waits recorded — duplicates not coalesced")
-	}
-	if calls := o.Calls(); calls != workers {
-		t.Fatalf("Calls = %d, want %d (waiters still count as calls)", calls, workers)
-	}
-}
-
 // TestKernelZeroAlloc pins that the elision bound lookups — consulted per
 // (candidate, query) in the advisor's greedy inner loop — allocate
 // nothing, and neither do a warm compiled-plan evaluation (DESIGN.md §17)
-// or a what-if call answered from the cache. The static twin is the
-// isumlint alloc analyzer over the //lint:hotpath markers (see
-// internal/analysis).
+// or a warm what-if call, one whose plan already holds every atom it
+// folds. The static twin is the isumlint alloc analyzer over the
+// //lint:hotpath markers (see internal/analysis).
 func TestKernelZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under -race instrumentation")
@@ -315,9 +262,7 @@ func TestKernelZeroAlloc(t *testing.T) {
 
 	// A configuration with three indexes on the query's table.
 	cfg := index.NewConfiguration(fix.pool[0], fix.pool[1], fix.pool[2])
-	e := fix.o.shardFor(q.Text).entry(q.Text)
-	s := e.skeleton(fix.o, q)
-	atoms := e.atomsFor(fix.o, s, relevantMembers(nil, q, cfg), nil)
+	s, atoms := fix.o.planFor(q.Text).compiled(fix.o, q, relevantMembers(nil, q, cfg), nil)
 	if len(atoms) == 0 {
 		t.Fatal("fixture configuration has no usable index for the query")
 	}
@@ -325,5 +270,5 @@ func TestKernelZeroAlloc(t *testing.T) {
 	par := fix.o.Params()
 	check("planSkeleton.eval", func() { _ = s.eval(par, atoms, cur) })
 	ctx := context.Background()
-	check("Optimizer.CostContext (cache hit)", func() { _, _ = fix.o.CostContext(ctx, q, cfg) })
+	check("Optimizer.CostContext (warm call)", func() { _, _ = fix.o.CostContext(ctx, q, cfg) })
 }

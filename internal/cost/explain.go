@@ -77,9 +77,7 @@ func (o *Optimizer) Explain(q *workload.Query, cfg *index.Configuration) *Plan {
 	if q.Info == nil {
 		return p
 	}
-	e := o.shardFor(q.Text).entry(q.Text)
-	s := e.skeleton(o, q)
-	atoms := e.atomsFor(o, s, relevantMembers(nil, q, cfg), nil)
+	s, atoms := o.planFor(q.Text).compiled(o, q, relevantMembers(nil, q, cfg), nil)
 	cur := make([]int32, len(atoms))
 	for bi := range s.blocks {
 		b := &s.blocks[bi]

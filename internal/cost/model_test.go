@@ -184,8 +184,8 @@ func TestParamsChangePlanChoice(t *testing.T) {
 	expensiveRand := DefaultParams()
 	expensiveRand.RandPage = 50
 
-	oCheap := NewOptimizerWithParams(cat, cheapRand)
-	oDear := NewOptimizerWithParams(cat, expensiveRand)
+	oCheap := NewOptimizerWithTelemetry(cat, cheapRand, nil)
+	oDear := NewOptimizerWithTelemetry(cat, expensiveRand, nil)
 	qc := mustQuery(t, cat, sql)
 
 	cheapGain := oCheap.Cost(qc, nil) - oCheap.Cost(qc, cfg)

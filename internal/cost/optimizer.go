@@ -16,13 +16,13 @@ import (
 )
 
 // Injector is the fault-injection hook of the what-if interface
-// (DESIGN.md §9). It is consulted once per plan-computation attempt (cache
-// misses only — cached costs never refetch). Returning a non-nil error
-// simulates a transient what-if failure, which the optimizer's retry
-// policy absorbs; the injector may also sleep (latency injection) or panic
-// (crash injection, contained by the worker pool). Implementations must be
-// safe for concurrent use. internal/faults provides the deterministic
-// seeded implementation.
+// (DESIGN.md §9). It is consulted once per plan-computation attempt, so on
+// every what-if call. Returning a non-nil error simulates a transient
+// what-if failure, which the optimizer's retry policy absorbs; the
+// injector may also sleep (latency injection) or panic (crash injection,
+// contained by the worker pool). Implementations must be safe for
+// concurrent use. internal/faults provides the deterministic seeded
+// implementation.
 type Injector interface {
 	PlanFault(queryText, configFingerprint string, attempt int) error
 }
@@ -44,14 +44,14 @@ func DefaultRetryPolicy() RetryPolicy {
 }
 
 // Optimizer estimates query costs against hypothetical index configurations
-// — the "what-if" API of Section 2.1. It caches (query, relevant-config)
-// pairs and counts invocations so the advisor can report optimizer-call
-// statistics (Fig. 2).
+// — the "what-if" API of Section 2.1. It compiles each query text's plan
+// once (DESIGN.md §17), costs every call from that plan, and counts
+// invocations so the advisor can report optimizer-call statistics
+// (Fig. 2). Costs are not cached: a call is one fold of the compiled plan.
 //
-// All methods are safe for concurrent use. The cache is sharded by query
-// text and the counters are atomics, so parallel callers only contend when
-// two queries hash to the same shard. Concurrent identical misses share
-// one plan computation (singleflight, costPartsFlight).
+// All methods are safe for concurrent use. The compiled plans are sharded
+// by query text and the counters are atomics, so parallel callers only
+// contend when two queries hash to the same shard.
 //
 // Failure model: with no injector installed the optimizer cannot fail and
 // Cost never panics. Under fault injection (SetInjector) transient plan
@@ -69,44 +69,35 @@ type Optimizer struct {
 	inj   Injector
 	retry RetryPolicy
 
-	calls       *telemetry.Counter // cost/whatif/calls: invocations (hits included)
-	plans       *telemetry.Counter // cost/whatif/plans: plan computations (misses)
-	costNanos   *telemetry.Counter // cost/whatif/cost_nanos (Fig. 2's optimizer share)
-	cacheHits   *telemetry.Counter // cost/cache/hits: calls answered from the cache
-	cacheMisses *telemetry.Counter // cost/cache/misses: calls that led a plan computation
+	calls     *telemetry.Counter // cost/whatif/calls: invocations
+	plans     *telemetry.Counter // cost/whatif/plans: plan computations (one per successful call)
+	costNanos *telemetry.Counter // cost/whatif/cost_nanos (Fig. 2's optimizer share)
 
 	retryAttempts  *telemetry.Counter // faults/retry/attempts: backoff retries taken
 	retryExhausted *telemetry.Counter // faults/retry/exhausted: plans failed after all attempts
 	cancelled      *telemetry.Counter // faults/cancelled: plans aborted by ctx
 
-	// Elision layer (elide.go, DESIGN.md §16). The memo maps are guarded
-	// by elideMu.
-	elideMu     sync.Mutex
-	elideBounds map[string]*QueryBounds // per query text
-	elideIDs    map[string]int32        // interned index identities
+	// Elision layer (elide.go, DESIGN.md §16). Each text's memo lives in
+	// its compiled plan; elideMu guards the interned index identities.
+	elideMu  sync.Mutex
+	elideIDs map[string]int32
 
 	elideHits   *telemetry.Counter // cost/elide/hits: what-if calls elided
 	elidePrunes *telemetry.Counter // cost/elide/bound_prunes: candidates pruned by bounds
-	elideWaits  *telemetry.Counter // cost/elide/singleflight_waits: duplicate in-flight computations coalesced
 
-	shards [cacheShardCount]cacheShard
+	shards [planShardCount]planShard
 }
 
 // NewOptimizer returns a what-if optimizer over the catalog.
 func NewOptimizer(cat *catalog.Catalog) *Optimizer {
-	return NewOptimizerWithParams(cat, DefaultParams())
+	return NewOptimizerWithTelemetry(cat, DefaultParams(), nil)
 }
 
-// NewOptimizerWithParams returns an optimizer with custom cost-model
-// constants — the ablation/calibration path.
-func NewOptimizerWithParams(cat *catalog.Catalog, par Params) *Optimizer {
-	return NewOptimizerWithTelemetry(cat, par, nil)
-}
-
-// NewOptimizerWithTelemetry registers the optimizer's metrics — what-if
-// call/plan counters, cumulative cost time, cache hits/misses,
-// and the faults/ retry/cancellation counters — in reg, so a pipeline-wide
-// registry attributes what-if work to phases.
+// NewOptimizerWithTelemetry returns an optimizer with the given cost-model
+// constants and registers its metrics — what-if call/plan counters,
+// cumulative cost time, the elision counters, and the faults/
+// retry/cancellation counters — in reg, so a pipeline-wide registry
+// attributes what-if work to phases.
 // A nil reg gives the optimizer a private registry: the counters behind
 // Calls/Plans/CostTime are always live, at the cost of one atomic add
 // each, exactly as the pre-telemetry fields were.
@@ -122,22 +113,18 @@ func NewOptimizerWithTelemetry(cat *catalog.Catalog, par Params, reg *telemetry.
 		par:            par,
 		reg:            reg,
 		retry:          DefaultRetryPolicy(),
-		elideBounds:    make(map[string]*QueryBounds),
 		elideIDs:       make(map[string]int32),
 		calls:          reg.Counter("cost/whatif/calls"),
 		plans:          reg.Counter("cost/whatif/plans"),
 		costNanos:      reg.Counter("cost/whatif/cost_nanos"),
-		cacheHits:      reg.Counter("cost/cache/hits"),
-		cacheMisses:    reg.Counter("cost/cache/misses"),
 		retryAttempts:  reg.Counter("faults/retry/attempts"),
 		retryExhausted: reg.Counter("faults/retry/exhausted"),
 		cancelled:      reg.Counter("faults/cancelled"),
 		elideHits:      reg.Counter("cost/elide/hits"),
 		elidePrunes:    reg.Counter("cost/elide/bound_prunes"),
-		elideWaits:     reg.Counter("cost/elide/singleflight_waits"),
 	}
 	for i := range o.shards {
-		o.shards[i].entries = make(map[string]*queryEntry)
+		o.shards[i].plans = make(map[string]*queryPlan)
 	}
 	return o
 }
@@ -164,11 +151,16 @@ func (o *Optimizer) Params() Params { return o.par }
 // Catalog returns the optimizer's catalog.
 func (o *Optimizer) Catalog() *catalog.Catalog { return o.cat }
 
-// shardFor picks the cache shard for a query text.
+// shardFor picks the plan shard for a query text.
 //
-//lint:hotpath what-if cache lookup, on every call
-func (o *Optimizer) shardFor(text string) *cacheShard {
-	return &o.shards[hashString(hashSeed, text)&(cacheShardCount-1)]
+//lint:hotpath compiled-plan lookup, on every what-if call
+func (o *Optimizer) shardFor(text string) *planShard {
+	return &o.shards[hashString(hashSeed, text)&(planShardCount-1)]
+}
+
+// planFor returns the query text's compiled plan.
+func (o *Optimizer) planFor(text string) *queryPlan {
+	return o.shardFor(text).plan(text)
 }
 
 // Cost returns the estimated cost of q under the given (hypothetical)
@@ -189,7 +181,7 @@ func (o *Optimizer) Cost(q *workload.Query, cfg *index.Configuration) float64 {
 // CostContext is Cost with cancellation and failure reporting: the ctx
 // bounds retry backoff sleeps and aborts pending plan computations, and
 // injected what-if failures that survive the retry policy surface as
-// errors. Cache hits always succeed regardless of ctx.
+// errors.
 func (o *Optimizer) CostContext(ctx context.Context, q *workload.Query, cfg *index.Configuration) (float64, error) {
 	v, err := o.costParts(ctx, q, cfg)
 	if err != nil {
@@ -198,13 +190,14 @@ func (o *Optimizer) CostContext(ctx context.Context, q *workload.Query, cfg *ind
 	return v.c, nil
 }
 
-// costParts is the full what-if pipeline behind CostContext: counters,
-// cache lookup, singleflight, plan computation with retry, cache store,
-// and atomic-cost recording for the elision memo. It returns
-// the cost together with the access+join subtotal the bound derivations
-// need. A cache hit allocates nothing: the relevant members are gathered
-// into a stack buffer and the cache is keyed by a hash of their IDs.
-func (o *Optimizer) costParts(ctx context.Context, q *workload.Query, cfg *index.Configuration) (cacheVal, error) {
+// costParts is the what-if pipeline behind CostContext: count the call,
+// gather the configuration's members on the query's tables, fetch the
+// text's compiled plan, fold it under the injector and retry policy, and
+// record atomic costs for the elision memo. It returns the cost together
+// with the access+join subtotal the bound derivations need. Once the
+// plan holds every atom the call needs, the call allocates nothing: the
+// relevant members and their atoms are gathered into stack buffers.
+func (o *Optimizer) costParts(ctx context.Context, q *workload.Query, cfg *index.Configuration) (planCost, error) {
 	start := time.Now() //lint:allow determinism what-if latency metric only; costs are computed from the plan, not the clock
 	defer func() {
 		o.costNanos.Add(time.Since(start).Nanoseconds())
@@ -212,110 +205,22 @@ func (o *Optimizer) costParts(ctx context.Context, q *workload.Query, cfg *index
 	o.calls.Add(1)
 	var relBuf [16]*index.Member
 	rel := relevantMembers(relBuf[:0], q, cfg)
-	key := relevantKey(rel)
-
-	sh := o.shardFor(q.Text)
-	v, e, ok := sh.lookup(q.Text, key, rel)
-	if ok {
-		o.cacheHits.Inc()
-		return v, nil
-	}
-	if e == nil {
-		e = sh.entry(q.Text)
-	}
-	return o.costPartsFlight(ctx, q, rel, key, sh, e)
-}
-
-// costPartsFlight resolves a cache miss under singleflight: concurrent
-// identical (query text, relevant configuration) misses elect one leader
-// that computes the plan while the others wait on its pending record, so
-// parallel enumeration never computes the same probe twice. Cost values
-// are pure functions of (query, configuration), so coalescing is
-// invisible; a waiter counts no plan and no miss.
-func (o *Optimizer) costPartsFlight(ctx context.Context, q *workload.Query, rel []*index.Member, key uint64, sh *cacheShard, e *queryEntry) (cacheVal, error) {
-	for {
-		sh.mu.Lock()
-		r := e.find(key, rel)
-		if r != nil && !r.pending {
-			sh.mu.Unlock()
-			o.cacheHits.Inc()
-			return r.v, nil
-		}
-		if r != nil {
-			if r.done == nil {
-				r.done = make(chan struct{})
-			}
-			done := r.done
-			sh.mu.Unlock()
-			o.elideWaits.Inc()
-			select {
-			case <-ctx.Done():
-				o.cancelled.Inc()
-				return cacheVal{}, ctx.Err()
-			case <-done:
-			}
-			if r.err != nil {
-				// The leader failed. Retry as (potentially) a new leader:
-				// with the deterministic injector our own attempt sequence
-				// fails or succeeds exactly as it would have unshared, so
-				// callers observe reference failure semantics.
-				continue
-			}
-			return r.v, nil
-		}
-		r = &costRec{ids: memberIDs(rel), pending: true}
-		e.insert(key, r)
-		sh.mu.Unlock()
-		o.cacheMisses.Inc()
-		return o.runFlight(ctx, q, rel, key, sh, e, r)
-	}
-}
-
-// runFlight executes a leader plan computation and publishes the result —
-// to the cache, to any waiters, and (on success) to the elision memo. A
-// failed computation, or a panic out of it (crash injection), withdraws
-// the record before releasing the waiters, so they never hang on a dead
-// leader and the next caller computes afresh.
-func (o *Optimizer) runFlight(ctx context.Context, q *workload.Query, rel []*index.Member, key uint64, sh *cacheShard, e *queryEntry, r *costRec) (v cacheVal, err error) {
-	committed := false
-	defer func() {
-		if !committed {
-			o.land(sh, e, key, r, cacheVal{}, fmt.Errorf("cost: what-if plan computation for query %d panicked", q.ID))
-		}
-	}()
-	v, err = o.planWithRetry(ctx, q, rel, e)
-	committed = true
-	o.land(sh, e, key, r, v, err)
+	p := o.planFor(q.Text)
+	v, err := o.planWithRetry(ctx, q, rel, p)
 	if err != nil {
-		return cacheVal{}, err
+		return planCost{}, err
 	}
-	o.recordParts(q, rel, v)
+	o.recordParts(&p.bounds, rel, v)
 	return v, nil
-}
-
-// land ends a pending record's computation with its outcome.
-func (o *Optimizer) land(sh *cacheShard, e *queryEntry, key uint64, r *costRec, v cacheVal, err error) {
-	sh.mu.Lock()
-	if err != nil {
-		e.remove(key, r)
-	}
-	r.v, r.err, r.pending = v, err, false
-	done := r.done
-	sh.mu.Unlock()
-	if done != nil {
-		close(done)
-	}
 }
 
 // planWithRetry runs one plan computation under the injector and retry
 // policy: transient injected failures back off exponentially (honouring
 // ctx) and retry up to MaxAttempts times.
-func (o *Optimizer) planWithRetry(ctx context.Context, q *workload.Query, rel []*index.Member, e *queryEntry) (cacheVal, error) {
-	// The injector sees the relevant-configuration fingerprint: the
-	// members' IDs, sorted, joined by ";" ("" for none).
-	var fingerprint string
+func (o *Optimizer) planWithRetry(ctx context.Context, q *workload.Query, rel []*index.Member, p *queryPlan) (planCost, error) {
+	var fp string
 	if o.inj != nil {
-		fingerprint = strings.Join(memberIDs(rel), ";")
+		fp = fingerprint(rel)
 	}
 	attempts := o.retry.MaxAttempts
 	if attempts < 1 {
@@ -326,7 +231,7 @@ func (o *Optimizer) planWithRetry(ctx context.Context, q *workload.Query, rel []
 	for attempt := 0; attempt < attempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			o.cancelled.Inc()
-			return cacheVal{}, err
+			return planCost{}, err
 		}
 		if attempt > 0 {
 			o.retryAttempts.Inc()
@@ -336,7 +241,7 @@ func (o *Optimizer) planWithRetry(ctx context.Context, q *workload.Query, rel []
 				case <-ctx.Done():
 					t.Stop()
 					o.cancelled.Inc()
-					return cacheVal{}, ctx.Err()
+					return planCost{}, ctx.Err()
 				case <-t.C:
 				}
 				delay *= 2
@@ -346,39 +251,23 @@ func (o *Optimizer) planWithRetry(ctx context.Context, q *workload.Query, rel []
 			}
 		}
 		if o.inj != nil {
-			if err := o.inj.PlanFault(q.Text, fingerprint, attempt); err != nil {
+			if err := o.inj.PlanFault(q.Text, fp, attempt); err != nil {
 				lastErr = err
 				continue
 			}
 		}
 		o.plans.Add(1)
-		return o.computeCostParts(q, rel, e), nil
+		return o.computeCostParts(q, rel, p), nil
 	}
 	o.retryExhausted.Inc()
-	return cacheVal{}, fmt.Errorf("cost: what-if plan for query %d failed after %d attempts: %w", q.ID, attempts, lastErr)
+	return planCost{}, fmt.Errorf("cost: what-if plan for query %d failed after %d attempts: %w", q.ID, attempts, lastErr)
 }
 
-// WorkloadCost returns the weighted cost Σ w(q)·C(q) of the workload under
-// the configuration, fanning the per-query what-if calls across every core.
-func (o *Optimizer) WorkloadCost(w *workload.Workload, cfg *index.Configuration) float64 {
-	return o.WorkloadCostN(w, cfg, 0)
-}
-
-// WorkloadCostN is WorkloadCost with an explicit parallelism (0 =
-// GOMAXPROCS, 1 = serial). The weighted sum is reduced in input order, so
-// the result is bit-identical at any parallelism. Panics under fault
-// injection when retries are exhausted; ctx-aware callers use
-// WorkloadCostCtx.
-func (o *Optimizer) WorkloadCostN(w *workload.Workload, cfg *index.Configuration, parallelism int) float64 {
-	c, err := o.WorkloadCostCtx(context.Background(), w, cfg, parallelism)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// WorkloadCostCtx is WorkloadCostN with cancellation and failure
-// reporting: the first what-if failure (retries exhausted) or a ctx
+// WorkloadCostCtx returns the weighted cost Σ w(q)·C(q) of the workload
+// under the configuration, fanning the per-query what-if calls across
+// parallelism workers (0 = GOMAXPROCS, 1 = serial). The weighted sum is
+// reduced in input order, so the result is bit-identical at any
+// parallelism. The first what-if failure (retries exhausted) or a ctx
 // cancellation aborts the scan and is returned.
 func (o *Optimizer) WorkloadCostCtx(ctx context.Context, w *workload.Workload, cfg *index.Configuration, parallelism int) (float64, error) {
 	type qc struct {
@@ -411,23 +300,20 @@ func (o *Optimizer) WorkloadCostCtx(ctx context.Context, w *workload.Workload, c
 // FillCosts sets each query's Cost field to its cost under the current
 // physical design (empty configuration) — producing the "input workload
 // with optimizer estimated costs" the paper's problem statement assumes.
-// The what-if calls fan out across every core.
+// The what-if calls fan out across every core. Panics under fault
+// injection when retries are exhausted; ctx-aware callers use
+// FillCostsCtx.
 func (o *Optimizer) FillCosts(w *workload.Workload) {
-	o.FillCostsN(w, 0)
-}
-
-// FillCostsN is FillCosts with an explicit parallelism (0 = GOMAXPROCS,
-// 1 = serial). Costs are computed in parallel but assigned serially, so
-// workloads that alias the same *Query stay race-free.
-func (o *Optimizer) FillCostsN(w *workload.Workload, parallelism int) {
-	if err := o.FillCostsCtx(context.Background(), w, parallelism); err != nil {
+	if err := o.FillCostsCtx(context.Background(), w, 0); err != nil {
 		panic(err)
 	}
 }
 
-// FillCostsCtx is FillCostsN with cancellation and failure reporting. On a
-// non-nil error no Cost field has been assigned — the workload is left
-// untouched rather than partially costed.
+// FillCostsCtx is FillCosts with an explicit parallelism (0 = GOMAXPROCS,
+// 1 = serial), cancellation and failure reporting. Costs are computed in
+// parallel but assigned serially, so workloads that alias the same *Query
+// stay race-free. On a non-nil error no Cost field has been assigned —
+// the workload is left untouched rather than partially costed.
 func (o *Optimizer) FillCostsCtx(ctx context.Context, w *workload.Workload, parallelism int) error {
 	type qc struct {
 		v   float64
@@ -455,7 +341,8 @@ func (o *Optimizer) FillCostsCtx(ctx context.Context, w *workload.Workload, para
 // Calls returns the number of what-if invocations so far.
 func (o *Optimizer) Calls() int64 { return o.calls.Value() }
 
-// Plans returns the number of cache-miss plan computations so far.
+// Plans returns the number of plan computations so far: one per
+// successful what-if call.
 func (o *Optimizer) Plans() int64 { return o.plans.Value() }
 
 // CostTime returns the cumulative wall time spent inside Cost — the
@@ -465,10 +352,13 @@ func (o *Optimizer) CostTime() time.Duration {
 	return time.Duration(o.costNanos.Value())
 }
 
-// CacheStats returns the cache counters: hits are calls answered from the
-// what-if cache, misses are plan computations.
+// CacheStats reports 0 hits and the plan computations as misses: every
+// what-if call is computed from its compiled plan, so nothing is answered
+// from a result cache. It stays for the end-to-end benchmark's trace,
+// which still reads it; ROADMAP item 1's benchmark change removes it and
+// the hits column together.
 func (o *Optimizer) CacheStats() (hits, misses int64) {
-	return o.cacheHits.Value(), o.cacheMisses.Value()
+	return 0, o.plans.Value()
 }
 
 // FaultStats reports the failure-model counters: backoff retries taken,
@@ -478,11 +368,11 @@ func (o *Optimizer) FaultStats() (retries, exhausted, cancelled int64) {
 	return o.retryAttempts.Value(), o.retryExhausted.Value(), o.cancelled.Value()
 }
 
-// ResetCounters zeroes the call counters, timers, cache counters, and
-// faults counters (the cache itself is retained) — the multi-run
-// experiment hook, so harness invocations report per-run rather than
-// cumulative what-if statistics. When the optimizer shares a registry,
-// only its own metrics are reset.
+// ResetCounters zeroes the call counters, timers, elision counters and
+// faults counters (the compiled plans and the elision memo are retained)
+// — the multi-run experiment hook, so harness invocations report per-run
+// rather than cumulative what-if statistics. When the optimizer shares a
+// registry, only its own metrics are reset.
 func (o *Optimizer) ResetCounters() {
 	o.calls.Reset()
 	o.plans.Reset()
@@ -490,24 +380,20 @@ func (o *Optimizer) ResetCounters() {
 	o.retryAttempts.Reset()
 	o.retryExhausted.Reset()
 	o.cancelled.Reset()
-	o.cacheHits.Reset()
-	o.cacheMisses.Reset()
 	o.elideHits.Reset()
 	o.elidePrunes.Reset()
-	o.elideWaits.Reset()
 }
 
 // computeCostParts plans the query under the configuration whose members
 // on the query's tables are rel: it folds their access atoms through the
 // query's plan skeleton (DESIGN.md §17), keeping the access+join subtotal
 // alongside the total for the elision bounds.
-func (o *Optimizer) computeCostParts(q *workload.Query, rel []*index.Member, e *queryEntry) cacheVal {
+func (o *Optimizer) computeCostParts(q *workload.Query, rel []*index.Member, p *queryPlan) planCost {
 	if q.Info == nil {
-		return cacheVal{}
+		return planCost{}
 	}
-	s := e.skeleton(o, q)
 	var atomBuf [16]*accessAtom
-	atoms := e.atomsFor(o, s, rel, atomBuf[:0])
+	s, atoms := p.compiled(o, q, rel, atomBuf[:0])
 	var curBuf [16]int32
 	cur := curBuf[:]
 	if len(atoms) > len(cur) {
@@ -516,19 +402,19 @@ func (o *Optimizer) computeCostParts(q *workload.Query, rel []*index.Member, e *
 	return s.eval(o.par, atoms, cur[:len(atoms)])
 }
 
-// skeletonFor returns q's plan skeleton from the cache, building it if
-// needed. q.Info must be non-nil.
+// skeletonFor returns q's plan skeleton, building it if needed. q.Info
+// must be non-nil.
 func (o *Optimizer) skeletonFor(q *workload.Query) *planSkeleton {
-	return o.shardFor(q.Text).entry(q.Text).skeleton(o, q)
+	s, _ := o.planFor(q.Text).compiled(o, q, nil, nil)
+	return s
 }
 
 // relevantMembers appends to dst the configuration's members on tables
 // the query references, sorted by canonical ID. Only those can change the
-// query's plan, so cache entries are reused across configurations that
-// differ only on irrelevant tables — the same trick commercial advisors
-// use to suppress redundant what-if calls.
+// query's plan: they are the atoms a call folds, and the fingerprint the
+// fault injector and the atomic-cost memo see.
 //
-//lint:hotpath what-if cache key, built on every call
+//lint:hotpath gathers the members every what-if call folds
 func relevantMembers(dst []*index.Member, q *workload.Query, cfg *index.Configuration) []*index.Member {
 	if cfg == nil || q.Info == nil {
 		return dst
@@ -542,3 +428,16 @@ func relevantMembers(dst []*index.Member, q *workload.Query, cfg *index.Configur
 }
 
 func compareMemberIDs(a, b *index.Member) int { return strings.Compare(a.ID, b.ID) }
+
+// fingerprint is the relevant configuration as the fault injector sees
+// it: the members' IDs, sorted, joined by ";" ("" for none).
+func fingerprint(rel []*index.Member) string {
+	var b strings.Builder
+	for i, m := range rel {
+		if i > 0 {
+			b.WriteByte(';')
+		}
+		b.WriteString(m.ID)
+	}
+	return b.String()
+}

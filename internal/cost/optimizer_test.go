@@ -1,6 +1,10 @@
 package cost
 
 import (
+	"context"
+	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"isum/internal/catalog"
@@ -234,9 +238,16 @@ func TestWorkloadCostWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := o.WorkloadCost(w, nil)
+	ctx := context.Background()
+	base, err := o.WorkloadCostCtx(ctx, w, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	w.Queries[0].Weight = 3
-	weighted := o.WorkloadCost(w, nil)
+	weighted, err := o.WorkloadCostCtx(ctx, w, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if weighted <= base {
 		t.Fatal("weight should scale workload cost")
 	}
@@ -252,32 +263,160 @@ func TestFillCosts(t *testing.T) {
 	}
 }
 
+// TestCallCountersAndCache: every what-if call is computed from the
+// query's compiled plan, none answered from a result cache, so plans equal
+// calls; a repeat call and a probe that adds an index on a table the query
+// does not read return bitwise the first call's cost.
 func TestCallCountersAndCache(t *testing.T) {
 	cat := testCatalog()
 	o := NewOptimizer(cat)
 	q := mustQuery(t, cat, "SELECT c_nationkey FROM customer WHERE c_custkey = 5")
 	cfgA := index.NewConfiguration(index.New("customer", "c_custkey"))
-	// Same config extended with an irrelevant index: should hit the cache.
+	// Same config extended with an index on a table q does not read.
 	cfgB := cfgA.With(index.New("orders", "o_custkey"))
 
-	o.Cost(q, cfgA)
-	o.Cost(q, cfgB)
-	o.Cost(q, cfgA)
-	if o.Calls() != 3 {
-		t.Fatalf("calls = %d", o.Calls())
+	first := o.Cost(q, cfgA)
+	for name, got := range map[string]float64{
+		"irrelevant-index probe": o.Cost(q, cfgB),
+		"repeat call":            o.Cost(q, cfgA),
+	} {
+		if math.Float64bits(got) != math.Float64bits(first) {
+			t.Errorf("%s costs %v, first call %v", name, got, first)
+		}
 	}
-	if o.Plans() != 1 {
-		t.Fatalf("plans = %d (irrelevant-index probe should be cached)", o.Plans())
+	if o.Calls() != 3 || o.Plans() != o.Calls() {
+		t.Fatalf("calls = %d, plans = %d: want 3 and 3", o.Calls(), o.Plans())
 	}
-	if hits, misses := o.CacheStats(); hits != 2 || misses != 1 {
-		t.Fatalf("CacheStats() = (%d, %d), want (2, 1)", hits, misses)
+	if hits, misses := o.CacheStats(); hits != 0 || misses != o.Plans() {
+		t.Fatalf("CacheStats() = (%d, %d), want (0, %d)", hits, misses, o.Plans())
 	}
 	o.ResetCounters()
 	if o.Calls() != 0 || o.Plans() != 0 {
 		t.Fatal("reset failed")
 	}
-	if hits, misses := o.CacheStats(); hits != 0 || misses != 0 {
-		t.Fatalf("CacheStats() after ResetCounters = (%d, %d), want (0, 0)", hits, misses)
+}
+
+// injectorCall is one PlanFault consultation.
+type injectorCall struct {
+	text, fp string
+	attempt  int
+}
+
+// recordingInjector records every consultation and injects err (nil: no
+// fault). Tests that use it make their calls serially.
+type recordingInjector struct {
+	err   error
+	calls []injectorCall
+}
+
+func (r *recordingInjector) PlanFault(text, fp string, attempt int) error {
+	r.calls = append(r.calls, injectorCall{text, fp, attempt})
+	return r.err
+}
+
+// TestInjectorConsultedOnEveryCall: no what-if call is answered without a
+// plan computation, so the fault injector sees every call, repeats and
+// irrelevant-index probes included, each with the fingerprint of the
+// members on the query's tables only.
+func TestInjectorConsultedOnEveryCall(t *testing.T) {
+	cat := testCatalog()
+	o := NewOptimizer(cat)
+	inj := &recordingInjector{}
+	o.SetInjector(inj)
+	q := mustQuery(t, cat, "SELECT c_nationkey FROM customer WHERE c_custkey = 5")
+	ix := index.New("customer", "c_custkey")
+	cfgA := index.NewConfiguration(ix)
+	cfgB := cfgA.With(index.New("orders", "o_custkey"))
+
+	for _, cfg := range []*index.Configuration{cfgA, cfgA, cfgB, nil, nil} {
+		o.Cost(q, cfg)
+	}
+	want := []injectorCall{
+		{q.Text, ix.ID(), 0}, {q.Text, ix.ID(), 0}, {q.Text, ix.ID(), 0},
+		{q.Text, "", 0}, {q.Text, "", 0},
+	}
+	if !slices.Equal(inj.calls, want) {
+		t.Fatalf("injector consultations:\n got %+v\nwant %+v", inj.calls, want)
+	}
+	if o.Calls() != 5 || o.Plans() != 5 {
+		t.Fatalf("calls = %d, plans = %d: want 5 and 5", o.Calls(), o.Plans())
+	}
+}
+
+// TestWarmCallStillFaults: a call that succeeded once is not answered from
+// that success later. Under an injector that fails every attempt, the
+// repeat exhausts its retries, and once the injector is gone the call
+// returns bitwise the first cost again.
+func TestWarmCallStillFaults(t *testing.T) {
+	cat := testCatalog()
+	o := NewOptimizer(cat)
+	q := mustQuery(t, cat, "SELECT l_comment FROM lineitem WHERE l_orderkey = 42")
+	cfg := index.NewConfiguration(index.New("lineitem", "l_orderkey"))
+	ctx := context.Background()
+	first, err := o.CostContext(ctx, q, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	errDown := errors.New("what-if server down")
+	inj := &recordingInjector{err: errDown}
+	o.SetInjector(inj)
+	o.SetRetryPolicy(RetryPolicy{MaxAttempts: 3})
+	if _, err := o.CostContext(ctx, q, cfg); !errors.Is(err, errDown) {
+		t.Fatalf("warm call under an always-failing injector: err = %v, want %v", err, errDown)
+	}
+	if len(inj.calls) != 3 {
+		t.Fatalf("injector consulted %d times, want 3 (one per attempt)", len(inj.calls))
+	}
+	if retries, exhausted, _ := o.FaultStats(); retries != 2 || exhausted != 1 {
+		t.Fatalf("FaultStats retries = %d, exhausted = %d: want 2 and 1", retries, exhausted)
+	}
+	if o.Calls() != 2 || o.Plans() != 1 {
+		t.Fatalf("calls = %d, plans = %d: want 2 and 1", o.Calls(), o.Plans())
+	}
+
+	o.SetInjector(nil)
+	if again := o.Cost(q, cfg); math.Float64bits(again) != math.Float64bits(first) {
+		t.Fatalf("cost after the fault cleared %v, first call %v", again, first)
+	}
+}
+
+// TestSkeletonNeededColumns: the skeleton compiles, per table occurrence,
+// the lower-cased columns its block uses anywhere, each once and sorted,
+// or needAll for SELECT *.
+func TestSkeletonNeededColumns(t *testing.T) {
+	cat := testCatalog()
+	o := NewOptimizer(cat)
+	for _, tc := range []struct {
+		sql     string
+		want    map[string][]string // by table; nil: needs every column
+		wantAll bool
+	}{
+		{
+			sql: "SELECT o_totalprice, c_nationkey FROM orders, customer " +
+				"WHERE o_custkey = c_custkey AND c_nationkey = 3 ORDER BY o_totalprice",
+			want: map[string][]string{
+				"orders":   {"o_custkey", "o_totalprice"},
+				"customer": {"c_custkey", "c_nationkey"},
+			},
+		},
+		{sql: "SELECT * FROM customer WHERE c_custkey = 5", wantAll: true},
+	} {
+		s := o.skeletonFor(mustQuery(t, cat, tc.sql))
+		if len(s.occs) == 0 {
+			t.Fatalf("%s: no occurrences compiled", tc.sql)
+		}
+		for _, oc := range s.occs {
+			if oc.needAll != tc.wantAll {
+				t.Errorf("%s: %s needAll = %v, want %v", tc.sql, oc.table, oc.needAll, tc.wantAll)
+			}
+			if tc.wantAll {
+				continue
+			}
+			if want := tc.want[oc.table]; !slices.Equal(oc.needCols, want) {
+				t.Errorf("%s: %s needs %q, want %q", tc.sql, oc.table, oc.needCols, want)
+			}
+		}
 	}
 }
 

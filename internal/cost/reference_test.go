@@ -453,9 +453,9 @@ func (p *blockPlanner) outputWidth() int { return outputWidth(p.cat, p.blk) }
 
 // refCostParts is the reference computeCostParts: every block planned
 // from scratch, totals summed in block order.
-func refCostParts(cat *catalog.Catalog, par Params, q *workload.Query, cfg *index.Configuration) cacheVal {
+func refCostParts(cat *catalog.Catalog, par Params, q *workload.Query, cfg *index.Configuration) planCost {
 	if q.Info == nil {
-		return cacheVal{}
+		return planCost{}
 	}
 	var total, aj float64
 	for _, blk := range q.Info.Blocks {
@@ -467,5 +467,5 @@ func refCostParts(cat *catalog.Catalog, par Params, q *workload.Query, cfg *inde
 		total = par.CPUTuple
 		aj = total
 	}
-	return cacheVal{c: total, aj: aj}
+	return planCost{c: total, aj: aj}
 }

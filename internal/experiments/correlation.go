@@ -71,7 +71,7 @@ func computePerQueryStudy(env *Env, name string, aopts advisor.Options) (*perQue
 			return nil, ctxError(ctx)
 		}
 		s.reduction[i] = res.InitialCost - res.FinalCost
-		pct, _, _, err := evaluate(ctx, o, w, res.Config)
+		pct, _, _, err := env.evaluate(ctx, o, w, res.Config)
 		if err != nil {
 			return nil, err
 		}

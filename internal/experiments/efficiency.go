@@ -65,7 +65,7 @@ func Fig11(env *Env) ([]*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				pct, _, _, err := evaluate(ctx, o, w, tuned)
+				pct, _, _, err := env.evaluate(ctx, o, w, tuned)
 				if err != nil {
 					return nil, err
 				}

@@ -30,14 +30,14 @@ type Config struct {
 	// Fast shrinks workload sizes (used by tests and quick runs); the full
 	// sizes are the paper's Table 2 values.
 	Fast bool
-	// Parallelism bounds worker goroutines in the compression and tuning
-	// hot paths (0 = GOMAXPROCS, 1 = serial). Experiment outputs are
+	// Parallelism bounds worker goroutines in cost filling, tuning and
+	// evaluation (0 = GOMAXPROCS, 1 = serial). Experiment outputs are
 	// identical at any setting; this only trades wall-clock for cores.
 	Parallelism int
 	// Telemetry, when non-nil, collects pipeline metrics and phase spans
 	// across every experiment: optimizers are constructed against it and
 	// Run appends a per-figure phase breakdown (elapsed time plus counter
-	// deltas — what-if calls, cache hits/misses, greedy rounds) next to
+	// deltas — what-if calls, elided calls, greedy rounds) next to
 	// each figure's tables. Figure results themselves are identical with
 	// or without it.
 	Telemetry *telemetry.Registry
@@ -202,9 +202,10 @@ func ctxError(ctx context.Context) error {
 	return context.DeadlineExceeded
 }
 
-// evaluate returns the improvement % (and before/after costs) of cfg on w.
-func evaluate(ctx context.Context, o *cost.Optimizer, w *workload.Workload, cfg *index.Configuration) (pct, base, final float64, err error) {
-	return advisor.EvaluateImprovementContext(ctx, o, w, cfg, 0)
+// evaluate returns the improvement % (and before/after costs) of cfg on
+// w, costing at the run's parallelism.
+func (e *Env) evaluate(ctx context.Context, o *cost.Optimizer, w *workload.Workload, cfg *index.Configuration) (pct, base, final float64, err error) {
+	return advisor.EvaluateImprovementContext(ctx, o, w, cfg, e.Cfg.Parallelism)
 }
 
 // ctxCompressor is implemented by compressors that support cancellation
@@ -216,7 +217,8 @@ type ctxCompressor interface {
 
 // RunPipeline compresses w to k queries with comp, tunes the compressed
 // workload, and returns the improvement % on the full workload — the
-// paper's evaluation metric. Cancellation of ctx aborts with its error.
+// paper's evaluation metric. Tuning and evaluation run at
+// aopts.Parallelism. Cancellation of ctx aborts with its error.
 func RunPipeline(ctx context.Context, o *cost.Optimizer, w *workload.Workload, comp compress.Compressor, k int, aopts advisor.Options) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -239,7 +241,7 @@ func RunPipeline(ctx context.Context, o *cost.Optimizer, w *workload.Workload, c
 	if err != nil {
 		return 0, err
 	}
-	pct, _, _, err := advisor.EvaluateImprovementContext(ctx, o, w, cfg, 0)
+	pct, _, _, err := advisor.EvaluateImprovementContext(ctx, o, w, cfg, aopts.Parallelism)
 	return pct, err
 }
 

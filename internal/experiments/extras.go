@@ -96,7 +96,7 @@ func ExtraAdvisorAblation(env *Env) ([]*Table, error) {
 		if tuned.Partial {
 			return nil, ctxError(ctx)
 		}
-		pct, _, _, err := evaluate(ctx, o, w, tuned.Config)
+		pct, _, _, err := env.evaluate(ctx, o, w, tuned.Config)
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +148,7 @@ func ExtraIncremental(env *Env) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		incPct, _, _, err := evaluate(ctx, o, seen, incTuned)
+		incPct, _, _, err := env.evaluate(ctx, o, seen, incTuned)
 		if err != nil {
 			return nil, err
 		}
@@ -163,7 +163,7 @@ func ExtraIncremental(env *Env) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		osPct, _, _, err := evaluate(ctx, o, seen, osTuned)
+		osPct, _, _, err := env.evaluate(ctx, o, seen, osTuned)
 		if err != nil {
 			return nil, err
 		}

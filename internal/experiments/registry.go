@@ -57,7 +57,7 @@ func Names() []string {
 // Run executes one experiment by id and writes its tables to w. With
 // Config.Telemetry set, the run is wrapped in an experiments/<id> span and
 // a per-figure phase breakdown — elapsed time plus the counter deltas the
-// figure caused (what-if calls, cache hits/misses, greedy rounds) — is
+// figure caused (what-if calls, elided calls, greedy rounds) — is
 // written right after the figure's tables.
 func Run(env *Env, id string, w io.Writer) error {
 	r, ok := Registry()[id]

@@ -29,8 +29,8 @@ func Fig2(env *Env) ([]*Table, error) {
 			"optimizer calls", "configs explored", "indexes"},
 	}
 	for _, n := range sizes {
-		// Fresh workload and optimizer per point so caches don't flatter the
-		// larger runs.
+		// Fresh workload and optimizer per point so compiled plans and the
+		// elision memo don't flatter the larger runs.
 		w, err := g.Workload(n, env.Cfg.Seed)
 		if err != nil {
 			return nil, err
@@ -93,7 +93,7 @@ func Fig3(env *Env) ([]*Table, error) {
 		return nil, err
 	}
 	fullTime := time.Since(fullStart)
-	fullPct, _, _, err := evaluate(ctx, o, w, fullCfg)
+	fullPct, _, _, err := env.evaluate(ctx, o, w, fullCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +122,7 @@ func Fig3(env *Env) ([]*Table, error) {
 			return nil, err
 		}
 		elapsed := time.Since(start)
-		pct, _, _, err := evaluate(ctx, o, w, cfg)
+		pct, _, _, err := env.evaluate(ctx, o, w, cfg)
 		if err != nil {
 			return nil, err
 		}

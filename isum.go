@@ -17,8 +17,8 @@
 //
 // Every stage of the pipeline is parallel by default: feature extraction,
 // greedy benefit scans, advisor candidate selection/enumeration, and
-// workload costing fan their work across GOMAXPROCS workers over a sharded
-// what-if cost cache. The CompressorOptions.Parallelism and
+// workload costing fan their work across GOMAXPROCS workers over what-if
+// plans compiled once per query text. The CompressorOptions.Parallelism and
 // AdvisorOptions.Parallelism knobs bound the worker count (0 = GOMAXPROCS,
 // 1 = serial); results are identical at any setting — see DESIGN.md,
 // "Concurrency model".
@@ -137,7 +137,7 @@ func NewOptimizer(cat *Catalog) *Optimizer { return cost.NewOptimizer(cat) }
 func NewTelemetry() *Telemetry { return telemetry.New() }
 
 // NewOptimizerWithTelemetry returns a what-if optimizer whose call, plan,
-// and cache counters register in reg (nil reg behaves like
+// elision and fault counters register in reg (nil reg behaves like
 // NewOptimizer).
 func NewOptimizerWithTelemetry(cat *Catalog, reg *Telemetry) *Optimizer {
 	return cost.NewOptimizerWithTelemetry(cat, cost.DefaultParams(), reg)

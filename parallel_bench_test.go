@@ -51,9 +51,9 @@ func BenchmarkTune(b *testing.B) {
 		opts.Parallelism = p
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				// Fresh optimizer per iteration: every run pays the same
-				// all-miss what-if costs, so the two variants compare
-				// compute, not cache hit rates.
+				// Fresh optimizer per iteration: every run compiles the
+				// same plans, so the two variants compare compute, not
+				// how much an earlier iteration left behind.
 				advisor.New(cost.NewOptimizer(o.Catalog()), opts).Tune(cw)
 			}
 		})
