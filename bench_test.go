@@ -111,29 +111,43 @@ func BenchmarkAnalyzeQuery(b *testing.B) {
 }
 
 // BenchmarkLoad is the ingest path a tuning session starts with: decode
-// the seed-1 10⁴-query Scale-M log (with its input costs, as the
-// end-to-end benchmark's scalem-10k workload serialises it), then parse,
-// analyse and fingerprint every entry. The log's bytes are built once,
+// a seed-1 log with its input costs, as the end-to-end benchmark's
+// workloads serialise it, then parse, analyse and fingerprint every entry.
+// The logs differ in how often a statement shape repeats: scalem-10k has
+// ~5.9 instances per shape and tpch-2200 has 100, so the two size the
+// shape cache (DESIGN.md §19) at both ends, and tpcds-92 (91 shapes in
+// 92 entries) is the log it bypasses. The log's bytes are built once,
 // outside the timer.
 func BenchmarkLoad(b *testing.B) {
-	gen := benchmarks.ScaleM(1, benchmarks.ScaleMDefaultTemplates)
-	w, err := gen.Workload(10000, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cost.NewOptimizer(gen.Cat).FillCosts(w)
-	var buf bytes.Buffer
-	if err := w.Save(&buf); err != nil {
-		b.Fatal(err)
-	}
-	log := buf.Bytes()
-	b.SetBytes(int64(len(log)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := workload.Load(gen.Cat, bytes.NewReader(log)); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		gen  *benchmarks.Generator
+		n    int
+	}{
+		{"scalem-10k", benchmarks.ScaleM(1, benchmarks.ScaleMDefaultTemplates), 10000},
+		{"tpch-2200", benchmarks.TPCH(10), 2200},
+		{"tpcds-92", benchmarks.TPCDS(10), 92},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			w, err := c.gen.Workload(c.n, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cost.NewOptimizer(c.gen.Cat).FillCosts(w)
+			var buf bytes.Buffer
+			if err := w.Save(&buf); err != nil {
+				b.Fatal(err)
+			}
+			log := buf.Bytes()
+			b.SetBytes(int64(len(log)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := workload.Load(c.gen.Cat, bytes.NewReader(log)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -49,7 +49,7 @@ func Fig13(env *Env) ([]*Table, error) {
 		for _, k := range ks {
 			row := []any{k}
 			for _, st := range strategies {
-				opts := core.DefaultOptions()
+				opts := env.coreOptions(core.DefaultOptions())
 				opts.Algorithm = core.AllPairs
 				opts.Update = st.s
 				pct, err := RunPipeline(ctx, o, w, core.New(opts), k, aopts)
@@ -93,7 +93,7 @@ func Fig14(env *Env) ([]*Table, error) {
 	for _, k := range env.Cfg.KSweep(w.Len()) {
 		row := []any{k}
 		for _, st := range strategies {
-			opts := core.DefaultOptions()
+			opts := env.coreOptions(core.DefaultOptions())
 			opts.Weighing = st.s
 			pct, err := RunPipeline(ctx, o, w, core.New(opts), k, aopts)
 			if err != nil {

@@ -36,7 +36,7 @@ func Fig9a(env *Env) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		comps := StandardCompressors(env.Cfg.Seed)
+		comps := env.standardCompressors()
 		t := &Table{
 			Title:   fmt.Sprintf("Fig 9a (%s): improvement %% vs compressed size", name),
 			Columns: append([]string{"k"}, compNames(comps)...),
@@ -75,7 +75,7 @@ func Fig9b(env *Env) ([]*Table, error) {
 			return nil, err
 		}
 		k := halfSqrt(w.Len())
-		comps := StandardCompressors(env.Cfg.Seed)
+		comps := env.standardCompressors()
 		t := &Table{
 			Title:   fmt.Sprintf("Fig 9b (%s): improvement %% vs configuration size (k=%d)", name, k),
 			Columns: append([]string{"config size"}, compNames(comps)...),
@@ -117,8 +117,8 @@ func Fig10(env *Env) ([]*Table, error) {
 			&compress.CostTopK{},
 			&compress.Stratified{Seed: env.Cfg.Seed},
 			&compress.GSUM{},
-			core.New(core.DefaultOptions()),
-			core.New(core.NoTableOptions()),
+			core.New(env.coreOptions(core.DefaultOptions())),
+			core.New(env.coreOptions(core.NoTableOptions())),
 		}
 		t := &Table{
 			Title:   fmt.Sprintf("Fig 10 (%s): improvement %% vs storage budget (k=%d)", name, k),
@@ -159,7 +159,7 @@ func Fig15(env *Env) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		comps := StandardCompressors(env.Cfg.Seed)
+		comps := env.standardCompressors()
 		t := &Table{
 			Title:   fmt.Sprintf("Fig 15 (%s): improvement %% with DEXTER-style advisor", name),
 			Columns: append([]string{"k"}, compNames(comps)...),

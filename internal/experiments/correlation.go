@@ -45,11 +45,11 @@ func computePerQueryStudy(env *Env, name string, aopts advisor.Options) (*perQue
 	if err != nil {
 		return nil, err
 	}
-	ruleStates, err := core.BuildStatesContext(ctx, w, core.DefaultOptions())
+	ruleStates, err := core.BuildStatesContext(ctx, w, env.coreOptions(core.DefaultOptions()))
 	if err != nil {
 		return nil, err
 	}
-	statsStates, err := core.BuildStatesContext(ctx, w, core.ISUMSOptions())
+	statsStates, err := core.BuildStatesContext(ctx, w, env.coreOptions(core.ISUMSOptions()))
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +225,7 @@ func Fig8(env *Env) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		states, err := core.BuildStatesContext(env.Cfg.Context(), w, core.DefaultOptions())
+		states, err := core.BuildStatesContext(env.Cfg.Context(), w, env.coreOptions(core.DefaultOptions()))
 		if err != nil {
 			return nil, err
 		}

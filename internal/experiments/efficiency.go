@@ -16,12 +16,12 @@ func Fig11(env *Env) ([]*Table, error) {
 	if env.Cfg.Fast {
 		sizes = []int{32, 64, 128}
 	}
-	apOpts := core.DefaultOptions()
+	apOpts := env.coreOptions(core.DefaultOptions())
 	apOpts.Algorithm = core.AllPairs
 	algos := []compress.Compressor{
 		core.New(apOpts),
 		&compress.KMedoid{Seed: env.Cfg.Seed},
-		core.New(core.DefaultOptions()),
+		core.New(env.coreOptions(core.DefaultOptions())),
 	}
 
 	var tables []*Table

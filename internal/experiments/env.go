@@ -30,9 +30,11 @@ type Config struct {
 	// Fast shrinks workload sizes (used by tests and quick runs); the full
 	// sizes are the paper's Table 2 values.
 	Fast bool
-	// Parallelism bounds worker goroutines in cost filling, tuning and
-	// evaluation (0 = GOMAXPROCS, 1 = serial). Experiment outputs are
-	// identical at any setting; this only trades wall-clock for cores.
+	// Parallelism bounds worker goroutines in compression, cost filling,
+	// tuning and evaluation (0 = GOMAXPROCS, 1 = serial). Building a
+	// workload parses on every core whatever the setting (DESIGN.md §19).
+	// Experiment outputs are identical at any setting; this only trades
+	// wall-clock for cores.
 	Parallelism int
 	// Telemetry, when non-nil, collects pipeline metrics and phase spans
 	// across every experiment: optimizers are constructed against it and
@@ -243,6 +245,24 @@ func RunPipeline(ctx context.Context, o *cost.Optimizer, w *workload.Workload, c
 	}
 	pct, _, _, err := advisor.EvaluateImprovementContext(ctx, o, w, cfg, aopts.Parallelism)
 	return pct, err
+}
+
+// coreOptions returns opts set to compress at the run's parallelism.
+func (e *Env) coreOptions(opts core.Options) core.Options {
+	opts.Parallelism = e.Cfg.Parallelism
+	return opts
+}
+
+// standardCompressors is StandardCompressors for the run: ISUM and ISUM-S
+// compress at the run's parallelism.
+func (e *Env) standardCompressors() []compress.Compressor {
+	comps := StandardCompressors(e.Cfg.Seed)
+	for i, c := range comps {
+		if cc, ok := c.(*core.Compressor); ok {
+			comps[i] = core.New(e.coreOptions(cc.Options()))
+		}
+	}
+	return comps
 }
 
 // StandardCompressors returns the Fig. 9 comparison set: the four baselines

@@ -36,7 +36,7 @@ func ExtraNormAblation(env *Env) ([]*Table, error) {
 	for _, k := range env.Cfg.KSweep(w.Len()) {
 		row := []any{k}
 		for _, m := range modes {
-			opts := core.DefaultOptions()
+			opts := env.coreOptions(core.DefaultOptions())
 			opts.Norm = m.m
 			pct, err := RunPipeline(ctx, o, w, core.New(opts), k, aopts)
 			if err != nil {
@@ -58,7 +58,7 @@ func ExtraAdvisorAblation(env *Env) ([]*Table, error) {
 		return nil, err
 	}
 	k := halfSqrt(w.Len())
-	comp := core.New(core.DefaultOptions())
+	comp := core.New(env.coreOptions(core.DefaultOptions()))
 	res, err := comp.CompressContext(ctx, w, k)
 	if err != nil {
 		return nil, err
@@ -134,9 +134,9 @@ func ExtraIncremental(env *Env) ([]*Table, error) {
 		Title:   "Extra: incremental vs one-shot compression (TPC-DS)",
 		Columns: []string{"batch", "seen", "incremental improvement %", "one-shot improvement %"},
 	}
-	ic := core.NewIncremental(g.Cat, core.DefaultOptions(), k)
+	ic := core.NewIncremental(g.Cat, env.coreOptions(core.DefaultOptions()), k)
 	per := n / batches
-	oneShot := core.New(core.DefaultOptions())
+	oneShot := core.New(env.coreOptions(core.DefaultOptions()))
 	for b := 0; b < batches; b++ {
 		lo, hi := b*per, (b+1)*per
 		if b == batches-1 {

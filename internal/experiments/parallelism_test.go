@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"isum/internal/core"
+	"isum/internal/parallel"
+	"isum/internal/telemetry"
 )
 
 // goroutineRecorder is a fault injector that injects nothing: it records
@@ -86,4 +88,50 @@ func TestEvaluationHonoursParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("RunPipeline")
+}
+
+// TestCompressionHonoursParallelism: at Parallelism 1 the figures
+// compress on the calling goroutine, ISUM's state building and greedy
+// included. The pool's queue-wait histogram records one observation per
+// worker it spawns, so its count must not grow while the figures run.
+// The workloads are built first, outside the measured span, because
+// building one parses on every core whatever the setting.
+func TestCompressionHonoursParallelism(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	reg := telemetry.New()
+	parallel.SetTelemetry(reg)
+	defer parallel.SetTelemetry(nil)
+	spawned := func() int64 { return reg.Histogram("parallel/pool/queue_wait_nanos", nil).Count() }
+
+	cfg := FastConfig()
+	cfg.Parallelism = 1
+	env := NewEnv(cfg)
+	for _, name := range []string{"TPC-H", "TPC-DS", "DSB", "Real-M"} {
+		if _, _, err := env.Workload(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, fig := range []struct {
+		name string
+		run  func(*Env) ([]*Table, error)
+	}{
+		{"Fig 5", Fig5}, {"Fig 8", Fig8}, {"Fig 9a", Fig9a}, {"Fig 13", Fig13},
+		{"Fig 14", Fig14}, {"normalisation ablation", ExtraNormAblation},
+	} {
+		before := spawned()
+		runExp(t, fig.run, env)
+		if n := spawned() - before; n != 0 {
+			t.Errorf("%s spawned %d pool workers at Parallelism 1", fig.name, n)
+		}
+	}
+	// The same figures at the default parallelism do spawn workers, or
+	// this test would pass whatever the compressors did.
+	env.Cfg.Parallelism = 0
+	before := spawned()
+	runExp(t, Fig14, env)
+	if spawned() == before {
+		t.Fatal("Fig 14 spawned no pool worker at Parallelism 0")
+	}
 }

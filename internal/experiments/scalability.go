@@ -106,7 +106,7 @@ func Fig3(env *Env) ([]*Table, error) {
 	if env.Cfg.Fast {
 		ks = []int{1, 4, 8, 16}
 	}
-	comp := core.New(core.DefaultOptions())
+	comp := core.New(env.coreOptions(core.DefaultOptions()))
 	for _, k := range ks {
 		start := time.Now() //lint:allow determinism Fig. 11 wall-clock column; figure values come from costs, not the clock
 		res, err := comp.CompressContext(ctx, w, k)

@@ -15,7 +15,7 @@ func Fig12(env *Env) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	comps := StandardCompressors(env.Cfg.Seed)
+	comps := env.standardCompressors()
 	aopts, err := env.AdvisorOptions("DSB")
 	if err != nil {
 		return nil, err

@@ -23,6 +23,9 @@ type Parser struct {
 	pos   int
 	src   string
 	depth int // current nesting, bounded by maxDepth
+	// tmpl, when set, records the literal tokens the parse consumes
+	// (ParseTemplate).
+	tmpl *Template
 }
 
 // Parse parses a single SELECT statement (optionally terminated by ';').
@@ -38,7 +41,10 @@ func Parse(sql string) (*SelectStmt, error) {
 // Tokenize(sql). A caller that needs the tokens too, such as a template
 // fingerprint, lexes each statement once. The parser only reads toks.
 func ParseTokens(sql string, toks []Token) (*SelectStmt, error) {
-	p := &Parser{toks: toks, src: sql}
+	return parseTokens(&Parser{toks: toks, src: sql})
+}
+
+func parseTokens(p *Parser) (*SelectStmt, error) {
 	stmt, err := p.parseStatement()
 	if err != nil {
 		return nil, err
@@ -244,7 +250,8 @@ func (p *Parser) parseSelectItem() (SelectItem, error) {
 		p.next()
 		return SelectItem{Star: true}, nil
 	}
-	if p.peek().Kind == TokenIdent && p.peekAt(1).Text == "." && p.peekAt(2).Text == "*" {
+	if dot, star := p.peekAt(1), p.peekAt(2); p.peek().Kind == TokenIdent &&
+		dot.Kind == TokenPunct && dot.Text == "." && star.Kind == TokenOp && star.Text == "*" {
 		tbl := p.next().Text
 		p.next() // .
 		p.next() // *
@@ -616,13 +623,13 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		if err != nil {
 			return nil, p.errorf("bad number %q: %v", t.Text, err)
 		}
-		return &Literal{Kind: LitNumber, Num: v}, nil
+		return p.literal(p.pos-1, &Literal{Kind: LitNumber, Num: v}, ""), nil
 	case TokenString:
 		p.next()
-		return &Literal{Kind: LitString, Str: t.Text}, nil
+		return p.literal(p.pos-1, &Literal{Kind: LitString, Str: t.Text}, ""), nil
 	case TokenParam:
 		p.next()
-		return &Literal{Kind: LitParam}, nil
+		return p.literal(p.pos-1, &Literal{Kind: LitParam}, ""), nil
 	case TokenKeyword:
 		return p.parseKeywordPrimary()
 	case TokenIdent:
@@ -714,16 +721,13 @@ func (p *Parser) parseKeywordPrimary() (Expr, error) {
 		if lit.Kind != TokenString && lit.Kind != TokenNumber {
 			return nil, p.errorf("expected literal after INTERVAL")
 		}
+		tok := p.pos
 		p.next()
 		unit := ""
 		if p.peek().Kind == TokenIdent {
-			unit = p.next().Text
+			unit = " " + p.next().Text
 		}
-		text := "'" + lit.Text + "'"
-		if unit != "" {
-			text += " " + unit
-		}
-		return &Literal{Kind: LitInterval, Str: text}, nil
+		return p.literal(tok, &Literal{Kind: LitInterval, Str: "'" + lit.Text + "'" + unit}, unit), nil
 	case "SUBSTRING":
 		p.next()
 		return p.parseSubstring()
@@ -985,6 +989,9 @@ func (p *Parser) expectInt() (int64, error) {
 		return 0, p.errorf("expected integer, got %q", t.Text)
 	}
 	p.next()
+	if p.tmpl != nil {
+		p.tmpl.fixed = append(p.tmpl.fixed, p.pos-1)
+	}
 	n, err := strconv.ParseInt(t.Text, 10, 64)
 	if err != nil {
 		f, ferr := strconv.ParseFloat(t.Text, 64)
@@ -994,6 +1001,15 @@ func (p *Parser) expectInt() (int64, error) {
 		n = int64(f)
 	}
 	return n, nil
+}
+
+// literal returns l, the Literal parsed from token tok, after recording
+// it for a template; unit is what an INTERVAL literal adds to its value.
+func (p *Parser) literal(tok int, l *Literal, unit string) *Literal {
+	if p.tmpl != nil {
+		p.tmpl.lits = append(p.tmpl.lits, litSlot{tok: tok, lit: l, unit: unit})
+	}
+	return l
 }
 
 // nest enters one nesting level, failing past maxDepth; every successful

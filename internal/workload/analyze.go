@@ -18,12 +18,16 @@ import (
 // Unresolvable columns (CTE outputs, projection aliases, derived-table
 // columns) are skipped rather than failing: they are not indexable base
 // columns.
+//
+// Analysis has two halves. Name resolution walks the statement, binds
+// its columns and tables against the catalog and fixes every field that
+// does not depend on a literal value. Estimation (selectivity) computes
+// the filter selectivities that do, from an estimate record. Analyze runs
+// both in one walk; the other instances of a statement's shape rerun only
+// the estimation (shape.go).
 func Analyze(cat *catalog.Catalog, stmt *sqlparser.SelectStmt) (*Info, error) {
 	a := &analyzer{cat: cat}
-	info := &Info{}
-	a.analyzeSelect(stmt, nil, info)
-	info.flatten()
-	return info, nil
+	return a.analyze(stmt), nil
 }
 
 // Floor for estimated selectivities: keeps utilities finite and mirrors the
@@ -32,6 +36,41 @@ const minSelectivity = 1e-5
 
 type analyzer struct {
 	cat *catalog.Catalog
+	// record makes analyze keep, in ests, the estimate behind every
+	// literal-dependent filter selectivity.
+	record bool
+	ests   []estimate
+	// slot and vals, when set, estimate another instance of the analysed
+	// statement's shape: the statement's Literal l reads as vals[slot[l]].
+	slot map[*sqlparser.Literal]int
+	vals []*sqlparser.Literal
+}
+
+// estimate is one filter whose selectivity depends on literal values:
+// the column compared, the comparison, and the expressions holding the
+// literals.
+type estimate struct {
+	// op is the comparison with the column on the left ("=", "<>", "<",
+	// "<=", ">", ">="), "BETWEEN" or "LIKE".
+	op  string
+	not bool // NOT BETWEEN, NOT LIKE
+	col *catalog.Column
+	// val is the compared value, BETWEEN's low bound or LIKE's pattern;
+	// hi is BETWEEN's high bound.
+	val, hi sqlparser.Expr
+
+	// Where the selectivity goes: filter of block blk, which is
+	// Info.Blocks[block] (set by newShape), and Info.Filters[flat].
+	blk         *Block
+	filter      int
+	block, flat int
+}
+
+func (a *analyzer) analyze(stmt *sqlparser.SelectStmt) *Info {
+	info := &Info{}
+	a.analyzeSelect(stmt, nil, info)
+	info.flatten()
+	return info
 }
 
 // scope is the name-resolution environment of one SELECT block, linked to
@@ -41,8 +80,19 @@ type scope struct {
 	// aliases maps alias/table name -> base table name ("" for derived
 	// tables and CTE references, which are not indexable).
 	aliases map[string]string
+	// names lists the keys of aliases in the order the FROM list first
+	// binds them; it starts in namesBuf, which holds most FROM lists.
+	names    []string
+	namesBuf [4]string
 	// ctes holds CTE names visible in this block.
 	ctes map[string]bool
+}
+
+func (s *scope) bind(name, table string) {
+	if _, ok := s.aliases[name]; !ok {
+		s.names = append(s.names, name)
+	}
+	s.aliases[name] = table
 }
 
 func (s *scope) lookupAlias(name string) (table string, found bool) {
@@ -70,6 +120,7 @@ func (a *analyzer) analyzeSelect(stmt *sqlparser.SelectStmt, parent *scope, info
 		return
 	}
 	sc := &scope{parent: parent, aliases: map[string]string{}, ctes: map[string]bool{}}
+	sc.names = sc.namesBuf[:0]
 
 	// CTEs: analyse bodies as sibling blocks; names become non-base tables.
 	for _, cte := range stmt.With {
@@ -153,10 +204,10 @@ func (a *analyzer) bindTableRef(tr sqlparser.TableRef, sc *scope, info *Info, bl
 			alias = strings.ToLower(t.Alias)
 		}
 		if sc.isCTE(name) || a.cat.Table(name) == nil {
-			sc.aliases[alias] = "" // non-base relation
+			sc.bind(alias, "") // non-base relation
 			return
 		}
-		sc.aliases[alias] = name
+		sc.bind(alias, name)
 		blk.Tables = append(blk.Tables, TableUse{Table: name, Alias: alias})
 	case *sqlparser.JoinExpr:
 		a.bindTableRef(t.Left, sc, info, blk, onConds)
@@ -166,7 +217,7 @@ func (a *analyzer) bindTableRef(tr sqlparser.TableRef, sc *scope, info *Info, bl
 		}
 	case *sqlparser.SubqueryRef:
 		if t.Alias != "" {
-			sc.aliases[strings.ToLower(t.Alias)] = ""
+			sc.bind(strings.ToLower(t.Alias), "")
 		}
 		a.analyzeSelect(t.Select, sc, info)
 	}
@@ -199,9 +250,12 @@ func (a *analyzer) resolve(cr *sqlparser.ColumnRef, sc *scope) (ColumnUse, *cata
 		}
 		return ColumnUse{Table: table, Column: colName}, c, true
 	}
-	// Unqualified: search in-scope base tables, innermost block first.
+	// Unqualified: search in-scope base tables, innermost block first and
+	// each block's in FROM order, so that a name two tables share resolves
+	// to the same one every time.
 	for s := sc; s != nil; s = s.parent {
-		for _, table := range s.aliases {
+		for _, name := range s.names {
+			table := s.aliases[name]
 			if table == "" {
 				continue
 			}
@@ -232,65 +286,51 @@ func (a *analyzer) columnsIn(e sqlparser.Expr, sc *scope) []ColumnUse {
 	return out
 }
 
-// extractCondition estimates the selectivity of a boolean condition and
-// appends filter/join predicates to blk. Returns the condition's estimated
-// selectivity.
-func (a *analyzer) extractCondition(e sqlparser.Expr, sc *scope, blk *Block, info *Info) float64 {
+// extractCondition appends the filter and join predicates of a boolean
+// condition to blk, and analyses the subqueries inside it.
+func (a *analyzer) extractCondition(e sqlparser.Expr, sc *scope, blk *Block, info *Info) {
 	switch x := e.(type) {
 	case *sqlparser.BinaryExpr:
 		switch x.Op {
-		case "AND":
-			s1 := a.extractCondition(x.L, sc, blk, info)
-			s2 := a.extractCondition(x.R, sc, blk, info)
-			return clamp(s1 * s2)
-		case "OR":
-			s1 := a.extractCondition(x.L, sc, blk, info)
-			s2 := a.extractCondition(x.R, sc, blk, info)
-			return clamp(1 - (1-s1)*(1-s2))
+		case "AND", "OR":
+			a.extractCondition(x.L, sc, blk, info)
+			a.extractCondition(x.R, sc, blk, info)
 		case "=", "<", ">", "<=", ">=", "<>":
-			return a.extractComparison(x, sc, blk, info)
-		default:
-			return 1 // arithmetic at boolean position: no estimate
+			a.extractComparison(x, sc, blk, info)
 		}
 	case *sqlparser.UnaryExpr:
 		if x.Op == "NOT" {
-			s := a.extractCondition(x.X, sc, blk, info)
-			return clamp(1 - s)
+			a.extractCondition(x.X, sc, blk, info)
 		}
-		return 1
 	case *sqlparser.InExpr:
-		return a.extractIn(x, sc, blk, info)
+		a.extractIn(x, sc, blk, info)
 	case *sqlparser.BetweenExpr:
-		return a.extractBetween(x, sc, blk)
+		if cu, col, ok := a.leadColumn(x.X, sc); ok {
+			a.addEstimated(blk, cu, PredRange, false, estimate{op: "BETWEEN", not: x.Not, col: col, val: x.Lo, hi: x.Hi})
+		}
 	case *sqlparser.LikeExpr:
-		return a.extractLike(x, sc, blk)
+		if cu, col, ok := a.leadColumn(x.X, sc); ok {
+			a.addEstimated(blk, cu, PredLike, false, estimate{op: "LIKE", not: x.Not, col: col, val: x.Pattern})
+		}
 	case *sqlparser.IsNullExpr:
-		return a.extractIsNull(x, sc, blk)
+		a.extractIsNull(x, sc, blk)
 	case *sqlparser.ExistsExpr:
 		a.analyzeSelect(x.Subquery, sc, info)
-		return 0.5
 	case *sqlparser.QuantifiedExpr:
 		a.analyzeSelect(x.Subquery, sc, info)
-		if cu, col, ok := a.leadColumn(x.X, sc); ok {
-			sel := catalog.DefaultRangeSelectivity
+		if cu, _, ok := a.leadColumn(x.X, sc); ok {
 			blk.Filters = append(blk.Filters, FilterPredicate{
-				ColumnUse: cu, Kind: PredRange, Selectivity: sel,
+				ColumnUse: cu, Kind: PredRange, Selectivity: catalog.DefaultRangeSelectivity,
 			})
-			_ = col
-			return sel
 		}
-		return catalog.DefaultRangeSelectivity
 	case *sqlparser.SubqueryExpr:
 		a.analyzeSelect(x.Select, sc, info)
-		return 1
-	default:
-		return 1
 	}
 }
 
 // extractComparison handles binary comparisons: column-vs-constant filters,
 // column-vs-column joins, and comparisons against scalar subqueries.
-func (a *analyzer) extractComparison(x *sqlparser.BinaryExpr, sc *scope, blk *Block, info *Info) float64 {
+func (a *analyzer) extractComparison(x *sqlparser.BinaryExpr, sc *scope, blk *Block, info *Info) {
 	// Analyse embedded scalar subqueries regardless of resolution.
 	for _, sub := range sqlparser.ExprSubqueries(x.L) {
 		a.analyzeSelect(sub, sc, info)
@@ -308,87 +348,51 @@ func (a *analyzer) extractComparison(x *sqlparser.BinaryExpr, sc *scope, blk *Bl
 		// predicates where one side resolves via an enclosing scope).
 		sel := catalog.JoinSelectivity(lcol, rcol)
 		blk.Joins = append(blk.Joins, JoinPredicate{Left: lcu, Right: rcu, Selectivity: sel})
-		return sel
 	case lok && rok:
 		// Non-equi column comparison: treat both as range filters.
 		sel := catalog.DefaultRangeSelectivity
 		blk.Filters = append(blk.Filters,
 			FilterPredicate{ColumnUse: lcu, Kind: PredRange, Selectivity: sel},
 			FilterPredicate{ColumnUse: rcu, Kind: PredRange, Selectivity: sel})
-		return sel
 	case lok:
-		return a.columnConstFilter(x.Op, lcu, lcol, x.R, sc, blk, false)
+		a.columnConstFilter(x.Op, lcu, lcol, x.R, blk)
 	case rok:
-		return a.columnConstFilter(x.Op, rcu, rcol, x.L, sc, blk, true)
-	default:
-		return 1
+		a.columnConstFilter(flip(x.Op), rcu, rcol, x.L, blk)
 	}
 }
 
-// columnConstFilter records a filter predicate col OP expr where expr is a
-// constant (or opaque). flipped indicates the column was on the right.
-func (a *analyzer) columnConstFilter(op string, cu ColumnUse, col *catalog.Column, val sqlparser.Expr, sc *scope, blk *Block, flipped bool) float64 {
-	if flipped {
-		switch op {
-		case "<":
-			op = ">"
-		case ">":
-			op = "<"
-		case "<=":
-			op = ">="
-		case ">=":
-			op = "<="
-		}
-	}
-	v, known := a.evalConst(val, col)
-	var sel float64
-	kind := PredRange
-	sargable := false
+// flip returns the comparison that holds with its operands swapped.
+func flip(op string) string {
 	switch op {
-	case "=":
-		kind = PredEq
-		sargable = true
-		if known {
-			sel = col.EqSelectivity(v)
-		} else {
-			sel = unknownEq(col)
-		}
-	case "<>":
-		kind = PredRange
-		if known {
-			sel = 1 - col.EqSelectivity(v)
-		} else {
-			sel = 1 - unknownEq(col)
-		}
-	case "<", "<=":
-		if known {
-			sel = col.RangeSelectivity(math.Inf(-1), v, true, op == "<=")
-		} else {
-			sel = catalog.DefaultRangeSelectivity
-		}
-	case ">", ">=":
-		if known {
-			sel = col.RangeSelectivity(v, math.Inf(1), op == ">=", true)
-		} else {
-			sel = catalog.DefaultRangeSelectivity
-		}
-	default:
-		sel = catalog.DefaultRangeSelectivity
+	case "<":
+		return ">"
+	case ">":
+		return "<"
+	case "<=":
+		return ">="
+	case ">=":
+		return "<="
 	}
-	sel = clamp(sel)
-	blk.Filters = append(blk.Filters, FilterPredicate{
-		ColumnUse: cu, Kind: kind, Selectivity: sel, SargableEq: sargable,
-	})
-	return sel
+	return op
 }
 
-func (a *analyzer) extractIn(x *sqlparser.InExpr, sc *scope, blk *Block, info *Info) float64 {
+// columnConstFilter records a filter predicate col OP val where val is a
+// constant (or opaque).
+func (a *analyzer) columnConstFilter(op string, cu ColumnUse, col *catalog.Column, val sqlparser.Expr, blk *Block) {
+	kind := PredRange
+	if op == "=" {
+		kind = PredEq
+	}
+	a.addEstimated(blk, cu, kind, op == "=", estimate{op: op, col: col, val: val})
+}
+
+func (a *analyzer) extractIn(x *sqlparser.InExpr, sc *scope, blk *Block, info *Info) {
 	if x.Subquery != nil {
 		a.analyzeSelect(x.Subquery, sc, info)
 	}
 	cu, col, ok := a.leadColumn(x.X, sc)
 	if !ok {
-		return 0.5
+		return
 	}
 	var sel float64
 	if x.Subquery != nil {
@@ -402,67 +406,101 @@ func (a *analyzer) extractIn(x *sqlparser.InExpr, sc *scope, blk *Block, info *I
 	blk.Filters = append(blk.Filters, FilterPredicate{
 		ColumnUse: cu, Kind: PredIn, Selectivity: clamp(sel), SargableEq: !x.Not,
 	})
-	return clamp(sel)
 }
 
-func (a *analyzer) extractBetween(x *sqlparser.BetweenExpr, sc *scope, blk *Block) float64 {
+func (a *analyzer) extractIsNull(x *sqlparser.IsNullExpr, sc *scope, blk *Block) {
 	cu, col, ok := a.leadColumn(x.X, sc)
 	if !ok {
-		return catalog.DefaultRangeSelectivity
-	}
-	lo, lok := a.evalConst(x.Lo, col)
-	hi, hok := a.evalConst(x.Hi, col)
-	var sel float64
-	if lok && hok {
-		sel = col.RangeSelectivity(lo, hi, true, true)
-	} else {
-		sel = catalog.DefaultRangeSelectivity
-	}
-	if x.Not {
-		sel = 1 - sel
-	}
-	sel = clamp(sel)
-	blk.Filters = append(blk.Filters, FilterPredicate{ColumnUse: cu, Kind: PredRange, Selectivity: sel})
-	return sel
-}
-
-func (a *analyzer) extractLike(x *sqlparser.LikeExpr, sc *scope, blk *Block) float64 {
-	cu, _, ok := a.leadColumn(x.X, sc)
-	if !ok {
-		return catalog.DefaultLikeSelectivity
-	}
-	sel := catalog.DefaultLikeSelectivity
-	if lit, isLit := x.Pattern.(*sqlparser.Literal); isLit && lit.Kind == sqlparser.LitString {
-		p := lit.Str
-		switch {
-		case !strings.ContainsAny(p, "%_"):
-			sel = 0.005 // effectively equality
-		case !strings.HasPrefix(p, "%") && !strings.HasPrefix(p, "_"):
-			sel = 0.03 // prefix match: seekable range
-		default:
-			sel = 0.1 // contains/suffix: scan
-		}
-	}
-	if x.Not {
-		sel = 1 - sel
-	}
-	sel = clamp(sel)
-	blk.Filters = append(blk.Filters, FilterPredicate{ColumnUse: cu, Kind: PredLike, Selectivity: sel})
-	return sel
-}
-
-func (a *analyzer) extractIsNull(x *sqlparser.IsNullExpr, sc *scope, blk *Block) float64 {
-	cu, col, ok := a.leadColumn(x.X, sc)
-	if !ok {
-		return 0.5
+		return
 	}
 	sel := col.NullSelectivity()
 	if x.Not {
 		sel = 1 - sel
 	}
-	sel = clamp(sel)
-	blk.Filters = append(blk.Filters, FilterPredicate{ColumnUse: cu, Kind: PredNull, Selectivity: sel})
-	return sel
+	blk.Filters = append(blk.Filters, FilterPredicate{ColumnUse: cu, Kind: PredNull, Selectivity: clamp(sel)})
+}
+
+// addEstimated appends to blk the filter on cu whose selectivity e
+// estimates from literal values, and records e when a.record is set.
+func (a *analyzer) addEstimated(blk *Block, cu ColumnUse, kind PredKind, sargable bool, e estimate) {
+	e.blk, e.filter = blk, len(blk.Filters)
+	blk.Filters = append(blk.Filters, FilterPredicate{
+		ColumnUse: cu, Kind: kind, Selectivity: a.selectivity(&e), SargableEq: sargable,
+	})
+	if a.record {
+		a.ests = append(a.ests, e)
+	}
+}
+
+// selectivity is the estimation half of the analysis: the selectivity of
+// the filter e describes, from the values of its literals.
+func (a *analyzer) selectivity(e *estimate) float64 {
+	col := e.col
+	var sel float64
+	switch e.op {
+	case "LIKE":
+		sel = catalog.DefaultLikeSelectivity
+		if lit, isLit := e.val.(*sqlparser.Literal); isLit && lit.Kind == sqlparser.LitString {
+			p := a.literal(lit).Str
+			switch {
+			case !strings.ContainsAny(p, "%_"):
+				sel = 0.005 // effectively equality
+			case !strings.HasPrefix(p, "%") && !strings.HasPrefix(p, "_"):
+				sel = 0.03 // prefix match: seekable range
+			default:
+				sel = 0.1 // contains/suffix: scan
+			}
+		}
+	case "BETWEEN":
+		lo, lok := a.evalConst(e.val)
+		hi, hok := a.evalConst(e.hi)
+		if lok && hok {
+			sel = col.RangeSelectivity(lo, hi, true, true)
+		} else {
+			sel = catalog.DefaultRangeSelectivity
+		}
+	default:
+		v, known := a.evalConst(e.val)
+		switch e.op {
+		case "=":
+			if known {
+				sel = col.EqSelectivity(v)
+			} else {
+				sel = unknownEq(col)
+			}
+		case "<>":
+			if known {
+				sel = 1 - col.EqSelectivity(v)
+			} else {
+				sel = 1 - unknownEq(col)
+			}
+		case "<", "<=":
+			if known {
+				sel = col.RangeSelectivity(math.Inf(-1), v, true, e.op == "<=")
+			} else {
+				sel = catalog.DefaultRangeSelectivity
+			}
+		default: // ">", ">="
+			if known {
+				sel = col.RangeSelectivity(v, math.Inf(1), e.op == ">=", true)
+			} else {
+				sel = catalog.DefaultRangeSelectivity
+			}
+		}
+	}
+	if e.not {
+		sel = 1 - sel
+	}
+	return clamp(sel)
+}
+
+// literal returns the Literal that stands for l in the statement being
+// estimated.
+func (a *analyzer) literal(l *sqlparser.Literal) *sqlparser.Literal {
+	if i, ok := a.slot[l]; ok {
+		return a.vals[i]
+	}
+	return l
 }
 
 // leadColumn returns the first resolvable base column inside an expression
@@ -490,12 +528,13 @@ func (a *analyzer) leadColumn(e sqlparser.Expr, sc *scope) (ColumnUse, *catalog.
 	return cu, col, found
 }
 
-// evalConst attempts to evaluate an expression to a numeric constant in the
-// column's domain: numbers directly; date strings as day numbers for date
-// columns; date arithmetic with intervals; CASTs transparently.
-func (a *analyzer) evalConst(e sqlparser.Expr, col *catalog.Column) (float64, bool) {
+// evalConst attempts to evaluate an expression to a numeric constant:
+// numbers directly; date strings as day numbers; date arithmetic with
+// intervals; CASTs transparently.
+func (a *analyzer) evalConst(e sqlparser.Expr) (float64, bool) {
 	switch x := e.(type) {
 	case *sqlparser.Literal:
+		x = a.literal(x)
 		switch x.Kind {
 		case sqlparser.LitNumber:
 			return x.Num, true
@@ -514,14 +553,14 @@ func (a *analyzer) evalConst(e sqlparser.Expr, col *catalog.Column) (float64, bo
 		}
 	case *sqlparser.UnaryExpr:
 		if x.Op == "-" {
-			if v, ok := a.evalConst(x.X, col); ok {
+			if v, ok := a.evalConst(x.X); ok {
 				return -v, true
 			}
 		}
 		return 0, false
 	case *sqlparser.BinaryExpr:
-		l, lok := a.evalConst(x.L, col)
-		r, rok := a.evalConst(x.R, col)
+		l, lok := a.evalConst(x.L)
+		r, rok := a.evalConst(x.R)
 		if !lok || !rok {
 			return 0, false
 		}
@@ -540,7 +579,7 @@ func (a *analyzer) evalConst(e sqlparser.Expr, col *catalog.Column) (float64, bo
 		}
 		return 0, false
 	case *sqlparser.CastExpr:
-		return a.evalConst(x.X, col)
+		return a.evalConst(x.X)
 	default:
 		return 0, false
 	}

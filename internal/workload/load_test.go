@@ -176,6 +176,8 @@ func sameWorkload(t *testing.T, got, want *workload.Workload) {
 			t.Fatalf("query %d: weight %v, want %v", i, g.Weight, w.Weight)
 		case g.Stmt.SQL() != w.Stmt.SQL():
 			t.Fatalf("query %d: statement %q, want %q", i, g.Stmt.SQL(), w.Stmt.SQL())
+		case !reflect.DeepEqual(g.Stmt, w.Stmt):
+			t.Fatalf("query %d: statement %q parsed to another tree", i, g.Stmt.SQL())
 		case !reflect.DeepEqual(g.Info, w.Info):
 			t.Fatalf("query %d: analysis differs:\n got %+v\nwant %+v", i, g.Info, w.Info)
 		}

@@ -158,24 +158,30 @@ func Load(cat *catalog.Catalog, in io.Reader) (*Workload, error) {
 	if err := expectEnd(dec, in); err != nil {
 		return nil, err
 	}
-	return build(cat, len(entries), func(i int) (*Query, error) {
+	sqls := make([]string, len(entries))
+	for i, e := range entries {
+		sqls[i] = e.SQL
+	}
+	w, err := build(cat, sqls, "entry", func(i int) error {
 		e := entries[i]
 		if math.IsNaN(e.Cost) || math.IsInf(e.Cost, 0) || e.Cost < 0 {
-			return nil, fmt.Errorf("workload: entry %d: invalid cost %v (must be finite and >= 0)", i, e.Cost)
+			return fmt.Errorf("workload: entry %d: invalid cost %v (must be finite and >= 0)", i, e.Cost)
 		}
 		if math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0) || e.Weight < 0 {
-			return nil, fmt.Errorf("workload: entry %d: invalid weight %v (must be finite and >= 0)", i, e.Weight)
+			return fmt.Errorf("workload: entry %d: invalid weight %v (must be finite and >= 0)", i, e.Weight)
 		}
-		q, err := NewQuery(cat, i, e.SQL)
-		if err != nil {
-			return nil, fmt.Errorf("workload: entry %d: %w", i, err)
-		}
-		q.Cost = e.Cost
-		if e.Weight > 0 {
-			q.Weight = e.Weight
-		}
-		return q, nil
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	for i, q := range w.Queries {
+		q.Cost = entries[i].Cost
+		if entries[i].Weight > 0 {
+			q.Weight = entries[i].Weight
+		}
+	}
+	return w, nil
 }
 
 // expectEnd reads the rest of a log after dec decoded its array and fails

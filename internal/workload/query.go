@@ -11,6 +11,7 @@ package workload
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
 
 	"isum/internal/catalog"
 	"isum/internal/parallel"
@@ -23,7 +24,9 @@ type Query struct {
 	ID int
 	// Text is the original SQL.
 	Text string
-	// Stmt is the parsed AST.
+	// Stmt is the parsed AST. Queries loaded by one New or Load call that
+	// share a statement shape share the nodes no literal of theirs changes
+	// (DESIGN.md §19), so Stmt is read-only, as in Subset's copies.
 	Stmt *sqlparser.SelectStmt
 	// Cost is the optimizer-estimated cost C(q) under the current physical
 	// design, provided as part of the input workload (Section 2.2).
@@ -31,7 +34,11 @@ type Query struct {
 	// TemplateID fingerprints the query modulo literal values; instances of
 	// the same prepared statement share a TemplateID.
 	TemplateID string
-	// Info is the bound analysis against the catalog.
+	// Info is the bound analysis against the catalog. Instances of one
+	// statement shape loaded together share its literal-independent parts
+	// (tables, joins, grouping and ordering columns, and every block whose
+	// selectivities their literals do not change), so Info is read-only,
+	// as in Subset's copies.
 	Info *Info
 	// Weight is the query's weight in a (compressed) workload; 1 by default.
 	Weight float64
@@ -52,34 +59,108 @@ type Workload struct {
 // catalog. Costs are left zero; callers typically fill them via the what-if
 // optimizer or load them from a log.
 func New(cat *catalog.Catalog, sqls []string) (*Workload, error) {
-	return build(cat, len(sqls), func(i int) (*Query, error) {
-		q, err := NewQuery(cat, i, sqls[i])
-		if err != nil {
-			return nil, fmt.Errorf("workload: query %d: %w", i, err)
-		}
-		return q, nil
-	})
+	return build(cat, sqls, "query", nil)
 }
 
-// build is the loader behind New and Load. It runs newQuery(i) for every
-// i in [0, n) on the worker pool, each result into its own slot, then
-// returns the queries in index order or the error of the lowest failing
-// index. Parsing writes nothing shared, and catalog and analyser reads are
-// read-only (DESIGN.md §7), so the workload and the error do not depend
-// on the worker count.
-func build(cat *catalog.Catalog, n int, newQuery func(i int) (*Query, error)) (*Workload, error) {
+// build is the loader behind New and Load. It turns sqls[i] into query i,
+// or fails with the error of the lowest failing index, where check(i),
+// when check is set, is entry i's error before its SQL is read. Query i's
+// errors name it as "<what> i".
+//
+// It works in three passes over the worker pool, each writing only the
+// slots of its own indices. The first lexes every entry and keys it by
+// its shape (shapeKey). A serial scan then makes the first entry of each
+// key its shape's leader. The second pass parses and analyses each
+// leader: in full when the shape occurs once, as a template otherwise.
+// The third binds every other entry to its leader's template (shape.go).
+// Binding gives exactly what parsing and analysing would, and the
+// catalog, the templates and the analyser are only read (DESIGN.md §7,
+// §19), so the workload and the error do not depend on the worker count.
+func build(cat *catalog.Catalog, sqls []string, what string, check func(i int) error) (*Workload, error) {
 	w := &Workload{Catalog: cat}
+	n := len(sqls)
 	if n == 0 {
 		return w, nil
 	}
 	qs := make([]*Query, n)
 	errs := make([]error, n)
-	// New and Load take no context, so nothing can cancel the batch.
-	if err := parallel.ForEach(context.TODO(), parallel.Workers(0), n, func(i int) {
-		qs[i], errs[i] = newQuery(i)
-	}); err != nil {
-		return nil, fmt.Errorf("workload: loading queries: %w", err)
+	fail := func(i int, err error) {
+		errs[i] = fmt.Errorf("workload: %s %d: %w", what, i, err)
 	}
+	// New and Load take no context, so nothing can cancel a pass; a pass
+	// fails only when a worker panics (DESIGN.md §9).
+	pass := func(n int, fn func(k int)) error {
+		if err := parallel.ForEach(context.TODO(), parallel.Workers(0), n, fn); err != nil {
+			return fmt.Errorf("workload: loading queries: %w", err)
+		}
+		return nil
+	}
+
+	toks := make([][]sqlparser.Token, n)
+	keys := make([]uint64, n)
+	seed := maphash.MakeSeed()
+	if err := pass(n, func(i int) {
+		if check != nil {
+			if errs[i] = check(i); errs[i] != nil {
+				return
+			}
+		}
+		t, err := sqlparser.Tokenize(sqls[i])
+		if err != nil {
+			fail(i, err)
+			return
+		}
+		toks[i], keys[i] = t, shapeKey(seed, t)
+	}); err != nil {
+		return nil, err
+	}
+
+	leader := make([]int, n)
+	repeated := make([]bool, n)
+	first := make(map[uint64]int)
+	var leaders, repeats []int
+	for i := range sqls {
+		if errs[i] != nil {
+			continue
+		}
+		if j, ok := first[keys[i]]; ok {
+			leader[i], repeated[j] = j, true
+			repeats = append(repeats, i)
+		} else {
+			first[keys[i]] = i
+			leaders = append(leaders, i)
+		}
+	}
+
+	shapes := make([]*shape, n)
+	if err := pass(len(leaders), func(k int) {
+		i := leaders[k]
+		var err error
+		if repeated[i] {
+			qs[i], shapes[i], err = newShape(cat, i, sqls[i], toks[i])
+		} else {
+			qs[i], err = newQuery(cat, i, sqls[i], toks[i])
+		}
+		if err != nil {
+			fail(i, err)
+		}
+	}); err != nil {
+		return nil, err
+	}
+	if err := pass(len(repeats), func(k int) {
+		i := repeats[k]
+		s := shapes[leader[i]]
+		if s == nil {
+			return // the leader failed, and its error precedes query i's
+		}
+		var err error
+		if qs[i], err = s.instance(i, sqls[i], toks[i]); err != nil {
+			fail(i, err)
+		}
+	}); err != nil {
+		return nil, err
+	}
+
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -96,6 +177,11 @@ func NewQuery(cat *catalog.Catalog, id int, sql string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newQuery(cat, id, sql, toks)
+}
+
+// newQuery is NewQuery of sql, which lexed to toks.
+func newQuery(cat *catalog.Catalog, id int, sql string, toks []sqlparser.Token) (*Query, error) {
 	stmt, err := sqlparser.ParseTokens(sql, toks)
 	if err != nil {
 		return nil, err

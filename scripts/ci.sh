@@ -129,6 +129,7 @@ go run ./scripts/metricscheck \
 
 echo "== fuzz smoke =="
 go test -fuzz 'FuzzSplitStatements' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/workload
+go test -fuzz 'FuzzLoadTemplates' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/workload
 go test -fuzz 'FuzzParse' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/sqlparser
 go test -fuzz 'FuzzSparseVecOps' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/features
 go test -fuzz 'FuzzSummaryBound' -fuzztime "${FUZZTIME:-10s}" -run '^$' ./internal/features
