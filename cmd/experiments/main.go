@@ -70,14 +70,9 @@ func main() {
 
 	ctx, cancel := ff.Context()
 	defer cancel()
-	inj, err := ff.BuildInjector(trun.Registry)
-	if err != nil {
-		fatal(err)
-	}
 	cfg := experiments.Config{
 		Scale: *sf, Seed: *seed, Fast: *fast,
-		Parallelism: *parallelism, Telemetry: trun.Registry,
-		Ctx: ctx, Retry: ff.Policy(), Injector: inj,
+		Parallelism: *parallelism, Telemetry: trun.Registry, Ctx: ctx,
 	}
 	env := experiments.NewEnv(cfg)
 

@@ -18,8 +18,8 @@ func TestMain(m *testing.M) { clitest.Main(m, main) }
 // failure-model flags plus its own, and nothing else.
 func TestFlags(t *testing.T) {
 	clitest.CheckFlags(t, []string{
-		"chaos", "fast", "list", "metrics-out", "out", "parallelism",
-		"pprof-dir", "retries", "seed", "sf", "timeout", "trace",
+		"fast", "list", "metrics-out", "out", "parallelism", "pprof-dir",
+		"seed", "sf", "timeout", "trace",
 	})
 }
 
@@ -90,5 +90,20 @@ func TestUnknownExperiment(t *testing.T) {
 	res := clitest.Run(t, "-fast", "fig99")
 	if res.Code != faults.ExitFailed || !strings.Contains(res.Stderr, `unknown experiment \"fig99\"`) {
 		t.Fatalf("exit %d, stderr:\n%s", res.Code, res.Stderr)
+	}
+}
+
+// TestExpiredDeadline: a deadline that expires before the first
+// workload is costed stops the run with ExitPartial and no table.
+func TestExpiredDeadline(t *testing.T) {
+	res := clitest.Run(t, "-fast", "-timeout", "1ns", "table2")
+	if res.Code != faults.ExitPartial {
+		t.Fatalf("exit %d, want %d; stderr:\n%s", res.Code, faults.ExitPartial, res.Stderr)
+	}
+	if res.Stdout != "" {
+		t.Errorf("expired deadline printed\n%s\nwant nothing", res.Stdout)
+	}
+	if !strings.Contains(res.Stderr, "deadline reached") {
+		t.Errorf("stderr does not say the deadline stopped the run:\n%s", res.Stderr)
 	}
 }

@@ -72,9 +72,6 @@ func main() {
 			fatal(err)
 		}
 		o := cost.NewOptimizerWithTelemetry(g.Cat, cost.DefaultParams(), reg)
-		if err := ff.Apply(o); err != nil {
-			fatal(err)
-		}
 		if err := o.FillCostsCtx(ctx, w, 0); err != nil {
 			if !faults.IsCancellation(err) {
 				fatal(err)

@@ -11,6 +11,7 @@ import (
 	"isum/internal/benchmarks"
 	"isum/internal/clitest"
 	"isum/internal/cost"
+	"isum/internal/faults"
 )
 
 func TestMain(m *testing.M) { clitest.Main(m, main) }
@@ -19,8 +20,8 @@ func TestMain(m *testing.M) { clitest.Main(m, main) }
 // and failure-model flags plus its own, and nothing else.
 func TestFlags(t *testing.T) {
 	clitest.CheckFlags(t, []string{
-		"benchmark", "chaos", "features", "in", "metrics-out", "n", "pprof-dir",
-		"retries", "seed", "sf", "timeout", "top", "trace",
+		"benchmark", "features", "in", "metrics-out", "n", "pprof-dir",
+		"seed", "sf", "timeout", "top", "trace",
 	})
 }
 
@@ -97,5 +98,21 @@ func TestInMatchesGenerated(t *testing.T) {
 	loaded := clitest.MustRun(t, "-benchmark", "tpch", "-in", in, "-top", "5")
 	if loaded.Stdout != generated.Stdout {
 		t.Errorf("-in report\n%s\ndiffers from the generated workload's\n%s", loaded.Stdout, generated.Stdout)
+	}
+}
+
+// TestExpiredDeadline: a deadline that expires before cost filling
+// still prints the workload line and the template overview, then exits
+// ExitPartial before the per-query diagnostics.
+func TestExpiredDeadline(t *testing.T) {
+	res := clitest.Run(t, "-benchmark", "tpch", "-n", "44", "-top", "3", "-timeout", "1ns")
+	if res.Code != faults.ExitPartial {
+		t.Fatalf("exit %d, want %d; stderr:\n%s", res.Code, faults.ExitPartial, res.Stderr)
+	}
+	if !strings.HasPrefix(res.Stdout, "workload: 44 queries, ") || !strings.Contains(res.Stdout, "\ntop templates by total cost:\n") {
+		t.Errorf("stdout lacks the workload line or the template overview:\n%s", res.Stdout)
+	}
+	if strings.Contains(res.Stdout, "top queries by benefit") {
+		t.Errorf("per-query diagnostics printed past the deadline:\n%s", res.Stdout)
 	}
 }

@@ -87,9 +87,6 @@ func main() {
 		// the telemetry export shows the what-if call and plan counts).
 		sp := reg.Start("isum/fill-costs")
 		o := cost.NewOptimizerWithTelemetry(g.Cat, cost.DefaultParams(), reg)
-		if err := ff.Apply(o); err != nil {
-			fatal(err)
-		}
 		err = o.FillCostsCtx(ctx, w, *parallelism)
 		sp.End()
 		if err != nil {

@@ -21,8 +21,9 @@ func TestMain(m *testing.M) { clitest.Main(m, main) }
 // and failure-model flags plus its own, and nothing else.
 func TestFlags(t *testing.T) {
 	clitest.CheckFlags(t, []string{
-		"benchmark", "chaos", "cons", "in", "k", "metrics-out", "n", "out",
-		"parallelism", "pprof-dir", "retries", "seed", "sf", "timeout", "trace", "variant",
+		"benchmark", "cons", "in", "k", "metrics-out", "n", "out",
+		"parallelism", "pprof-dir", "seed", "sf", "timeout", "trace",
+		"variant",
 	})
 }
 

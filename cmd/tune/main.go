@@ -109,9 +109,6 @@ func main() {
 	}
 
 	o := cost.NewOptimizerWithTelemetry(g.Cat, cost.DefaultParams(), reg)
-	if err := ff.Apply(o); err != nil {
-		fatal(err)
-	}
 	res, err := advisor.New(o, opts).TuneContext(ctx, w)
 	if err != nil {
 		fatal(err)

@@ -22,9 +22,9 @@ func TestMain(m *testing.M) { clitest.Main(m, main) }
 // and failure-model flags plus its own, and nothing else.
 func TestFlags(t *testing.T) {
 	clitest.CheckFlags(t, []string{
-		"advisor", "benchmark", "catalog", "chaos", "config-out", "eval", "in",
+		"advisor", "benchmark", "catalog", "config-out", "eval", "in",
 		"max-indexes", "metrics-out", "parallelism", "pprof-dir", "report",
-		"retries", "seed", "sf", "storage-mult", "timeout", "trace",
+		"seed", "sf", "storage-mult", "timeout", "trace",
 	})
 }
 
@@ -116,6 +116,35 @@ func TestTuneEvaluateAndSave(t *testing.T) {
 		if !strings.Contains(res.Stdout, "  "+ix.String()+"  (") {
 			t.Errorf("saved index %s is not in the printed recommendation", ix)
 		}
+	}
+}
+
+// TestExpiredDeadline: a deadline that expires before tuning starts
+// exits ExitPartial, prints the empty best-so-far recommendation, and
+// -config-out still saves it as a configuration LoadConfigurationJSON
+// reads back.
+func TestExpiredDeadline(t *testing.T) {
+	dir := t.TempDir()
+	in := tpchLog(t, dir)
+	cfgOut := filepath.Join(dir, "cfg.json")
+	res := clitest.Run(t, "-in", in, "-eval", in, "-timeout", "1ns", "-config-out", cfgOut)
+	if res.Code != faults.ExitPartial {
+		t.Fatalf("exit %d, want %d; stderr:\n%s", res.Code, faults.ExitPartial, res.Stderr)
+	}
+	if !strings.HasPrefix(res.Stdout, "recommended 0 indexes in ") {
+		t.Errorf("stdout does not open with the empty recommendation:\n%s", res.Stdout)
+	}
+	f, err := os.Open(cfgOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	cfg, err := index.LoadConfigurationJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Len() != 0 {
+		t.Errorf("-config-out holds %d indexes, want 0", cfg.Len())
 	}
 }
 

@@ -60,9 +60,6 @@ func main() {
 	sp.End()
 	sp = reg.Start("workloadgen/fill-costs")
 	o := cost.NewOptimizerWithTelemetry(g.Cat, cost.DefaultParams(), reg)
-	if err := ff.Apply(o); err != nil {
-		fatal(err)
-	}
 	fillErr := o.FillCostsCtx(ctx, w, 0)
 	sp.End()
 	partial := false

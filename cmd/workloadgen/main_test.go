@@ -20,8 +20,8 @@ func TestMain(m *testing.M) { clitest.Main(m, main) }
 // telemetry and failure-model flags plus its own, and nothing else.
 func TestFlags(t *testing.T) {
 	clitest.CheckFlags(t, []string{
-		"benchmark", "catalog-out", "chaos", "metrics-out", "n", "out",
-		"pprof-dir", "retries", "seed", "sf", "timeout", "trace",
+		"benchmark", "catalog-out", "metrics-out", "n", "out", "pprof-dir",
+		"seed", "sf", "timeout", "trace",
 	})
 }
 

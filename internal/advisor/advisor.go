@@ -8,11 +8,11 @@ package advisor
 
 import (
 	"context"
-	"errors"
 	"sort"
 	"time"
 
 	"isum/internal/cost"
+	"isum/internal/faults"
 	"isum/internal/index"
 	"isum/internal/parallel"
 	"isum/internal/telemetry"
@@ -170,8 +170,8 @@ func (a *Advisor) Tune(w *workload.Workload) *Result {
 // the configuration built so far as a valid Result with Partial set. The
 // Initial/FinalCost of a Partial result are computed on a detached
 // context, so they are always real workload costs. The error is reserved
-// for real failures (a contained worker panic, or an injected what-if
-// failure that survived the retry policy); cancellation is not an error.
+// for a worker panic contained by the pool; a what-if call cannot fail,
+// and cancellation is not an error.
 func (a *Advisor) TuneContext(ctx context.Context, w *workload.Workload) (*Result, error) {
 	start := time.Now() //lint:allow determinism Result.Elapsed timing only; recommendations never read the clock
 	reg := a.opts.Telemetry
@@ -244,18 +244,12 @@ func (a *Advisor) costDetachedOnCancel(ctx context.Context, res *Result, w *work
 	if err == nil {
 		return c, nil
 	}
-	if !isCancel(err) {
+	if !faults.IsCancellation(err) {
 		return 0, err
 	}
 	res.Partial = true
 	//lint:allow ctx deliberate detach: recost the partial result after cancellation (DESIGN.md §9)
 	return a.o.WorkloadCostCtx(context.Background(), w, cfg, a.opts.Parallelism)
-}
-
-// isCancel reports whether err stems from context cancellation or deadline
-// expiry — the anytime outcomes, as opposed to real failures.
-func isCancel(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // scored pairs a candidate index with its standalone benefit.
@@ -265,12 +259,10 @@ type scored struct {
 }
 
 // queryCandidates is one query's contribution to candidate selection: its
-// winning candidates, how many configurations it probed, and the first
-// real what-if failure it hit (nil otherwise).
+// winning candidates and how many configurations it probed.
 type queryCandidates struct {
 	local    []scored
 	explored int64
-	err      error
 }
 
 // selectCandidates runs per-query candidate selection: each query's
@@ -281,20 +273,19 @@ type queryCandidates struct {
 // are merged serially in input order, so the pooled benefits (ordered
 // float sums) and the final ranking match the serial path exactly. When
 // ctx is cancelled (the TimeBudget deadline), workers stop picking up
-// queries and a query interrupted mid-probe is dropped whole, so the
+// queries, and a query already started finishes its probes, so the
 // anytime pool holds only fully-processed queries and res is marked
-// Partial. A real what-if failure (retries exhausted) or a contained
-// panic aborts selection with the error.
+// Partial. A contained worker panic aborts selection with the error.
 func (a *Advisor) selectCandidates(ctx context.Context, w *workload.Workload, res *Result) ([]scored, error) {
 	// probed is bumped from worker closures — counters are atomics, so
 	// this is the one advisor metric safely updated off the span path.
 	probed := a.opts.Telemetry.Counter("advisor/candidates/probed")
 	perQuery, mapErr := parallel.Map(ctx, parallel.Workers(a.opts.Parallelism), len(w.Queries),
 		func(i int) *queryCandidates {
-			return a.candidatesFor(ctx, w.Queries[i], probed)
+			return a.candidatesFor(w.Queries[i], probed)
 		})
 	if mapErr != nil {
-		if !isCancel(mapErr) {
+		if !faults.IsCancellation(mapErr) {
 			return nil, mapErr
 		}
 		res.Partial = true
@@ -304,9 +295,6 @@ func (a *Advisor) selectCandidates(ctx context.Context, w *workload.Workload, re
 	for _, qc := range perQuery {
 		if qc == nil {
 			continue
-		}
-		if qc.err != nil {
-			return nil, qc.err
 		}
 		res.ConfigsExplored += qc.explored
 		for _, s := range qc.local {
@@ -330,8 +318,7 @@ func (a *Advisor) selectCandidates(ctx context.Context, w *workload.Workload, re
 // candidatesFor costs each of q's syntactic candidates alone, as a view
 // of the empty configuration plus the candidate, and keeps the best
 // CandidatesPerQuery winners. It returns nil when q has no positive base
-// cost or ctx cancels it mid-probe (the anytime path drops a half-probed
-// query whole).
+// cost.
 //
 // The base cost is served from the optimizer's atomic memo, which the
 // initial workload costing populates, and a candidate is dropped without
@@ -339,18 +326,12 @@ func (a *Advisor) selectCandidates(ctx context.Context, w *workload.Workload, re
 // perfect index fails the improvement threshold (DESIGN.md §16): the
 // true gain is at most base − floor, so a pruned candidate is exactly one
 // costing would drop. Pruned candidates still count as probed/explored.
-func (a *Advisor) candidatesFor(ctx context.Context, q *workload.Query, probed *telemetry.Counter) *queryCandidates {
+func (a *Advisor) candidatesFor(q *workload.Query, probed *telemetry.Counter) *queryCandidates {
 	base, ok := a.o.QueryBounds(q).BaseCost()
 	if ok {
 		a.o.CountElidedCalls(1)
 	} else {
-		var err error
-		if base, err = a.o.CostContext(ctx, q, nil); err != nil {
-			if isCancel(err) {
-				return nil // anytime mode: keep what we have
-			}
-			return &queryCandidates{err: err}
-		}
+		base = a.o.Cost(q, nil)
 	}
 	if base <= 0 {
 		return nil
@@ -367,13 +348,7 @@ func (a *Advisor) candidatesFor(ctx context.Context, q *workload.Query, probed *
 			a.o.CountElidedCalls(1)
 			continue
 		}
-		c, err := a.o.CostContext(ctx, q, empty.Probe(index.NewMember(ix)))
-		if err != nil {
-			if isCancel(err) {
-				return nil // drop the half-probed query
-			}
-			return &queryCandidates{err: err}
-		}
+		c := a.o.Cost(q, empty.Probe(index.NewMember(ix)))
 		qc.explored++
 		probed.Inc()
 		gain := base - c
@@ -521,44 +496,29 @@ func (a *Advisor) dexterCandidates(q *workload.Query) []index.Index {
 // the unweighted improvement % on workload w when using cfg, along with the
 // before/after costs. Per-query what-if calls fan out across every core.
 func EvaluateImprovement(o *cost.Optimizer, w *workload.Workload, cfg *index.Configuration) (pct, base, final float64) {
-	return EvaluateImprovementN(o, w, cfg, 0)
-}
-
-// EvaluateImprovementN is EvaluateImprovement with an explicit parallelism
-// (0 = GOMAXPROCS, 1 = serial). The before/after sums are reduced in input
-// order, so the result is bit-identical at any parallelism.
-func EvaluateImprovementN(o *cost.Optimizer, w *workload.Workload, cfg *index.Configuration, parallelism int) (pct, base, final float64) {
-	pct, base, final, err := EvaluateImprovementContext(context.Background(), o, w, cfg, parallelism)
+	pct, base, final, err := EvaluateImprovementContext(context.Background(), o, w, cfg, 0)
 	if err != nil {
 		panic(err)
 	}
 	return pct, base, final
 }
 
-// EvaluateImprovementContext is EvaluateImprovementN with cancellation and
-// failure reporting: an interrupted or failed evaluation returns the error
-// (there is no meaningful partial improvement metric).
+// EvaluateImprovementContext is EvaluateImprovement with an explicit
+// parallelism (0 = GOMAXPROCS, 1 = serial) and cancellation: an
+// interrupted evaluation, or one whose worker panicked, returns the error
+// (there is no meaningful partial improvement metric). The before/after
+// sums are reduced in input order, so the result is bit-identical at any
+// parallelism.
 func EvaluateImprovementContext(ctx context.Context, o *cost.Optimizer, w *workload.Workload, cfg *index.Configuration, parallelism int) (pct, base, final float64, err error) {
-	type pair struct {
-		base, final float64
-		err         error
-	}
+	type pair struct{ base, final float64 }
 	pairs, err := parallel.Map(ctx, parallel.Workers(parallelism), len(w.Queries), func(i int) pair {
 		q := w.Queries[i]
-		b, err := o.CostContext(ctx, q, nil)
-		if err != nil {
-			return pair{err: err}
-		}
-		f, err := o.CostContext(ctx, q, cfg)
-		return pair{base: b, final: f, err: err}
+		return pair{o.Cost(q, nil), o.Cost(q, cfg)}
 	})
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	for _, p := range pairs {
-		if p.err != nil {
-			return 0, 0, 0, p.err
-		}
 		base += p.base
 		final += p.final
 	}

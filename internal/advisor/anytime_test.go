@@ -5,10 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"isum/internal/cost"
-	"isum/internal/faults"
 )
 
 // countdownCtx reports cancellation after a fixed number of Err checks —
@@ -133,37 +131,5 @@ func TestTuneContextEquivalence(t *testing.T) {
 	if ctxRes.InitialCost != compat.InitialCost || ctxRes.FinalCost != compat.FinalCost {
 		t.Fatalf("costs diverge: (%v, %v) vs (%v, %v)",
 			ctxRes.InitialCost, ctxRes.FinalCost, compat.InitialCost, compat.FinalCost)
-	}
-}
-
-// TestTuneChaosDeterminism: a seeded error-injecting run with enough
-// retries must recommend the identical configuration with bit-identical
-// costs — transient faults are fully absorbed.
-func TestTuneChaosDeterminism(t *testing.T) {
-	cat := testCatalog()
-	w := testWorkload(t, cat)
-
-	plain, err := New(cost.NewOptimizer(cat), serialOptions()).TuneContext(context.Background(), w)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	o := cost.NewOptimizer(cat)
-	o.SetInjector(faults.NewInjector(faults.Config{Seed: 11, ErrorRate: 0.3}))
-	o.SetRetryPolicy(cost.RetryPolicy{MaxAttempts: 40, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond})
-	chaos, err := New(o, serialOptions()).TuneContext(context.Background(), w)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got, want := chaos.Config.Fingerprint(), plain.Config.Fingerprint(); got != want {
-		t.Fatalf("chaos run recommends %q, fault-free run %q", got, want)
-	}
-	if chaos.InitialCost != plain.InitialCost || chaos.FinalCost != plain.FinalCost {
-		t.Fatalf("chaos costs (%v, %v) differ from fault-free (%v, %v)",
-			chaos.InitialCost, chaos.FinalCost, plain.InitialCost, plain.FinalCost)
-	}
-	if retries, _, _ := o.FaultStats(); retries == 0 {
-		t.Fatal("chaos run took no retries — injector not consulted?")
 	}
 }

@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"isum/internal/benchmarks"
 	"isum/internal/catalog"
 	"isum/internal/cost"
-	"isum/internal/faults"
 	"isum/internal/workload"
 )
 
@@ -145,57 +143,5 @@ func TestElisionDoesNotChangeOutput(t *testing.T) {
 	}
 	if totalHits == 0 {
 		t.Fatal("no what-if calls elided across the whole sweep")
-	}
-}
-
-// TestElisionChaosByteIdentity pins the anytime/chaos contract on the
-// elided path: a parallel elided tune under deterministic fault injection
-// (absorbed by retries, and consulted on every what-if call) recommends
-// the identical configuration with bit-identical costs and report as the
-// fault-free elided run.
-func TestElisionChaosByteIdentity(t *testing.T) {
-	w, cat := elideOracleWorkload(t, "tpch", 40)
-	opts := DefaultOptions()
-	opts.MaxIndexes = 6
-	opts.Parallelism = 4
-
-	run := func(inject bool) (tuneOutput, *cost.Optimizer) {
-		o := cost.NewOptimizer(cat)
-		if inject {
-			o.SetInjector(faults.NewInjector(faults.Config{Seed: 11, ErrorRate: 0.3}))
-			o.SetRetryPolicy(cost.RetryPolicy{MaxAttempts: 40, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond})
-		}
-		res, err := New(o, opts).TuneContext(context.Background(), w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		Report(o, w, res.Config).Write(&buf, 5)
-		return tuneOutput{
-			fingerprint: res.Config.Fingerprint(),
-			initial:     math.Float64bits(res.InitialCost),
-			final:       math.Float64bits(res.FinalCost),
-			explored:    res.ConfigsExplored,
-			report:      buf.Bytes(),
-		}, o
-	}
-
-	plain, _ := run(false)
-	chaos, o := run(true)
-	if chaos.fingerprint != plain.fingerprint {
-		t.Fatalf("chaos run recommends %q, fault-free run %q", chaos.fingerprint, plain.fingerprint)
-	}
-	if chaos.initial != plain.initial || chaos.final != plain.final {
-		t.Fatalf("chaos costs (%x, %x) differ from fault-free (%x, %x)",
-			chaos.initial, chaos.final, plain.initial, plain.final)
-	}
-	if chaos.explored != plain.explored {
-		t.Fatalf("chaos run explored %d configs, fault-free %d", chaos.explored, plain.explored)
-	}
-	if !bytes.Equal(chaos.report, plain.report) {
-		t.Fatalf("report diverged:\nchaos:\n%s\nfault-free:\n%s", chaos.report, plain.report)
-	}
-	if retries, _, _ := o.FaultStats(); retries == 0 {
-		t.Fatal("chaos run took no retries — injector not consulted?")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"isum/internal/cost"
+	"isum/internal/faults"
 	"isum/internal/index"
 	"isum/internal/parallel"
 	"isum/internal/workload"
@@ -14,9 +15,9 @@ import (
 // with the largest weighted workload improvement is added, until the
 // count/storage constraints bind, no candidate improves the workload, or
 // ctx is cancelled (the anytime path: res is marked Partial and the
-// configuration built so far is returned — a round interrupted mid-probe
-// is discarded whole, so every index in the result was a completed greedy
-// choice). A real what-if failure or contained panic returns the error.
+// configuration built so far is returned — a round the pool cut short is
+// discarded whole, so every index in the result was a completed greedy
+// choice). A contained worker panic returns the error.
 //
 // After setup, each round runs three steps over one enumeration value:
 // prune rules out the candidates the cost bounds prove cannot win, probe
@@ -29,7 +30,7 @@ import (
 func (a *Advisor) enumerate(ctx context.Context, w *workload.Workload, cands []scored, res *Result) (*index.Configuration, error) {
 	e := &enumeration{a: a, w: w, cfg: index.NewConfiguration()}
 	if err := e.setup(ctx, cands); err != nil {
-		if isCancel(err) {
+		if faults.IsCancellation(err) {
 			res.Partial = true
 			return e.cfg, nil
 		}
@@ -46,12 +47,10 @@ func (a *Advisor) enumerate(ctx context.Context, w *workload.Workload, cands []s
 		rsp := reg.Start("advisor/enumerate/round")
 		roundsCtr.Inc()
 		e.prune()
-		probes, mapErr := parallel.Map(ctx, workers, len(e.cands), func(i int) probeResult {
-			return e.probe(ctx, i)
-		})
-		if err := roundFailure(mapErr, probes); err != nil {
+		probes, mapErr := parallel.Map(ctx, workers, len(e.cands), e.probe)
+		if mapErr != nil && !faults.IsCancellation(mapErr) {
 			rsp.End()
-			return nil, err
+			return nil, mapErr
 		}
 		if mapErr != nil {
 			res.Partial = true
@@ -133,7 +132,6 @@ type probeMemo struct {
 type probeResult struct {
 	gain     float64
 	newCosts map[int]float64 // query → weighted cost with the candidate, where it gains
-	err      error
 }
 
 // offer records a query whose weighted cost c under the trial
@@ -161,13 +159,12 @@ func (e *enumeration) setup(ctx context.Context, cands []scored) error {
 		e.wts[i] = queryWeight(q)
 	}
 	var err error
-	e.curCost, err = mapQueries(ctx, workers, len(qs), func(i int) (float64, error) {
+	e.curCost, err = parallel.Map(ctx, workers, len(qs), func(i int) float64 {
 		if b, ok := o.QueryBounds(qs[i]).BaseCost(); ok {
 			o.CountElidedCalls(1)
-			return e.wts[i] * b, nil
+			return e.wts[i] * b
 		}
-		c, err := o.CostContext(ctx, qs[i], e.cfg)
-		return e.wts[i] * c, err
+		return e.wts[i] * o.Cost(qs[i], e.cfg)
 	})
 	if err != nil {
 		return err
@@ -176,8 +173,8 @@ func (e *enumeration) setup(ctx context.Context, cands []scored) error {
 	for _, c := range cands {
 		union.Add(c.ix)
 	}
-	if _, err := mapQueries(ctx, workers, len(qs), func(i int) (float64, error) {
-		return 0, o.PrimeUnionBound(ctx, qs[i], union)
+	if err := parallel.ForEach(ctx, workers, len(qs), func(i int) {
+		o.PrimeUnionBound(qs[i], union)
 	}); err != nil {
 		return err
 	}
@@ -273,7 +270,7 @@ func (e *enumeration) prune() {
 // configuration index lies on the query's tables), the cross-round memo,
 // and last a real what-if call. Every query answered without a call, and
 // every structurally irrelevant one, counts as one elided call.
-func (e *enumeration) probe(ctx context.Context, i int) probeResult {
+func (e *enumeration) probe(i int) probeResult {
 	c := &e.cands[i]
 	if !e.fits(c) {
 		return probeResult{}
@@ -303,11 +300,7 @@ func (e *enumeration) probe(ctx context.Context, i int) probeResult {
 			p.offer(qi, m.c, cur)
 			continue
 		}
-		v, err := o.CostContext(ctx, e.w.Queries[qi], trial)
-		if err != nil {
-			return probeResult{err: err}
-		}
-		v *= e.wts[qi]
+		v := o.Cost(e.w.Queries[qi], trial) * e.wts[qi]
 		if c.memo == nil {
 			c.memo = make(map[int]probeMemo)
 		}
@@ -333,47 +326,6 @@ func (e *enumeration) commit(i int, newCosts map[int]float64) enumCand {
 	}
 	e.cands = append(e.cands[:i], e.cands[i+1:]...)
 	return c
-}
-
-// roundFailure returns a round's real failure, nil if there is none: the
-// pool's error unless it is a cancellation, else the first probe error in
-// candidate order that is not one. A cancelled round is not a failure.
-func roundFailure(mapErr error, probes []probeResult) error {
-	if mapErr != nil && !isCancel(mapErr) {
-		return mapErr
-	}
-	for _, p := range probes {
-		if p.err != nil && !isCancel(p.err) {
-			return p.err
-		}
-	}
-	return nil
-}
-
-// mapQueries runs fn for every query index on the worker pool and returns
-// the values in query order, or the first error: the pool's own
-// (cancellation or a contained panic) ahead of fn's, then fn's in query
-// order.
-func mapQueries(ctx context.Context, workers, n int, fn func(i int) (float64, error)) ([]float64, error) {
-	type result struct {
-		v   float64
-		err error
-	}
-	rs, err := parallel.Map(ctx, workers, n, func(i int) result {
-		v, err := fn(i)
-		return result{v, err}
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for i, r := range rs {
-		if r.err != nil {
-			return nil, r.err
-		}
-		out[i] = r.v
-	}
-	return out, nil
 }
 
 // queryWeight is q's weight in the tuning objective; a weight ≤ 0 counts

@@ -5,9 +5,8 @@ package advisor
 // every enumeration probe is a real what-if call; no memo, bound or
 // structural-relevance test answers one, and no union bound is primed. It
 // is the oracle TestElisionDoesNotChangeOutput holds the production
-// advisor to, bit for bit. It runs serially, on a background context and
-// without fault injection, and leaves out telemetry, which never changes
-// a recommendation.
+// advisor to, bit for bit. It runs serially, on a background context,
+// and leaves out telemetry, which never changes a recommendation.
 
 import (
 	"context"

@@ -7,8 +7,8 @@ import (
 	"regexp"
 )
 
-// DeterminismAnalyzer guards the byte-identical-runs invariant (PR 1's
-// serial/parallel equivalence, PR 3's chaos byte-identity): it flags
+// DeterminismAnalyzer guards the byte-identical-runs invariant (the same
+// output at any parallelism and on every run, DESIGN.md §9): it flags
 // wall-clock reads, draws from math/rand's shared unseeded source, and
 // map-iteration-order float accumulation or map-order slice collection
 // with no subsequent canonical ordering — float sums whose bits depend on

@@ -21,7 +21,8 @@ import (
 //  2. wrap, don't stringify — fmt.Errorf with an error argument must
 //     use %w, not %v/%s: stringifying severs the chain and breaks
 //     errors.Is/As at every caller (the wrapped-sentinel contract that
-//     errors.Is(err, faults.ErrInjected) depends on).
+//     errors.Is(err, context.DeadlineExceeded) in faults.IsCancellation
+//     depends on).
 //  3. compare with errors.Is — ==/!= between two errors only sees the
 //     outermost value; a sentinel wrapped once (by rule 2!) never
 //     compares equal again.

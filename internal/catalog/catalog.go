@@ -2,7 +2,6 @@ package catalog
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -265,15 +264,4 @@ func (cat *Catalog) Validate() []error {
 		}
 	}
 	return errs
-}
-
-// SortedTableNames returns table names in lexicographic order, useful for
-// deterministic reporting.
-func (cat *Catalog) SortedTableNames() []string {
-	names := make([]string, 0, len(cat.tables))
-	for _, t := range cat.tables {
-		names = append(names, t.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -1,9 +1,6 @@
 package catalog
 
-import (
-	"sort"
-	"testing"
-)
+import "testing"
 
 func TestCatalogAggregates(t *testing.T) {
 	cat := New()
@@ -23,10 +20,6 @@ func TestCatalogAggregates(t *testing.T) {
 	wantSize := a.SizeBytes() + b.SizeBytes()
 	if cat.TotalSizeBytes() != wantSize {
 		t.Fatalf("total size = %d, want %d", cat.TotalSizeBytes(), wantSize)
-	}
-	names := cat.SortedTableNames()
-	if !sort.StringsAreSorted(names) || len(names) != 2 {
-		t.Fatalf("sorted names = %v", names)
 	}
 	// Re-adding a table keeps the count stable.
 	cat.AddTable(NewTable("ALPHA", 500))

@@ -2,11 +2,11 @@ package core
 
 import (
 	"context"
-	"errors"
 	"math"
 	"slices"
 	"time"
 
+	"isum/internal/faults"
 	"isum/internal/parallel"
 	"isum/internal/telemetry"
 	"isum/internal/workload"
@@ -103,7 +103,7 @@ func (c *Compressor) CompressContext(ctx context.Context, w *workload.Workload, 
 
 	states, repIdx, err := c.buildUniverse(ctx, w)
 	if err != nil {
-		if isCancel(err) {
+		if faults.IsCancellation(err) {
 			res.Partial = true
 			res.Elapsed = time.Since(start)
 			return res, nil
@@ -166,12 +166,6 @@ func (c *Compressor) CompressedWorkloadContext(ctx context.Context, w *workload.
 		return nil, nil, err
 	}
 	return w.WeightedSubset(res.Indices, res.Weights), res, nil
-}
-
-// isCancel reports whether err stems from context cancellation or deadline
-// expiry — the anytime outcomes, as opposed to real failures.
-func isCancel(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // selectGreedy runs the configured greedy algorithm, appending selections
@@ -271,7 +265,7 @@ func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, idx
 		if err != nil {
 			rsp.SetAttr("outcome", "cancelled")
 			rsp.End()
-			if isCancel(err) {
+			if faults.IsCancellation(err) {
 				res.Partial = true
 				return nil
 			}
@@ -357,7 +351,7 @@ func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, idx
 		if err != nil {
 			rsp.SetAttr("outcome", "cancelled")
 			rsp.End()
-			if isCancel(err) {
+			if faults.IsCancellation(err) {
 				res.Partial = true
 				return nil
 			}

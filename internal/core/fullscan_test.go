@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"isum/internal/faults"
 	"isum/internal/features"
 	"isum/internal/parallel"
 	"isum/internal/workload"
@@ -49,7 +50,7 @@ func (c *Compressor) fullScanSelectGreedy(ctx context.Context, states []*QuerySt
 			return BenefitSummary(s, ss)
 		})
 		if err != nil {
-			if isCancel(err) {
+			if faults.IsCancellation(err) {
 				res.Partial = true
 				return nil
 			}
@@ -94,7 +95,7 @@ func (c *Compressor) fullScanSelectGreedy(ctx context.Context, states []*QuerySt
 			return applyUpdateWithDelta(best, s, c.opts.Update, incremental)
 		})
 		if err != nil {
-			if isCancel(err) {
+			if faults.IsCancellation(err) {
 				res.Partial = true
 				return nil
 			}

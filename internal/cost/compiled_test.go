@@ -1,7 +1,6 @@
 package cost
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -179,10 +178,7 @@ func checkCompiledPlan(t *testing.T, fix *compiledFixture, q *workload.Query, me
 	}
 	for _, form := range forms {
 		o := NewOptimizer(fix.cat)
-		got, err := o.costParts(context.Background(), q, form.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := o.costParts(q, form.cfg)
 		if math.Float64bits(got.c) != math.Float64bits(want.c) || math.Float64bits(got.aj) != math.Float64bits(want.aj) {
 			t.Fatalf("%s query %d %q cfg %q (%s): compiled (%v, %v) != reference (%v, %v)",
 				fix.name, q.ID, q.Text, cfg.Fingerprint(), form.name, got.c, got.aj, want.c, want.aj)

@@ -2,6 +2,7 @@ package cost
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"isum/internal/catalog"
 	"isum/internal/index"
+	"isum/internal/parallel"
 	"isum/internal/workload"
 )
 
@@ -205,6 +207,27 @@ func TestWorkloadCostParallelDeterminism(t *testing.T) {
 	for i, q := range w.Queries {
 		if q.Cost != serial[i] {
 			t.Fatalf("query %d: parallel fill %v != serial %v", i, q.Cost, serial[i])
+		}
+	}
+}
+
+// TestPanicContainment: a panic inside WorkloadCostCtx's pool closure (a
+// nil query in the workload) comes back as a *parallel.PanicError, on
+// the serial path and on the pool alike, instead of crashing the
+// process.
+func TestPanicContainment(t *testing.T) {
+	cat := testCatalog()
+	o := NewOptimizer(cat)
+	w := &workload.Workload{Catalog: cat}
+	for v := 0; v < 8; v++ {
+		w.Queries = append(w.Queries, mustQueryf(t, cat, "SELECT o_totalprice FROM orders WHERE o_custkey = %d", v))
+	}
+	w.Queries[5] = nil
+	for _, p := range []int{1, 4} {
+		_, err := o.WorkloadCostCtx(context.Background(), w, nil, p)
+		var pe *parallel.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("parallelism %d: want *parallel.PanicError, got %T: %v", p, err, err)
 		}
 	}
 }

@@ -20,7 +20,6 @@
 package cost
 
 import (
-	"context"
 	"math"
 	"strings"
 	"sync"
@@ -180,11 +179,8 @@ func (o *Optimizer) recordParts(b *QueryBounds, rel []*index.Member, v planCost)
 // every candidate index and derives the query's lower bound, valid for
 // all configurations the enumeration can probe (subsets of the union).
 // Counted as a normal what-if call.
-func (o *Optimizer) PrimeUnionBound(ctx context.Context, q *workload.Query, union *index.Configuration) error {
-	v, err := o.costParts(ctx, q, union)
-	if err != nil {
-		return err
-	}
+func (o *Optimizer) PrimeUnionBound(q *workload.Query, union *index.Configuration) {
+	v := o.costParts(q, union)
 	b := o.QueryBounds(q)
 	b.mu.Lock()
 	b.ensureTails(o, q)
@@ -194,7 +190,6 @@ func (o *Optimizer) PrimeUnionBound(ctx context.Context, q *workload.Query, unio
 	}
 	b.lower, b.lowerOK = lb, true
 	b.mu.Unlock()
-	return nil
 }
 
 // FloorCost returns a structural lower bound on q's cost under any

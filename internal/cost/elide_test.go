@@ -1,7 +1,6 @@
 package cost
 
 import (
-	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -70,10 +69,7 @@ func loadElideFixture(t testing.TB) *elideFixture {
 			for _, ix := range fix.pool {
 				fix.o.Cost(q, index.NewConfiguration(ix))
 			}
-			if err := fix.o.PrimeUnionBound(context.Background(), q, union); err != nil {
-				elideFix.err = err
-				return
-			}
+			fix.o.PrimeUnionBound(q, union)
 		}
 		elideFix.fix = fix
 	})
@@ -269,6 +265,5 @@ func TestKernelZeroAlloc(t *testing.T) {
 	cur := make([]int32, len(atoms))
 	par := fix.o.Params()
 	check("planSkeleton.eval", func() { _ = s.eval(par, atoms, cur) })
-	ctx := context.Background()
-	check("Optimizer.CostContext (warm call)", func() { _, _ = fix.o.CostContext(ctx, q, cfg) })
+	check("Optimizer.Cost (warm call)", func() { _ = fix.o.Cost(q, cfg) })
 }

@@ -2,7 +2,6 @@ package cost
 
 import (
 	"context"
-	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -293,91 +292,6 @@ func TestCallCountersAndCache(t *testing.T) {
 	o.ResetCounters()
 	if o.Calls() != 0 || o.Plans() != 0 {
 		t.Fatal("reset failed")
-	}
-}
-
-// injectorCall is one PlanFault consultation.
-type injectorCall struct {
-	text, fp string
-	attempt  int
-}
-
-// recordingInjector records every consultation and injects err (nil: no
-// fault). Tests that use it make their calls serially.
-type recordingInjector struct {
-	err   error
-	calls []injectorCall
-}
-
-func (r *recordingInjector) PlanFault(text, fp string, attempt int) error {
-	r.calls = append(r.calls, injectorCall{text, fp, attempt})
-	return r.err
-}
-
-// TestInjectorConsultedOnEveryCall: no what-if call is answered without a
-// plan computation, so the fault injector sees every call, repeats and
-// irrelevant-index probes included, each with the fingerprint of the
-// members on the query's tables only.
-func TestInjectorConsultedOnEveryCall(t *testing.T) {
-	cat := testCatalog()
-	o := NewOptimizer(cat)
-	inj := &recordingInjector{}
-	o.SetInjector(inj)
-	q := mustQuery(t, cat, "SELECT c_nationkey FROM customer WHERE c_custkey = 5")
-	ix := index.New("customer", "c_custkey")
-	cfgA := index.NewConfiguration(ix)
-	cfgB := cfgA.With(index.New("orders", "o_custkey"))
-
-	for _, cfg := range []*index.Configuration{cfgA, cfgA, cfgB, nil, nil} {
-		o.Cost(q, cfg)
-	}
-	want := []injectorCall{
-		{q.Text, ix.ID(), 0}, {q.Text, ix.ID(), 0}, {q.Text, ix.ID(), 0},
-		{q.Text, "", 0}, {q.Text, "", 0},
-	}
-	if !slices.Equal(inj.calls, want) {
-		t.Fatalf("injector consultations:\n got %+v\nwant %+v", inj.calls, want)
-	}
-	if o.Calls() != 5 || o.Plans() != 5 {
-		t.Fatalf("calls = %d, plans = %d: want 5 and 5", o.Calls(), o.Plans())
-	}
-}
-
-// TestWarmCallStillFaults: a call that succeeded once is not answered from
-// that success later. Under an injector that fails every attempt, the
-// repeat exhausts its retries, and once the injector is gone the call
-// returns bitwise the first cost again.
-func TestWarmCallStillFaults(t *testing.T) {
-	cat := testCatalog()
-	o := NewOptimizer(cat)
-	q := mustQuery(t, cat, "SELECT l_comment FROM lineitem WHERE l_orderkey = 42")
-	cfg := index.NewConfiguration(index.New("lineitem", "l_orderkey"))
-	ctx := context.Background()
-	first, err := o.CostContext(ctx, q, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	errDown := errors.New("what-if server down")
-	inj := &recordingInjector{err: errDown}
-	o.SetInjector(inj)
-	o.SetRetryPolicy(RetryPolicy{MaxAttempts: 3})
-	if _, err := o.CostContext(ctx, q, cfg); !errors.Is(err, errDown) {
-		t.Fatalf("warm call under an always-failing injector: err = %v, want %v", err, errDown)
-	}
-	if len(inj.calls) != 3 {
-		t.Fatalf("injector consulted %d times, want 3 (one per attempt)", len(inj.calls))
-	}
-	if retries, exhausted, _ := o.FaultStats(); retries != 2 || exhausted != 1 {
-		t.Fatalf("FaultStats retries = %d, exhausted = %d: want 2 and 1", retries, exhausted)
-	}
-	if o.Calls() != 2 || o.Plans() != 1 {
-		t.Fatalf("calls = %d, plans = %d: want 2 and 1", o.Calls(), o.Plans())
-	}
-
-	o.SetInjector(nil)
-	if again := o.Cost(q, cfg); math.Float64bits(again) != math.Float64bits(first) {
-		t.Fatalf("cost after the fault cleared %v, first call %v", again, first)
 	}
 }
 

@@ -48,12 +48,6 @@ type Config struct {
 	// abort with the context's error, so a -timeout run stops promptly
 	// instead of finishing the figure sweep.
 	Ctx context.Context //lint:allow ctx optional run-scoped config knob; Context() threads it into every runner call
-	// Retry overrides the optimizers' what-if retry policy when
-	// MaxAttempts > 0 (zero value keeps cost.DefaultRetryPolicy).
-	Retry cost.RetryPolicy
-	// Injector, when non-nil, installs deterministic fault injection on
-	// every optimizer the experiments construct (the -chaos path).
-	Injector cost.Injector
 }
 
 // Context returns the run's context (Background when none was set).
@@ -104,17 +98,9 @@ func NewEnv(cfg Config) *Env {
 
 // freshOptimizer returns a new optimizer over a generator's catalog,
 // registered against the environment's telemetry (if any) so per-figure
-// breakdowns attribute its what-if calls, and configured with the run's
-// retry policy and fault injector.
+// breakdowns attribute its what-if calls.
 func (e *Env) freshOptimizer(g *benchmarks.Generator) *cost.Optimizer {
-	o := cost.NewOptimizerWithTelemetry(g.Cat, cost.DefaultParams(), e.Cfg.Telemetry)
-	if e.Cfg.Retry.MaxAttempts > 0 {
-		o.SetRetryPolicy(e.Cfg.Retry)
-	}
-	if e.Cfg.Injector != nil {
-		o.SetInjector(e.Cfg.Injector)
-	}
-	return o
+	return cost.NewOptimizerWithTelemetry(g.Cat, cost.DefaultParams(), e.Cfg.Telemetry)
 }
 
 // Generator returns (building on first use) the named benchmark generator.

@@ -10,10 +10,9 @@ import (
 )
 
 // Runner produces the tables for one paper figure/table. A runner returns
-// an error instead of panicking: workload-generation failures, what-if
-// failures that survive the retry policy, and cancellation of the run
-// context all surface here and are threaded to a non-zero exit in
-// cmd/experiments.
+// an error instead of panicking: workload-generation failures, worker
+// panics the pool contains, and cancellation of the run context all
+// surface here and are threaded to a non-zero exit in cmd/experiments.
 type Runner func(*Env) ([]*Table, error)
 
 // Registry maps experiment ids to runners — one entry per table and figure

@@ -3,11 +3,7 @@ package faults
 import (
 	"context"
 	"flag"
-	"fmt"
 	"time"
-
-	"isum/internal/cost"
-	"isum/internal/telemetry"
 )
 
 // Exit codes shared by every cmd/ binary (DESIGN.md §9). ExitPartial is 3,
@@ -15,8 +11,8 @@ import (
 const (
 	// ExitComplete: the pipeline ran to completion.
 	ExitComplete = 0
-	// ExitFailed: a real failure — bad input, I/O error, or a what-if
-	// failure that survived the retry policy.
+	// ExitFailed: a real failure — bad input, an I/O error, or a worker
+	// panic contained by the pool.
 	ExitFailed = 1
 	// ExitPartial: the deadline (or a cancellation) cut the run short and
 	// a best-so-far Partial result was produced.
@@ -28,27 +24,16 @@ const (
 //	-timeout=<duration>  deadline for the whole run (0 = none); on expiry
 //	                     the pipeline returns its best-so-far Partial
 //	                     result and the binary exits with code 3
-//	-retries=<n>         what-if retry attempts for transient failures
-//	-chaos=<spec>        deterministic fault injection on the what-if
-//	                     interface, e.g. seed=42,errors=0.3,delay=200us
 //
-// Register the flags, derive the run context with Context, and Apply the
-// retry policy + injector to each optimizer before use.
+// Register the flag, then derive the run context with Context.
 type Flags struct {
 	Timeout time.Duration
-	Retries int
-	Chaos   string
 }
 
-// Register installs the three flags on fs (use flag.CommandLine in main).
+// Register installs -timeout on fs (use flag.CommandLine in main).
 func (f *Flags) Register(fs *flag.FlagSet) {
-	def := cost.DefaultRetryPolicy()
 	fs.DurationVar(&f.Timeout, "timeout", 0,
 		"deadline for the run (e.g. 30s); on expiry exit with the partial code carrying the best-so-far result (0 = no deadline)")
-	fs.IntVar(&f.Retries, "retries", def.MaxAttempts,
-		"attempts per what-if plan under transient failures (1 = no retry)")
-	fs.StringVar(&f.Chaos, "chaos", "",
-		"inject deterministic what-if faults: seed=N,errors=R,panics=R,latency=R,delay=D")
 }
 
 // Context returns the run context: Background, bounded by -timeout when
@@ -58,40 +43,4 @@ func (f *Flags) Context() (context.Context, context.CancelFunc) {
 		return context.WithTimeout(context.Background(), f.Timeout)
 	}
 	return context.WithCancel(context.Background())
-}
-
-// Policy returns the retry policy implied by -retries.
-func (f *Flags) Policy() cost.RetryPolicy {
-	p := cost.DefaultRetryPolicy()
-	if f.Retries > 0 {
-		p.MaxAttempts = f.Retries
-	}
-	return p
-}
-
-// BuildInjector parses the -chaos spec into an injector whose counters live
-// in reg. It returns (nil, nil) when no chaos was requested.
-func (f *Flags) BuildInjector(reg *telemetry.Registry) (cost.Injector, error) {
-	if f.Chaos == "" {
-		return nil, nil
-	}
-	cfg, err := ParseSpec(f.Chaos)
-	if err != nil {
-		return nil, fmt.Errorf("-chaos: %w", err)
-	}
-	return NewInjectorWithTelemetry(cfg, reg), nil
-}
-
-// Apply configures o with the -retries policy and, when -chaos was given,
-// a deterministic injector registered in o's telemetry registry.
-func (f *Flags) Apply(o *cost.Optimizer) error {
-	o.SetRetryPolicy(f.Policy())
-	inj, err := f.BuildInjector(o.Telemetry())
-	if err != nil {
-		return err
-	}
-	if inj != nil {
-		o.SetInjector(inj)
-	}
-	return nil
 }

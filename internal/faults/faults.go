@@ -1,201 +1,15 @@
-// Package faults is the deterministic fault-injection harness for the
-// what-if interface (DESIGN.md §9). An Injector wraps cost.Optimizer's
-// plan computation and injects transient errors, added latency, and
-// panics at configured rates. Every decision is a pure function of
-// (seed, query text, configuration fingerprint, attempt) — never of
-// wall-clock time, scheduling, or call order — so a chaos run is
-// reproducible at any worker count: the same seed yields the same
-// faults, and with retries enabled the pipeline output is byte-identical
-// to the fault-free run (transient errors are absorbed, the recomputed
-// costs are the same pure values).
+// Package faults holds the failure-model surface every cmd/ binary
+// shares (DESIGN.md §9): the exit codes, the -timeout flag that bounds a
+// run with a deadline, and IsCancellation, which tells the anytime
+// outcomes of that deadline from real failures. A what-if call cannot
+// fail, so a run fails only on bad input, I/O, or a worker panic the
+// pool contains.
 package faults
 
 import (
 	"context"
 	"errors"
-	"fmt"
-	"strconv"
-	"strings"
-	"time"
-
-	"isum/internal/telemetry"
 )
-
-// ErrInjected marks a transient what-if failure produced by the harness.
-// Errors returned by PlanFault wrap it, so retry-exhausted errors from
-// cost.Optimizer satisfy errors.Is(err, faults.ErrInjected).
-var ErrInjected = errors.New("faults: injected what-if failure")
-
-// Config sets the injection rates. Rates are probabilities in [0, 1],
-// evaluated independently per plan attempt.
-type Config struct {
-	// Seed keys every injection decision; two injectors with the same
-	// Seed and rates fault identically.
-	Seed int64
-	// ErrorRate is the probability a plan attempt fails with ErrInjected.
-	ErrorRate float64
-	// PanicRate is the probability a plan attempt panics (contained by
-	// the worker pool as a *parallel.PanicError).
-	PanicRate float64
-	// LatencyRate is the probability a plan attempt sleeps for Latency
-	// before proceeding.
-	LatencyRate float64
-	// Latency is the injected delay (default 1ms when a rate is set).
-	Latency time.Duration
-}
-
-// Injector implements cost.Injector with deterministic seeded decisions.
-// Safe for concurrent use: it is immutable after construction apart from
-// atomic telemetry counters.
-type Injector struct {
-	cfg    Config
-	errors *telemetry.Counter // faults/injected/errors
-	panics *telemetry.Counter // faults/injected/panics
-	delays *telemetry.Counter // faults/injected/delays
-}
-
-// NewInjector returns an injector with a private telemetry registry.
-func NewInjector(cfg Config) *Injector {
-	return NewInjectorWithTelemetry(cfg, nil)
-}
-
-// NewInjectorWithTelemetry registers the faults/injected/* counters in
-// reg (nil gives the injector a private registry), so chaos runs report
-// how many faults actually fired.
-func NewInjectorWithTelemetry(cfg Config, reg *telemetry.Registry) *Injector {
-	if reg == nil {
-		reg = telemetry.New()
-	}
-	if cfg.Latency <= 0 {
-		cfg.Latency = time.Millisecond
-	}
-	return &Injector{
-		cfg:    cfg,
-		errors: reg.Counter("faults/injected/errors"),
-		panics: reg.Counter("faults/injected/panics"),
-		delays: reg.Counter("faults/injected/delays"),
-	}
-}
-
-// Config returns the injector's configuration.
-func (inj *Injector) Config() Config { return inj.cfg }
-
-// Stats reports how many faults of each kind have fired.
-func (inj *Injector) Stats() (errs, panics, delays int64) {
-	return inj.errors.Value(), inj.panics.Value(), inj.delays.Value()
-}
-
-// PlanFault implements cost.Injector. It is called once per plan attempt
-// on the what-if interface; the decision depends only on the identifying
-// triple and the seed. Order of evaluation: panic, then latency, then
-// error — so a latency-injected attempt can still fail.
-func (inj *Injector) PlanFault(queryText, configFingerprint string, attempt int) error {
-	if inj.cfg.PanicRate > 0 && inj.roll(queryText, configFingerprint, attempt, saltPanic) < inj.cfg.PanicRate {
-		inj.panics.Inc()
-		panic(fmt.Sprintf("faults: injected panic (seed %d, attempt %d)", inj.cfg.Seed, attempt))
-	}
-	if inj.cfg.LatencyRate > 0 && inj.roll(queryText, configFingerprint, attempt, saltDelay) < inj.cfg.LatencyRate {
-		inj.delays.Inc()
-		time.Sleep(inj.cfg.Latency)
-	}
-	if inj.cfg.ErrorRate > 0 && inj.roll(queryText, configFingerprint, attempt, saltError) < inj.cfg.ErrorRate {
-		inj.errors.Inc()
-		return fmt.Errorf("%w (seed %d, attempt %d)", ErrInjected, inj.cfg.Seed, attempt)
-	}
-	return nil
-}
-
-// Salts separate the per-kind decision streams so e.g. the error and
-// latency decisions for the same attempt are independent.
-const (
-	saltError uint64 = 0x9e3779b97f4a7c15
-	saltPanic uint64 = 0xbf58476d1ce4e5b9
-	saltDelay uint64 = 0x94d049bb133111eb
-)
-
-// roll returns a uniform value in [0, 1) derived from the decision key.
-func (inj *Injector) roll(queryText, configFingerprint string, attempt int, salt uint64) float64 {
-	h := hash64(uint64(inj.cfg.Seed) ^ salt)
-	h = hashString(h, queryText)
-	h = hashString(h, configFingerprint)
-	h = hash64(h ^ uint64(attempt))
-	// 53 high bits → exact float64 in [0, 1).
-	return float64(h>>11) / (1 << 53)
-}
-
-// hashString folds s into the running hash (FNV-1a step + finalizer).
-func hashString(h uint64, s string) uint64 {
-	const prime64 = 1099511628211
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return hash64(h)
-}
-
-// hash64 is the splitmix64 finalizer — a cheap, well-mixed bijection.
-func hash64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// ParseSpec parses a chaos spec of comma-separated key=value pairs:
-//
-//	seed=42,errors=0.3,panics=0.01,latency=0.1,delay=200us
-//
-// Unknown keys are errors; omitted rates default to zero (no injection of
-// that kind), an omitted seed defaults to 1, and an omitted delay to 1ms.
-func ParseSpec(spec string) (Config, error) {
-	cfg := Config{Seed: 1}
-	if strings.TrimSpace(spec) == "" {
-		return cfg, fmt.Errorf("faults: empty chaos spec")
-	}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return cfg, fmt.Errorf("faults: chaos spec %q: expected key=value, got %q", spec, part)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		switch key {
-		case "seed":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return cfg, fmt.Errorf("faults: chaos spec: bad seed %q: %w", val, err)
-			}
-			cfg.Seed = n
-		case "errors", "panics", "latency":
-			r, err := strconv.ParseFloat(val, 64)
-			if err != nil || r < 0 || r > 1 {
-				return cfg, fmt.Errorf("faults: chaos spec: %s rate %q must be in [0,1]", key, val)
-			}
-			switch key {
-			case "errors":
-				cfg.ErrorRate = r
-			case "panics":
-				cfg.PanicRate = r
-			case "latency":
-				cfg.LatencyRate = r
-			}
-		case "delay":
-			d, err := time.ParseDuration(val)
-			if err != nil || d < 0 {
-				return cfg, fmt.Errorf("faults: chaos spec: bad delay %q", val)
-			}
-			cfg.Latency = d
-		default:
-			return cfg, fmt.Errorf("faults: chaos spec: unknown key %q (want seed/errors/panics/latency/delay)", key)
-		}
-	}
-	return cfg, nil
-}
 
 // IsCancellation reports whether err is a context cancellation or
 // deadline expiry — the "partial result" outcomes, as opposed to real

@@ -3,103 +3,9 @@ package faults
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 	"time"
 )
-
-func TestRollDeterministicAcrossInstances(t *testing.T) {
-	cfg := Config{Seed: 42, ErrorRate: 0.5}
-	a, b := NewInjector(cfg), NewInjector(cfg)
-	for attempt := 0; attempt < 20; attempt++ {
-		ea := a.PlanFault("SELECT 1", "cfg", attempt)
-		eb := b.PlanFault("SELECT 1", "cfg", attempt)
-		if (ea == nil) != (eb == nil) {
-			t.Fatalf("attempt %d: decisions diverge: %v vs %v", attempt, ea, eb)
-		}
-	}
-}
-
-func TestRollVariesWithAttemptAndKey(t *testing.T) {
-	inj := NewInjector(Config{Seed: 1, ErrorRate: 0.5})
-	varies := func(probe func(i int) bool) bool {
-		first := probe(0)
-		for i := 1; i < 64; i++ {
-			if probe(i) != first {
-				return true
-			}
-		}
-		return false
-	}
-	if !varies(func(i int) bool { return inj.PlanFault("q", "c", i) != nil }) {
-		t.Fatal("decision never varies with attempt — retries could not absorb faults")
-	}
-	if !varies(func(i int) bool { return inj.PlanFault(strings.Repeat("x", i+1), "c", 0) != nil }) {
-		t.Fatal("decision never varies with query text")
-	}
-	if !varies(func(i int) bool { return inj.PlanFault("q", strings.Repeat("y", i+1), 0) != nil }) {
-		t.Fatal("decision never varies with config fingerprint")
-	}
-}
-
-func TestRateExtremes(t *testing.T) {
-	always := NewInjector(Config{Seed: 9, ErrorRate: 1})
-	never := NewInjector(Config{Seed: 9})
-	for i := 0; i < 32; i++ {
-		if err := always.PlanFault("q", "c", i); !errors.Is(err, ErrInjected) {
-			t.Fatalf("rate 1 must always inject, got %v", err)
-		}
-		if err := never.PlanFault("q", "c", i); err != nil {
-			t.Fatalf("rate 0 must never inject, got %v", err)
-		}
-	}
-	errs, panics, delays := always.Stats()
-	if errs != 32 || panics != 0 || delays != 0 {
-		t.Fatalf("stats = %d/%d/%d", errs, panics, delays)
-	}
-}
-
-func TestPanicInjection(t *testing.T) {
-	inj := NewInjector(Config{Seed: 3, PanicRate: 1})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected injected panic")
-		}
-		if _, panics, _ := inj.Stats(); panics != 1 {
-			t.Fatalf("panic counter = %d", panics)
-		}
-	}()
-	inj.PlanFault("q", "c", 0)
-}
-
-func TestLatencyInjection(t *testing.T) {
-	inj := NewInjector(Config{Seed: 3, LatencyRate: 1, Latency: time.Microsecond})
-	if err := inj.PlanFault("q", "c", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, delays := inj.Stats(); delays != 1 {
-		t.Fatalf("delay counter = %d", delays)
-	}
-}
-
-func TestParseSpec(t *testing.T) {
-	cfg, err := ParseSpec("seed=42,errors=0.3,panics=0.01,latency=0.1,delay=200us")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Config{Seed: 42, ErrorRate: 0.3, PanicRate: 0.01, LatencyRate: 0.1, Latency: 200 * time.Microsecond}
-	if cfg != want {
-		t.Fatalf("cfg = %+v", cfg)
-	}
-	if cfg, err := ParseSpec("errors=1"); err != nil || cfg.Seed != 1 {
-		t.Fatalf("default seed: cfg=%+v err=%v", cfg, err)
-	}
-	for _, bad := range []string{"", "errors", "errors=2", "errors=-0.1", "seed=x", "delay=-1s", "frobs=1", "errors=0.1,,frobs=2"} {
-		if _, err := ParseSpec(bad); err == nil {
-			t.Errorf("spec %q should be rejected", bad)
-		}
-	}
-}
 
 func TestIsCancellation(t *testing.T) {
 	if !IsCancellation(context.Canceled) || !IsCancellation(context.DeadlineExceeded) {
@@ -110,7 +16,24 @@ func TestIsCancellation(t *testing.T) {
 	if !IsCancellation(ctx.Err()) {
 		t.Fatal("cancelled ctx")
 	}
-	if IsCancellation(ErrInjected) || IsCancellation(nil) {
+	if IsCancellation(errors.New("faults: disk full")) || IsCancellation(nil) {
 		t.Fatal("non-cancellation misclassified")
+	}
+}
+
+// TestFlagsTimeout: a positive -timeout bounds the run context with a
+// deadline, and 0 leaves it without one.
+func TestFlagsTimeout(t *testing.T) {
+	f := Flags{Timeout: time.Hour}
+	ctx, cancel := f.Context()
+	defer cancel()
+	if _, ok := ctx.Deadline(); !ok {
+		t.Fatal("-timeout must set a deadline")
+	}
+	f.Timeout = 0
+	ctx2, cancel2 := f.Context()
+	defer cancel2()
+	if _, ok := ctx2.Deadline(); ok {
+		t.Fatal("no -timeout must mean no deadline")
 	}
 }

@@ -217,15 +217,6 @@ func (c *Configuration) Clone() *Configuration {
 	return out
 }
 
-// Union returns a new configuration containing indexes from both.
-func (c *Configuration) Union(other *Configuration) *Configuration {
-	out := c.Clone()
-	for _, m := range other.members() {
-		out.add(m)
-	}
-	return out
-}
-
 // With returns a copy with ix added. What-if probes that only read the
 // result should use Probe, which does not copy.
 func (c *Configuration) With(ix Index) *Configuration {

@@ -5,10 +5,10 @@
 // is byte-for-byte the pre-parallel code path with zero goroutine overhead.
 //
 // Determinism contract: the helpers never reduce across workers in
-// completion order. Map writes results into an index-addressed slice and
-// MapReduce folds that slice in index order, so floating-point reductions
-// (weighted sums, argmax with epsilon tie-breaks) are bit-identical at any
-// worker count. Callers keep shared state read-only inside fn, or write
+// completion order. Map writes results into an index-addressed slice that
+// callers fold in index order, so floating-point reductions (weighted
+// sums, argmax with epsilon tie-breaks) are bit-identical at any worker
+// count. Callers keep shared state read-only inside fn, or write
 // only to their own index i.
 //
 // Failure model (DESIGN.md §9): the pool never crashes the process. A panic
@@ -34,7 +34,7 @@ import (
 )
 
 // PanicError is a worker panic contained by the pool and surfaced as an
-// error from ForEach/Map/MapReduce instead of crashing the process.
+// error from ForEach/Map instead of crashing the process.
 type PanicError struct {
 	// Value is the value the worker panicked with.
 	Value any
@@ -209,21 +209,4 @@ func Map[T any](ctx context.Context, workers, n int, fn func(i int) T) ([]T, err
 		out[i] = fn(i)
 	})
 	return out, err
-}
-
-// MapReduce computes fn per index in parallel and folds the results
-// serially in index order: fold(…fold(fold(init, fn(0)), fn(1))…, fn(n-1)).
-// Because the fold is serial and ordered, non-associative reductions
-// (floating-point sums, first-wins argmax) give the same answer at any
-// worker count. On error the fold is skipped and init is returned.
-func MapReduce[T, A any](ctx context.Context, workers, n int, fn func(i int) T, init A, fold func(acc A, v T) A) (A, error) {
-	vals, err := Map(ctx, workers, n, fn)
-	if err != nil {
-		return init, err
-	}
-	acc := init
-	for _, v := range vals {
-		acc = fold(acc, v)
-	}
-	return acc, nil
 }

@@ -56,54 +56,6 @@ func TestMapPreservesIndexOrder(t *testing.T) {
 	}
 }
 
-// TestMapReduceOrderedFold checks the determinism contract: a
-// non-associative fold (string concatenation) must produce the identical
-// result at every worker count.
-func TestMapReduceOrderedFold(t *testing.T) {
-	letters := "abcdefghijklmnopqrstuvwxyz"
-	want := letters
-	for _, workers := range []int{1, 2, 3, 13, 26, 50} {
-		got, err := MapReduce(context.Background(), workers, len(letters),
-			func(i int) string { return string(letters[i]) },
-			"",
-			func(acc, v string) string { return acc + v })
-		if err != nil {
-			t.Fatalf("workers=%d: unexpected error: %v", workers, err)
-		}
-		if got != want {
-			t.Fatalf("workers=%d: %q != %q", workers, got, want)
-		}
-	}
-}
-
-// TestMapReduceFloatSumDeterminism: float sums are order-sensitive; the
-// ordered fold must make them identical across worker counts.
-func TestMapReduceFloatSumDeterminism(t *testing.T) {
-	n := 10000
-	vals := make([]float64, n)
-	x := 1.0
-	for i := range vals {
-		x = x*1.0000001 + float64(i%7)*1e-13
-		vals[i] = x
-	}
-	sum := func(workers int) float64 {
-		got, err := MapReduce(context.Background(), workers, n,
-			func(i int) float64 { return vals[i] },
-			0.0,
-			func(acc, v float64) float64 { return acc + v })
-		if err != nil {
-			t.Fatalf("workers=%d: unexpected error: %v", workers, err)
-		}
-		return got
-	}
-	want := sum(1)
-	for _, workers := range []int{2, 4, 16} {
-		if got := sum(workers); got != want {
-			t.Fatalf("workers=%d: sum %v != serial %v", workers, got, want)
-		}
-	}
-}
-
 // TestForEachPanicContained pins the failure model: a worker panic is
 // returned as a *PanicError — with the payload and a stack — instead of
 // crashing the process, at every worker count including the serial path.
@@ -214,21 +166,5 @@ func TestMapPartialOnCancel(t *testing.T) {
 	}
 	if filled == 0 {
 		t.Fatal("no entries filled before cancellation")
-	}
-}
-
-// TestMapReduceErrorReturnsInit: the fold must not run over partial values.
-func TestMapReduceErrorReturnsInit(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	got, err := MapReduce(ctx, 4, 100,
-		func(i int) int { return 1 },
-		-7,
-		func(acc, v int) int { return acc + v })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if got != -7 {
-		t.Fatalf("on error MapReduce must return init, got %d", got)
 	}
 }

@@ -179,7 +179,7 @@ func Tune(ctx context.Context, o *Optimizer, w *Workload, opts AdvisorOptions) (
 // (C(W) − C_I(W)) / C(W) × 100 — with the before/after costs. The
 // per-query what-if calls fan out across every core; the sums reduce in
 // input order, so the result matches a serial evaluation exactly.
-// Cancellation and retry-exhausted what-if failures are errors.
+// Cancellation and a contained worker panic are errors.
 func Evaluate(ctx context.Context, o *Optimizer, w *Workload, cfg *Configuration) (pct, before, after float64, err error) {
 	return advisor.EvaluateImprovementContext(ctx, o, w, cfg, 0)
 }
@@ -201,36 +201,11 @@ func Report(o *Optimizer, w *Workload, cfg *Configuration) *WorkloadReport {
 	return advisor.Report(o, w, cfg)
 }
 
-// Failure model (DESIGN.md §9). Compress and Tune implement the anytime
-// contract: on cancellation or deadline expiry they return the
-// best-so-far result with Partial set rather than an error; the error is
-// reserved for real failures (retry-exhausted what-if calls, contained
-// worker panics, and — in compression — a query whose cost is NaN, ±Inf
-// or negative).
-type (
-	// RetryPolicy bounds the retries around transient what-if failures
-	// (Optimizer.SetRetryPolicy).
-	RetryPolicy = cost.RetryPolicy
-	// FaultConfig sets deterministic fault-injection rates for chaos runs.
-	FaultConfig = faults.Config
-	// FaultInjector is the seeded deterministic injector
-	// (Optimizer.SetInjector); same seed → same faults, so with retries a
-	// chaos run reproduces the fault-free output exactly.
-	FaultInjector = faults.Injector
-)
-
-// ErrFaultInjected marks a transient what-if failure produced by the fault
-// harness; retry-exhausted errors wrap it.
-var ErrFaultInjected = faults.ErrInjected
-
-// NewFaultInjector returns a deterministic seeded injector.
-func NewFaultInjector(cfg FaultConfig) *FaultInjector { return faults.NewInjector(cfg) }
-
-// ParseChaosSpec parses a chaos spec like "seed=42,errors=0.3,delay=200us".
-func ParseChaosSpec(spec string) (FaultConfig, error) { return faults.ParseSpec(spec) }
-
-// DefaultRetryPolicy returns the standard what-if retry policy.
-func DefaultRetryPolicy() RetryPolicy { return cost.DefaultRetryPolicy() }
+// Failure model (DESIGN.md §9). A what-if call cannot fail. Compress and
+// Tune implement the anytime contract: on cancellation or deadline expiry
+// they return the best-so-far result with Partial set rather than an
+// error; the error is reserved for real failures (contained worker panics
+// and, in compression, a query whose cost is NaN, ±Inf or negative).
 
 // IsCancellation reports whether err is a context cancellation or deadline
 // expiry — the "partial result" outcomes, as opposed to real failures.

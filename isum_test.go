@@ -7,7 +7,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"isum"
 )
@@ -224,7 +223,7 @@ func TestFacadeSerialization(t *testing.T) {
 }
 
 // TestFacadeFailureModel exercises the DESIGN.md §9 surface through the
-// public names: anytime partials, chaos + retries.
+// public names: anytime partials.
 func TestFacadeFailureModel(t *testing.T) {
 	gen := isum.TPCH(1)
 	w, err := gen.Workload(44, 1)
@@ -249,27 +248,6 @@ func TestFacadeFailureModel(t *testing.T) {
 	if !isum.IsCancellation(cancelled.Err()) {
 		t.Fatal("IsCancellation")
 	}
-
-	// Chaos with retries reproduces the fault-free recommendation.
-	cfg, err := isum.ParseChaosSpec("seed=13,errors=0.3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	co := isum.NewOptimizer(gen.Cat)
-	co.SetInjector(isum.NewFaultInjector(cfg))
-	rp := isum.DefaultRetryPolicy()
-	rp.MaxAttempts = 40
-	rp.BaseDelay = time.Microsecond
-	co.SetRetryPolicy(rp)
-
-	opts := isum.DefaultAdvisorOptions()
-	opts.MaxIndexes = 5
-	plain := tune(t, o, cw, opts)
-	chaos := tune(t, co, cw, opts)
-	if plain.Config.Fingerprint() != chaos.Config.Fingerprint() {
-		t.Fatal("chaos run diverged from the fault-free recommendation")
-	}
-	evaluate(t, o, w, plain.Config)
 }
 
 // TestCompressInvalidCostIsError: a library caller's workload with a NaN,

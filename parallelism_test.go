@@ -6,6 +6,7 @@ package isum_test
 // tuning must recommend the same configuration, at parallelism 1, 2, and 8.
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -148,8 +149,14 @@ func TestTuneSerialParallelEquivalence(t *testing.T) {
 						p, got.OptimizerCalls, ref.OptimizerCalls)
 				}
 
-				pct, base, final := advisor.EvaluateImprovementN(o, w, got.Config, p)
-				refPct, refBase, refFinal := advisor.EvaluateImprovementN(o, w, ref.Config, 1)
+				pct, base, final, err := advisor.EvaluateImprovementContext(context.Background(), o, w, got.Config, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				refPct, refBase, refFinal, err := advisor.EvaluateImprovementContext(context.Background(), o, w, ref.Config, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if pct != refPct || base != refBase || final != refFinal {
 					t.Fatalf("parallelism %d: evaluation diverged: (%v %v %v) vs (%v %v %v)",
 						p, pct, base, final, refPct, refBase, refFinal)

@@ -78,13 +78,6 @@ fm_dir="$ci_tmp/fm"
 mkdir "$fm_dir"
 go build -o "$fm_dir/" ./cmd/isum ./cmd/tune
 
-# Chaos determinism (DESIGN.md §9): a seeded fault-injected run with
-# enough retries must produce output byte-identical to the fault-free run.
-"$fm_dir/isum" -benchmark tpch -n 100 -k 10 -out "$fm_dir/plain.json" >/dev/null
-"$fm_dir/isum" -benchmark tpch -n 100 -k 10 \
-    -retries 5 -chaos 'seed=42,errors=0.3' -out "$fm_dir/chaos.json" >/dev/null
-cmp "$fm_dir/plain.json" "$fm_dir/chaos.json"
-
 # Anytime partials: an unmeetable deadline exits with the partial code (3).
 rc=0
 "$fm_dir/isum" -benchmark tpch -n 100 -k 10 -timeout 1ns >/dev/null 2>&1 || rc=$?
@@ -92,16 +85,6 @@ if [ "$rc" -ne 3 ]; then
     echo "expected partial exit code 3 under -timeout 1ns, got $rc" >&2
     exit 1
 fi
-
-# Tuning under chaos: the recommendation must match the fault-free run
-# exactly; only the elapsed-time figure may differ.
-strip_elapsed() { sed -E 's/ in [0-9.]+(ns|us|µs|ms|s|m)+ / /'; }
-"$fm_dir/tune" -benchmark tpch -in "$fm_dir/plain.json" -max-indexes 5 \
-    | strip_elapsed >"$fm_dir/tune_plain.txt"
-"$fm_dir/tune" -benchmark tpch -in "$fm_dir/plain.json" -max-indexes 5 \
-    -retries 6 -chaos 'seed=7,errors=0.1' \
-    | strip_elapsed >"$fm_dir/tune_chaos.txt"
-cmp "$fm_dir/tune_plain.txt" "$fm_dir/tune_chaos.txt"
 
 echo "== what-if elision smoke =="
 # Elision telemetry end to end (DESIGN.md §16): both cost/elide/*
