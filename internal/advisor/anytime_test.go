@@ -2,11 +2,15 @@ package advisor
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"isum/internal/cost"
+	"isum/internal/faults"
+	"isum/internal/parallel"
 )
 
 // countdownCtx reports cancellation after a fixed number of Err checks —
@@ -131,5 +135,75 @@ func TestTuneContextEquivalence(t *testing.T) {
 	if ctxRes.InitialCost != compat.InitialCost || ctxRes.FinalCost != compat.FinalCost {
 		t.Fatalf("costs diverge: (%v, %v) vs (%v, %v)",
 			ctxRes.InitialCost, ctxRes.FinalCost, compat.InitialCost, compat.FinalCost)
+	}
+}
+
+// TestEvaluateImprovementContextFailures: an evaluation that cannot cost
+// every query returns the pool's error and no figures. A cancelled
+// context is a cancellation and makes no what-if call; a contained worker
+// panic (a nil query) is a *parallel.PanicError, not a cancellation; on
+// the serial path and on the pool alike.
+func TestEvaluateImprovementContextFailures(t *testing.T) {
+	cat := testCatalog()
+	cfg := New(cost.NewOptimizer(cat), serialOptions()).Tune(testWorkload(t, cat)).Config
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	isPanic := func(err error) bool {
+		var pe *parallel.PanicError
+		return errors.As(err, &pe) && !faults.IsCancellation(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		ctx     context.Context
+		nilAt   int // index of a nil query, or -1 for none
+		wantErr func(error) bool
+		noCalls bool
+	}{
+		{"cancelled", cancelled, -1, faults.IsCancellation, true},
+		{"panic", context.Background(), 3, isPanic, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, p := range []int{1, 4} {
+				t.Run(fmt.Sprintf("parallelism=%d", p), func(t *testing.T) {
+					w := testWorkload(t, cat)
+					if tc.nilAt >= 0 {
+						w.Queries[tc.nilAt] = nil
+					}
+					o := cost.NewOptimizer(cat)
+					pct, base, final, err := EvaluateImprovementContext(tc.ctx, o, w, cfg, p)
+					if !tc.wantErr(err) {
+						t.Fatalf("EvaluateImprovementContext returned %T: %v", err, err)
+					}
+					if pct != 0 || base != 0 || final != 0 {
+						t.Fatalf("failed evaluation reported (%v, %v, %v), want zeros", pct, base, final)
+					}
+					if tc.noCalls && o.Calls() != 0 {
+						t.Fatalf("%d what-if calls under a cancelled context, want 0", o.Calls())
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestTuneContextContainedPanicIsError: a worker panic (a nil query in the
+// workload) comes back from TuneContext as a *parallel.PanicError with no
+// result. It is a real failure, so it is not turned into a Partial
+// recommendation the way a cancellation is.
+func TestTuneContextContainedPanicIsError(t *testing.T) {
+	cat := testCatalog()
+	w := testWorkload(t, cat)
+	w.Queries[2] = nil
+	for _, p := range []int{1, 4} {
+		opts := DefaultOptions()
+		opts.Parallelism = p
+		res, err := New(cost.NewOptimizer(cat), opts).TuneContext(context.Background(), w)
+		var pe *parallel.PanicError
+		if !errors.As(err, &pe) || faults.IsCancellation(err) {
+			t.Fatalf("parallelism %d: want *parallel.PanicError, got %T: %v", p, err, err)
+		}
+		if res != nil {
+			t.Fatalf("parallelism %d: a failed tune returned a result: %+v", p, res)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"isum/internal/catalog"
+	"isum/internal/faults"
 	"isum/internal/index"
 	"isum/internal/parallel"
 	"isum/internal/workload"
@@ -228,6 +229,84 @@ func TestPanicContainment(t *testing.T) {
 		var pe *parallel.PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("parallelism %d: want *parallel.PanicError, got %T: %v", p, err, err)
+		}
+	}
+}
+
+// TestFailedFillLeavesWorkloadUntouched: FillCostsCtx assigns no Cost
+// field unless every query was costed, so a cancelled context or a
+// contained worker panic (a nil query) leaves the workload as it was, on
+// the serial path and on the pool alike. A context cancelled before the
+// batch makes no what-if call at all.
+func TestFailedFillLeavesWorkloadUntouched(t *testing.T) {
+	cat := testCatalog()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	isPanic := func(err error) bool {
+		var pe *parallel.PanicError
+		return errors.As(err, &pe) && !faults.IsCancellation(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		ctx     context.Context
+		nilAt   int // index of a nil query, or -1 for none
+		wantErr func(error) bool
+		noCalls bool
+	}{
+		{"cancelled", cancelled, -1, faults.IsCancellation, true},
+		{"panic", context.Background(), 5, isPanic, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, p := range []int{1, 4} {
+				t.Run(fmt.Sprintf("parallelism=%d", p), func(t *testing.T) {
+					const sentinel = 7.0
+					o := NewOptimizer(cat)
+					w := &workload.Workload{Catalog: cat}
+					for v := 0; v < 8; v++ {
+						q := mustQueryf(t, cat, "SELECT o_totalprice FROM orders WHERE o_custkey = %d", v)
+						q.Cost = sentinel
+						w.Queries = append(w.Queries, q)
+					}
+					if tc.nilAt >= 0 {
+						w.Queries[tc.nilAt] = nil
+					}
+					err := o.FillCostsCtx(tc.ctx, w, p)
+					if !tc.wantErr(err) {
+						t.Fatalf("FillCostsCtx returned %T: %v", err, err)
+					}
+					for i, q := range w.Queries {
+						if q != nil && q.Cost != sentinel {
+							t.Fatalf("query %d: failed fill wrote cost %v", i, q.Cost)
+						}
+					}
+					if tc.noCalls && o.Calls() != 0 {
+						t.Fatalf("%d what-if calls under a cancelled context, want 0", o.Calls())
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestCancelledWorkloadCostMakesNoCall: WorkloadCostCtx under a context
+// cancelled before the batch returns the cancellation and a zero cost
+// without making a what-if call, at any parallelism.
+func TestCancelledWorkloadCostMakesNoCall(t *testing.T) {
+	cat := testCatalog()
+	w := &workload.Workload{Catalog: cat}
+	for v := 0; v < 8; v++ {
+		w.Queries = append(w.Queries, mustQueryf(t, cat, "SELECT o_totalprice FROM orders WHERE o_custkey = %d", v))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, p := range []int{1, 4} {
+		o := NewOptimizer(cat)
+		c, err := o.WorkloadCostCtx(ctx, w, nil, p)
+		if !faults.IsCancellation(err) || c != 0 {
+			t.Fatalf("parallelism %d: (%v, %v), want (0, a cancellation)", p, c, err)
+		}
+		if o.Calls() != 0 {
+			t.Fatalf("parallelism %d: %d what-if calls, want 0", p, o.Calls())
 		}
 	}
 }
