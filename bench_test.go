@@ -77,7 +77,7 @@ func benchWorkload(b *testing.B, n int) (*workload.Workload, *cost.Optimizer) {
 		b.Fatal(err)
 	}
 	o := cost.NewOptimizer(gen.Cat)
-	o.FillCosts(w)
+	fillCosts(b, o, w)
 	return w, o
 }
 
@@ -133,7 +133,7 @@ func BenchmarkLoad(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cost.NewOptimizer(c.gen.Cat).FillCosts(w)
+			fillCosts(b, cost.NewOptimizer(c.gen.Cat), w)
 			var buf bytes.Buffer
 			if err := w.Save(&buf); err != nil {
 				b.Fatal(err)
@@ -201,8 +201,11 @@ func BenchmarkCompressSummary(b *testing.B) {
 	w, _ := benchWorkload(b, 110)
 	comp := core.New(core.DefaultOptions())
 	b.ResetTimer()
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		comp.Compress(w, 10)
+		if _, err := comp.CompressContext(ctx, w, 10); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -212,8 +215,11 @@ func BenchmarkCompressAllPairs(b *testing.B) {
 	opts.Algorithm = core.AllPairs
 	comp := core.New(opts)
 	b.ResetTimer()
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		comp.Compress(w, 10)
+		if _, err := comp.CompressContext(ctx, w, 10); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -222,7 +228,10 @@ func BenchmarkAdvisorTune(b *testing.B) {
 	opts := advisor.DefaultOptions()
 	opts.MaxIndexes = 10
 	b.ResetTimer()
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		advisor.New(o, opts).Tune(w)
+		if _, err := advisor.New(o, opts).TuneContext(ctx, w); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

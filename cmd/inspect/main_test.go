@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -85,7 +86,9 @@ func TestInMatchesGenerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost.NewOptimizer(g.Cat).FillCosts(w)
+	if err := cost.NewOptimizer(g.Cat).FillCostsCtx(context.Background(), w, 0); err != nil {
+		t.Fatal(err)
+	}
 	var log bytes.Buffer
 	if err := w.Save(&log); err != nil {
 		t.Fatal(err)

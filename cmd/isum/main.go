@@ -119,10 +119,11 @@ func main() {
 	opts.Telemetry = reg
 
 	comp := core.New(opts)
-	cw, res, err := comp.CompressedWorkloadContext(ctx, w, *k)
+	res, err := comp.CompressContext(ctx, w, *k)
 	if err != nil {
 		fatal(err)
 	}
+	cw := w.WeightedSubset(res.Indices, res.Weights)
 
 	f := os.Stdout
 	if *out != "" {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -106,7 +107,9 @@ func TestInAndOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost.NewOptimizer(g.Cat).FillCosts(w)
+	if err := cost.NewOptimizer(g.Cat).FillCostsCtx(context.Background(), w, 0); err != nil {
+		t.Fatal(err)
+	}
 	var log bytes.Buffer
 	if err := w.Save(&log); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -50,7 +51,9 @@ func tpchLog(t *testing.T, dir string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost.NewOptimizer(g.Cat).FillCosts(w)
+	if err := cost.NewOptimizer(g.Cat).FillCostsCtx(context.Background(), w, 0); err != nil {
+		t.Fatal(err)
+	}
 	return writeFile(t, dir, "w.json", func(b *bytes.Buffer) error { return w.Save(b) })
 }
 

@@ -11,6 +11,7 @@ package isum_test
 //	go test -bench '^BenchmarkCompressConsed$' -benchtime 1x
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -44,7 +45,10 @@ func scaleBenchWorkload(b *testing.B) *workload.Workload {
 			scaleBench.err = err
 			return
 		}
-		cost.NewOptimizer(gen.Cat).FillCosts(w)
+		if err := cost.NewOptimizer(gen.Cat).FillCostsCtx(context.Background(), w, 0); err != nil {
+			scaleBench.err = err
+			return
+		}
 		scaleBench.w = w
 	})
 	if scaleBench.err != nil {
@@ -65,7 +69,9 @@ func BenchmarkCompressConsed(b *testing.B) {
 		comp := core.New(opts)
 		b.Run(v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				comp.Compress(w, scaleBenchK)
+				if _, err := comp.CompressContext(context.Background(), w, scaleBenchK); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -14,7 +14,9 @@ func ExampleCompress() {
 	gen := isum.TPCH(1)
 	w, _ := gen.Workload(44, 1)
 	o := isum.NewOptimizer(gen.Cat)
-	o.FillCosts(w)
+	if err := o.FillCostsCtx(ctx, w, 0); err != nil {
+		panic(err)
+	}
 
 	cw, res, err := isum.Compress(ctx, w, 4)
 	if err != nil {
@@ -55,13 +57,19 @@ func ExampleNewWorkload() {
 
 // ExampleNewIncremental processes a stream in batches with a bounded pool.
 func ExampleNewIncremental() {
+	ctx := context.Background()
 	gen := isum.TPCH(1)
 	w, _ := gen.Workload(40, 1)
-	isum.NewOptimizer(gen.Cat).FillCosts(w)
+	if err := isum.NewOptimizer(gen.Cat).FillCostsCtx(ctx, w, 0); err != nil {
+		panic(err)
+	}
 
 	ic := isum.NewIncremental(gen.Cat, isum.DefaultOptions(), 5)
-	ic.Observe(w.Queries[:20])
-	ic.Observe(w.Queries[20:])
+	for _, batch := range [][]*isum.Query{w.Queries[:20], w.Queries[20:]} {
+		if _, err := ic.ObserveContext(ctx, batch); err != nil {
+			panic(err)
+		}
+	}
 	fmt.Println(ic.Pool().Len(), ic.Seen())
 	// Output: 5 40
 }

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,15 +17,22 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	gen := benchmarks.DSB(10)
 	w, err := gen.Workload(208, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	o := cost.NewOptimizer(gen.Cat)
-	o.FillCosts(w)
+	if err := o.FillCostsCtx(ctx, w, 0); err != nil {
+		log.Fatal(err)
+	}
 
-	compressed, _ := core.New(core.ISUMSOptions()).CompressedWorkload(w, 12)
+	cres, err := core.New(core.ISUMSOptions()).CompressContext(ctx, w, 12)
+	if err != nil {
+		log.Fatal(err)
+	}
+	compressed := w.WeightedSubset(cres.Indices, cres.Weights)
 	fmt.Printf("DSB workload: %d queries compressed to %d\n\n", w.Len(), compressed.Len())
 
 	for _, mode := range []struct {
@@ -39,8 +47,14 @@ func main() {
 		}()},
 		{"DEXTER-style", advisor.DexterOptions()},
 	} {
-		res := advisor.New(o, mode.opts).Tune(compressed)
-		pct, _, _ := advisor.EvaluateImprovement(o, w, res.Config)
+		res, err := advisor.New(o, mode.opts).TuneContext(ctx, compressed)
+		if err != nil {
+			log.Fatal(err)
+		}
+		pct, _, _, err := advisor.EvaluateImprovementContext(ctx, o, w, res.Config, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%s advisor: %d indexes, %d optimizer calls, %v\n",
 			mode.name, res.Config.Len(), res.OptimizerCalls, res.Elapsed)
 		for _, ix := range res.Config.Indexes() {

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -56,6 +57,7 @@ func buildCatalog() *catalog.Catalog {
 }
 
 func main() {
+	ctx := context.Background()
 	cat := buildCatalog()
 
 	// A mixed OLTP/analytics log. In production you would harvest this from
@@ -82,7 +84,9 @@ func main() {
 		log.Fatal(err)
 	}
 	o := cost.NewOptimizer(cat)
-	o.FillCosts(w)
+	if err := o.FillCostsCtx(ctx, w, 0); err != nil {
+		log.Fatal(err)
+	}
 
 	// Peek at ISUM's featurization of one query.
 	ex := features.NewExtractor(cat)
@@ -103,10 +107,19 @@ func main() {
 	}
 	fmt.Printf("\nimprovement on the full %d-query workload after tuning %d selected queries:\n", w.Len(), k)
 	for _, c := range compressors {
-		res := c.Compress(w, k)
+		res, err := c.CompressContext(ctx, w, k)
+		if err != nil {
+			log.Fatal(err)
+		}
 		cw := w.WeightedSubset(res.Indices, res.Weights)
-		tuned := advisor.New(o, aopts).Tune(cw)
-		pct, _, _ := advisor.EvaluateImprovement(o, w, tuned.Config)
+		tuned, err := advisor.New(o, aopts).TuneContext(ctx, cw)
+		if err != nil {
+			log.Fatal(err)
+		}
+		pct, _, _, err := advisor.EvaluateImprovementContext(ctx, o, w, tuned.Config, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  %-10s %.1f%%  (picked %v)\n", c.Name(), pct, res.Indices)
 	}
 }

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,13 +30,16 @@ func main() {
 		k         = 12 // compressed pool size carried between batches
 	)
 
+	ctx := context.Background()
 	gen := benchmarks.TPCDS(10)
 	full, err := gen.Workload(batchSize*batches, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	o := cost.NewOptimizer(gen.Cat)
-	o.FillCosts(full)
+	if err := o.FillCostsCtx(ctx, full, 0); err != nil {
+		log.Fatal(err)
+	}
 
 	aopts := advisor.DefaultOptions()
 	aopts.MaxIndexes = 15
@@ -49,19 +53,37 @@ func main() {
 	for b := 0; b < batches; b++ {
 		batch := full.Queries[b*batchSize : (b+1)*batchSize]
 		seen.Queries = append(seen.Queries, batch...)
-		res := ic.Observe(batch)
+		res, err := ic.ObserveContext(ctx, batch)
+		if err != nil {
+			log.Fatal(err)
+		}
 
 		// Tune the pool and evaluate against everything seen so far.
-		tuned := advisor.New(o, aopts).Tune(ic.Pool())
-		pct, _, _ := advisor.EvaluateImprovement(o, seen, tuned.Config)
+		tuned, err := advisor.New(o, aopts).TuneContext(ctx, ic.Pool())
+		if err != nil {
+			log.Fatal(err)
+		}
+		pct, _, _, err := advisor.EvaluateImprovementContext(ctx, o, seen, tuned.Config, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("batch %d: seen %3d queries, pool %2d, compression %v, improvement on seen: %.1f%%\n",
 			b+1, seen.Len(), ic.Pool().Len(), res.Elapsed.Round(1000), pct)
 	}
 
 	// Reference: one-shot compression of the entire workload.
-	res := core.New(core.DefaultOptions()).Compress(full, k)
+	res, err := core.New(core.DefaultOptions()).CompressContext(ctx, full, k)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cw := full.WeightedSubset(res.Indices, res.Weights)
-	tuned := advisor.New(o, aopts).Tune(cw)
-	pct, _, _ := advisor.EvaluateImprovement(o, full, tuned.Config)
+	tuned, err := advisor.New(o, aopts).TuneContext(ctx, cw)
+	if err != nil {
+		log.Fatal(err)
+	}
+	pct, _, _, err := advisor.EvaluateImprovementContext(ctx, o, full, tuned.Config, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\none-shot reference (same k=%d): %.1f%%\n", k, pct)
 }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// 1. A workload: 220 TPC-H query instances (22 templates × 10 parameter
 	// bindings) over the sf=10 catalog, with optimizer-estimated costs —
 	// exactly the input contract of the paper (Section 2.2).
@@ -24,14 +27,20 @@ func main() {
 		log.Fatal(err)
 	}
 	optimizer := cost.NewOptimizer(gen.Cat)
-	optimizer.FillCosts(w)
+	if err := optimizer.FillCostsCtx(ctx, w, 0); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("input workload: %d queries, %d templates, total cost %.0f\n",
 		w.Len(), w.NumTemplates(), w.TotalCost())
 
 	// 2. Compress to 16 queries with ISUM (linear-time summary-features
 	// algorithm, rule-based weights, template-aware weighing).
 	compressor := core.New(core.DefaultOptions())
-	compressed, res := compressor.CompressedWorkload(w, 16)
+	res, err := compressor.CompressContext(ctx, w, 16)
+	if err != nil {
+		log.Fatal(err)
+	}
+	compressed := w.WeightedSubset(res.Indices, res.Weights)
 	fmt.Printf("compressed to %d queries in %v\n", compressed.Len(), res.Elapsed)
 	for i, idx := range res.Indices {
 		fmt.Printf("  picked query #%-3d (weight %.3f): %.60s...\n",
@@ -42,7 +51,10 @@ func main() {
 	opts := advisor.DefaultOptions()
 	opts.MaxIndexes = 20
 	opts.StorageBudget = 3 * gen.Cat.TotalSizeBytes()
-	tuned := advisor.New(optimizer, opts).Tune(compressed)
+	tuned, err := advisor.New(optimizer, opts).TuneContext(ctx, compressed)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nrecommended %d indexes (%d optimizer calls, %v):\n",
 		tuned.Config.Len(), tuned.OptimizerCalls, tuned.Elapsed)
 	for _, ix := range tuned.Config.Indexes() {
@@ -50,6 +62,9 @@ func main() {
 	}
 
 	// 4. Evaluate on the FULL workload — the paper's metric.
-	pct, base, final := advisor.EvaluateImprovement(optimizer, w, tuned.Config)
+	pct, base, final, err := advisor.EvaluateImprovementContext(ctx, optimizer, w, tuned.Config, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nfull-workload improvement: %.1f%% (cost %.0f -> %.0f)\n", pct, base, final)
 }

@@ -152,18 +152,10 @@ func New(o *cost.Optimizer, opts Options) *Advisor {
 	return &Advisor{o: o, opts: opts}
 }
 
-// Tune runs the advisor on the workload and returns the recommended
-// configuration. Query weights are honoured: the enumeration maximises the
-// weighted improvement, which is how a compressed workload steers tuning.
-func (a *Advisor) Tune(w *workload.Workload) *Result {
-	res, err := a.TuneContext(context.Background(), w)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// TuneContext is Tune with the anytime contract (DESIGN.md §9): when ctx
+// TuneContext runs the advisor on the workload and returns the
+// recommended configuration. Query weights are honoured: the enumeration
+// maximises the weighted improvement, which is how a compressed workload
+// steers tuning. It follows the anytime contract (DESIGN.md §9): when ctx
 // is cancelled or its deadline expires — Options.TimeBudget is folded into
 // ctx as a deadline — candidate selection keeps the queries already
 // processed and enumeration stops at its next round boundary, returning
@@ -492,23 +484,14 @@ func (a *Advisor) dexterCandidates(q *workload.Query) []index.Index {
 	return out
 }
 
-// EvaluateImprovement computes the paper's evaluation metric (Section 8):
-// the unweighted improvement % on workload w when using cfg, along with the
-// before/after costs. Per-query what-if calls fan out across every core.
-func EvaluateImprovement(o *cost.Optimizer, w *workload.Workload, cfg *index.Configuration) (pct, base, final float64) {
-	pct, base, final, err := EvaluateImprovementContext(context.Background(), o, w, cfg, 0)
-	if err != nil {
-		panic(err)
-	}
-	return pct, base, final
-}
-
-// EvaluateImprovementContext is EvaluateImprovement with an explicit
-// parallelism (0 = GOMAXPROCS, 1 = serial) and cancellation: an
-// interrupted evaluation, or one whose worker panicked, returns the error
-// (there is no meaningful partial improvement metric). The before/after
-// sums are reduced in input order, so the result is bit-identical at any
-// parallelism.
+// EvaluateImprovementContext computes the paper's evaluation metric
+// (Section 8): the unweighted improvement % on workload w when using cfg,
+// along with the before/after costs. The per-query what-if calls fan out
+// across parallelism workers (0 = GOMAXPROCS, 1 = serial), and the
+// before/after sums are reduced in input order, so the result is
+// bit-identical at any parallelism. An interrupted evaluation, or one
+// whose worker panicked, returns the error (there is no meaningful partial
+// improvement metric).
 func EvaluateImprovementContext(ctx context.Context, o *cost.Optimizer, w *workload.Workload, cfg *index.Configuration, parallelism int) (pct, base, final float64, err error) {
 	type pair struct{ base, final float64 }
 	pairs, err := parallel.Map(ctx, parallel.Workers(parallelism), len(w.Queries), func(i int) pair {

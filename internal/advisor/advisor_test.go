@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -68,6 +69,17 @@ func testWorkload(t *testing.T, cat *catalog.Catalog) *workload.Workload {
 	return w
 }
 
+// tune runs a.TuneContext on a background context, failing the test on
+// an error.
+func tune(t testing.TB, a *Advisor, w *workload.Workload) *Result {
+	t.Helper()
+	res, err := a.TuneContext(context.Background(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestSyntacticCandidates(t *testing.T) {
 	cat := testCatalog()
 	a := New(cost.NewOptimizer(cat), DefaultOptions())
@@ -115,10 +127,12 @@ func TestTuneImprovesWorkload(t *testing.T) {
 	cat := testCatalog()
 	o := cost.NewOptimizer(cat)
 	w := testWorkload(t, cat)
-	o.FillCosts(w)
+	if err := o.FillCostsCtx(context.Background(), w, 0); err != nil {
+		t.Fatal(err)
+	}
 
 	a := New(o, DefaultOptions())
-	res := a.Tune(w)
+	res := tune(t, a, w)
 	if res.Config.Len() == 0 {
 		t.Fatal("no indexes recommended")
 	}
@@ -139,7 +153,7 @@ func TestMaxIndexesRespected(t *testing.T) {
 	w := testWorkload(t, cat)
 	opts := DefaultOptions()
 	opts.MaxIndexes = 2
-	res := New(o, opts).Tune(w)
+	res := tune(t, New(o, opts), w)
 	if res.Config.Len() > 2 {
 		t.Fatalf("config size %d exceeds limit", res.Config.Len())
 	}
@@ -152,14 +166,14 @@ func TestStorageBudgetRespected(t *testing.T) {
 	budget := int64(100 << 20) // 100 MiB: tight for 6M-row tables
 	opts := DefaultOptions()
 	opts.StorageBudget = budget
-	res := New(o, opts).Tune(w)
+	res := tune(t, New(o, opts), w)
 	if got := res.Config.SizeBytes(cat); got > budget {
 		t.Fatalf("config size %d exceeds budget %d", got, budget)
 	}
 	// A looser budget should never do worse.
 	opts2 := DefaultOptions()
 	opts2.StorageBudget = budget * 10
-	res2 := New(o, opts2).Tune(w)
+	res2 := tune(t, New(o, opts2), w)
 	if res2.FinalCost > res.FinalCost+1e-6 {
 		t.Fatalf("bigger budget should not hurt: %f > %f", res2.FinalCost, res.FinalCost)
 	}
@@ -180,7 +194,7 @@ func TestWeightsSteerTuning(t *testing.T) {
 
 	// Heavily weight the second query: the single index must target orders.
 	w.Queries[1].Weight = 10000
-	res := New(o, opts).Tune(w)
+	res := tune(t, New(o, opts), w)
 	if res.Config.Len() != 1 {
 		t.Fatalf("config = %v", res.Config.Indexes())
 	}
@@ -226,8 +240,8 @@ func TestDexterModeSimplerAndWeaker(t *testing.T) {
 	o := cost.NewOptimizer(cat)
 	w := testWorkload(t, cat)
 
-	dta := New(o, DefaultOptions()).Tune(w)
-	dex := New(o, DexterOptions()).Tune(w)
+	dta := tune(t, New(o, DefaultOptions()), w)
+	dex := tune(t, New(o, DexterOptions()), w)
 	if dex.ImprovementPercent() > dta.ImprovementPercent()+1e-6 {
 		t.Fatalf("DEXTER should not beat DTA: %.1f%% > %.1f%%",
 			dex.ImprovementPercent(), dta.ImprovementPercent())
@@ -246,12 +260,18 @@ func TestEvaluateImprovement(t *testing.T) {
 	cat := testCatalog()
 	o := cost.NewOptimizer(cat)
 	w := testWorkload(t, cat)
-	res := New(o, DefaultOptions()).Tune(w)
-	pct, base, final := EvaluateImprovement(o, w, res.Config)
+	res := tune(t, New(o, DefaultOptions()), w)
+	pct, base, final, err := EvaluateImprovementContext(context.Background(), o, w, res.Config, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if pct <= 0 || base <= final {
 		t.Fatalf("pct=%f base=%f final=%f", pct, base, final)
 	}
-	zero, _, _ := EvaluateImprovement(o, w, index.NewConfiguration())
+	zero, _, _, err := EvaluateImprovementContext(context.Background(), o, w, index.NewConfiguration(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if zero != 0 {
 		t.Fatalf("empty config improvement = %f", zero)
 	}
@@ -263,11 +283,16 @@ func TestCompressedTuningTransfersToFullWorkload(t *testing.T) {
 	cat := testCatalog()
 	o := cost.NewOptimizer(cat)
 	w := testWorkload(t, cat)
-	o.FillCosts(w)
+	if err := o.FillCostsCtx(context.Background(), w, 0); err != nil {
+		t.Fatal(err)
+	}
 
 	sub := w.WeightedSubset([]int{0, 2}, []float64{1, 1})
-	res := New(o, DefaultOptions()).Tune(sub)
-	pct, _, _ := EvaluateImprovement(o, w, res.Config)
+	res := tune(t, New(o, DefaultOptions()), sub)
+	pct, _, _, err := EvaluateImprovementContext(context.Background(), o, w, res.Config, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if pct <= 0 {
 		t.Fatalf("compressed tuning gave no improvement on full workload: %f", pct)
 	}
@@ -281,7 +306,7 @@ func TestTimeBudgetAnytime(t *testing.T) {
 	// A zero-ish budget still returns a valid (possibly empty) result fast.
 	opts := DefaultOptions()
 	opts.TimeBudget = time.Nanosecond
-	res := New(o, opts).Tune(w)
+	res := tune(t, New(o, opts), w)
 	if res.Config == nil {
 		t.Fatal("anytime tuning must return a configuration")
 	}
@@ -291,8 +316,8 @@ func TestTimeBudgetAnytime(t *testing.T) {
 
 	// A generous budget matches unbudgeted tuning.
 	opts.TimeBudget = time.Minute
-	budgeted := New(o, opts).Tune(w)
-	free := New(o, DefaultOptions()).Tune(w)
+	budgeted := tune(t, New(o, opts), w)
+	free := tune(t, New(o, DefaultOptions()), w)
 	if budgeted.Config.Len() != free.Config.Len() {
 		t.Fatalf("generous budget should match unbudgeted: %d vs %d",
 			budgeted.Config.Len(), free.Config.Len())

@@ -117,27 +117,6 @@ func TestTuneContextAnytime(t *testing.T) {
 	}
 }
 
-func TestTuneContextEquivalence(t *testing.T) {
-	cat := testCatalog()
-	w := testWorkload(t, cat)
-
-	compat := New(cost.NewOptimizer(cat), serialOptions()).Tune(w)
-	ctxRes, err := New(cost.NewOptimizer(cat), serialOptions()).TuneContext(context.Background(), w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctxRes.Partial {
-		t.Fatal("background run marked partial")
-	}
-	if got, want := ctxRes.Config.Fingerprint(), compat.Config.Fingerprint(); got != want {
-		t.Fatalf("Tune and TuneContext diverge: %q vs %q", got, want)
-	}
-	if ctxRes.InitialCost != compat.InitialCost || ctxRes.FinalCost != compat.FinalCost {
-		t.Fatalf("costs diverge: (%v, %v) vs (%v, %v)",
-			ctxRes.InitialCost, ctxRes.FinalCost, compat.InitialCost, compat.FinalCost)
-	}
-}
-
 // TestEvaluateImprovementContextFailures: an evaluation that cannot cost
 // every query returns the pool's error and no figures. A cancelled
 // context is a cancellation and makes no what-if call; a contained worker
@@ -145,7 +124,7 @@ func TestTuneContextEquivalence(t *testing.T) {
 // the serial path and on the pool alike.
 func TestEvaluateImprovementContextFailures(t *testing.T) {
 	cat := testCatalog()
-	cfg := New(cost.NewOptimizer(cat), serialOptions()).Tune(testWorkload(t, cat)).Config
+	cfg := tune(t, New(cost.NewOptimizer(cat), serialOptions()), testWorkload(t, cat)).Config
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	isPanic := func(err error) bool {

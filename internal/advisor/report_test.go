@@ -2,6 +2,7 @@ package advisor
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -12,8 +13,10 @@ func TestReportDrillDown(t *testing.T) {
 	cat := testCatalog()
 	o := cost.NewOptimizer(cat)
 	w := testWorkload(t, cat)
-	o.FillCosts(w)
-	res := New(o, DefaultOptions()).Tune(w)
+	if err := o.FillCostsCtx(context.Background(), w, 0); err != nil {
+		t.Fatal(err)
+	}
+	res := tune(t, New(o, DefaultOptions()), w)
 
 	rep := Report(o, w, res.Config)
 	if len(rep.Queries) != w.Len() {
@@ -51,7 +54,7 @@ func TestExplainPlan(t *testing.T) {
 	cat := testCatalog()
 	o := cost.NewOptimizer(cat)
 	w := testWorkload(t, cat)
-	res := New(o, DefaultOptions()).Tune(w)
+	res := tune(t, New(o, DefaultOptions()), w)
 
 	q := w.Queries[0] // selective l_orderkey lookup
 	planBare := o.Explain(q, nil)

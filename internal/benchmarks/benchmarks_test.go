@@ -1,6 +1,7 @@
 package benchmarks
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -84,8 +85,9 @@ func TestAllGeneratorsProduceAnalysableWorkloads(t *testing.T) {
 			if w.Len() != g.NumTemplates() {
 				t.Fatalf("len = %d", w.Len())
 			}
-			o := cost.NewOptimizer(g.Cat)
-			o.FillCosts(w)
+			if err := cost.NewOptimizer(g.Cat).FillCostsCtx(context.Background(), w, 0); err != nil {
+				t.Fatal(err)
+			}
 			noTables, noCost := 0, 0
 			for i, q := range w.Queries {
 				if len(q.Info.Tables) == 0 {
@@ -191,7 +193,9 @@ func TestRealMCostSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost.NewOptimizer(g.Cat).FillCosts(w)
+	if err := cost.NewOptimizer(g.Cat).FillCostsCtx(context.Background(), w, 0); err != nil {
+		t.Fatal(err)
+	}
 	// The paper describes Real-M as cost-dominated: the top decile of
 	// queries should hold a large share of total cost.
 	costs := make([]float64, w.Len())

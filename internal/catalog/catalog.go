@@ -204,37 +204,6 @@ func (cat *Catalog) TableWeight(name string) float64 {
 	return float64(t.RowCount) / float64(total)
 }
 
-// ResolveColumn resolves a possibly-qualified column reference. For
-// "t.c" it looks in table t; for a bare "c" it searches all tables and
-// returns an error when the name is ambiguous or unknown.
-func (cat *Catalog) ResolveColumn(ref string) (*Column, error) {
-	if i := strings.IndexByte(ref, '.'); i >= 0 {
-		t := cat.Table(ref[:i])
-		if t == nil {
-			return nil, fmt.Errorf("catalog: unknown table %q in reference %q", ref[:i], ref)
-		}
-		c := t.Column(ref[i+1:])
-		if c == nil {
-			return nil, fmt.Errorf("catalog: unknown column %q", ref)
-		}
-		return c, nil
-	}
-	var found *Column
-	for _, t := range cat.Tables() {
-		if c := t.Column(ref); c != nil {
-			if found != nil {
-				return nil, fmt.Errorf("catalog: ambiguous column %q (in %s and %s)",
-					ref, found.table.Name, t.Name)
-			}
-			found = c
-		}
-	}
-	if found == nil {
-		return nil, fmt.Errorf("catalog: unknown column %q", ref)
-	}
-	return found, nil
-}
-
 // Validate performs basic consistency checks and returns all problems found.
 func (cat *Catalog) Validate() []error {
 	var errs []error

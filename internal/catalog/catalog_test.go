@@ -54,33 +54,6 @@ func TestPageCountAndSize(t *testing.T) {
 	}
 }
 
-func TestCatalogResolveColumn(t *testing.T) {
-	cat := New()
-	cat.AddTable(sampleTable())
-	cust := NewTable("customer", 1000)
-	cust.AddColumn(&Column{Name: "c_custkey", Type: TypeInt, DistinctCount: 1000})
-	cust.AddColumn(&Column{Name: "o_custkey", Type: TypeInt, DistinctCount: 1000}) // ambiguous with orders
-	cat.AddTable(cust)
-
-	if _, err := cat.ResolveColumn("orders.o_orderkey"); err != nil {
-		t.Fatalf("qualified resolve failed: %v", err)
-	}
-	if _, err := cat.ResolveColumn("c_custkey"); err != nil {
-		t.Fatalf("unqualified unique resolve failed: %v", err)
-	}
-	if _, err := cat.ResolveColumn("o_custkey"); err == nil {
-		t.Fatal("expected ambiguity error")
-	} else if !strings.Contains(err.Error(), "ambiguous") {
-		t.Fatalf("expected ambiguous error, got %v", err)
-	}
-	if _, err := cat.ResolveColumn("nope.nope"); err == nil {
-		t.Fatal("expected unknown-table error")
-	}
-	if _, err := cat.ResolveColumn("missing_col"); err == nil {
-		t.Fatal("expected unknown-column error")
-	}
-}
-
 func TestTableWeightSumsToOne(t *testing.T) {
 	cat := New()
 	a := NewTable("a", 900)

@@ -1,6 +1,8 @@
 package compress
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"sort"
 	"time"
@@ -18,8 +20,9 @@ type Uniform struct {
 // Name implements Compressor.
 func (u *Uniform) Name() string { return "Uniform" }
 
-// Compress implements Compressor.
-func (u *Uniform) Compress(w *workload.Workload, k int) *core.Result {
+// CompressContext implements Compressor. The sample is one permutation,
+// so ctx is not consulted and the error is always nil.
+func (u *Uniform) CompressContext(_ context.Context, w *workload.Workload, k int) (*core.Result, error) {
 	start := time.Now() //lint:allow determinism Result.Elapsed timing only; selection never reads the clock
 	n := w.Len()
 	k = clampK(k, n)
@@ -28,7 +31,7 @@ func (u *Uniform) Compress(w *workload.Workload, k int) *core.Result {
 	res := &core.Result{Indices: perm[:k], Weights: uniformWeights(k)}
 	sort.Ints(res.Indices)
 	res.Elapsed = time.Since(start)
-	return res
+	return res, nil
 }
 
 func (u *Uniform) seed() int64 {
@@ -45,9 +48,16 @@ type CostTopK struct{}
 // Name implements Compressor.
 func (c *CostTopK) Name() string { return "Cost" }
 
-// Compress implements Compressor.
-func (c *CostTopK) Compress(w *workload.Workload, k int) *core.Result {
+// CompressContext implements Compressor. A query whose cost is NaN, ±Inf
+// or negative is an error naming the lowest such position; otherwise the
+// selection is one sort, so ctx is not consulted.
+func (c *CostTopK) CompressContext(_ context.Context, w *workload.Workload, k int) (*core.Result, error) {
 	start := time.Now() //lint:allow determinism Result.Elapsed timing only; selection never reads the clock
+	for i, q := range w.Queries {
+		if !workload.ValidCost(q.Cost) {
+			return nil, fmt.Errorf("compress: query %d: invalid cost %v (must be finite and >= 0)", i, q.Cost)
+		}
+	}
 	n := w.Len()
 	k = clampK(k, n)
 	idx := make([]int, n)
@@ -70,7 +80,7 @@ func (c *CostTopK) Compress(w *workload.Workload, k int) *core.Result {
 			weights[j] = 1.0 / float64(k)
 		}
 	}
-	return &core.Result{Indices: sel, Weights: weights, Elapsed: time.Since(start)}
+	return &core.Result{Indices: sel, Weights: weights, Elapsed: time.Since(start)}, nil
 }
 
 // Stratified clusters queries by template and samples round-robin from each
@@ -82,8 +92,9 @@ type Stratified struct {
 // Name implements Compressor.
 func (s *Stratified) Name() string { return "Stratified" }
 
-// Compress implements Compressor.
-func (s *Stratified) Compress(w *workload.Workload, k int) *core.Result {
+// CompressContext implements Compressor. The sample is one pass over the
+// templates, so ctx is not consulted and the error is always nil.
+func (s *Stratified) CompressContext(_ context.Context, w *workload.Workload, k int) (*core.Result, error) {
 	start := time.Now() //lint:allow determinism Result.Elapsed timing only; selection never reads the clock
 	n := w.Len()
 	k = clampK(k, n)
@@ -150,5 +161,5 @@ func (s *Stratified) Compress(w *workload.Workload, k int) *core.Result {
 	}
 	res.Weights = weights
 	res.Elapsed = time.Since(start)
-	return res
+	return res, nil
 }

@@ -1,10 +1,14 @@
 // Package compress provides the workload-compression baselines the paper
 // evaluates against (Section 8): uniform sampling, cost top-k, stratified
-// template sampling, GSUM [20], and k-medoid clustering [11] — all behind a
-// common Compressor interface that ISUM (internal/core) also satisfies.
+// template sampling, GSUM [20], and k-medoid clustering [11]. Each
+// implements Compressor, whose compression method is core.Compressor's
+// CompressContext with its contract, so ISUM satisfies it too and the
+// experiments run every algorithm through one call.
 package compress
 
 import (
+	"context"
+
 	"isum/internal/core"
 	"isum/internal/workload"
 )
@@ -13,13 +17,15 @@ import (
 type Compressor interface {
 	// Name identifies the algorithm in experiment output.
 	Name() string
-	// Compress selects up to k queries from w.
-	Compress(w *workload.Workload, k int) *core.Result
+	// CompressContext selects up to k queries from w under core's
+	// contract (DESIGN.md §9). Cancellation is not an error: when ctx
+	// stops a run early, the selections made so far come back as a valid
+	// Result with Partial set; a baseline whose selection is one pass
+	// finishes instead. The error means invalid input — a query whose
+	// cost is NaN, ±Inf or negative, naming the lowest such position — or
+	// a contained worker panic.
+	CompressContext(ctx context.Context, w *workload.Workload, k int) (*core.Result, error)
 }
-
-// ISUMAdapter wraps core.Compressor to satisfy Compressor (it already does;
-// this alias keeps call sites uniform).
-type ISUMAdapter = core.Compressor
 
 // uniformWeights returns 1/n weights.
 func uniformWeights(n int) []float64 {

@@ -1,8 +1,10 @@
 package compress
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"isum/internal/catalog"
@@ -48,8 +50,21 @@ func testWorkload(t *testing.T) *workload.Workload {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost.NewOptimizer(cat).FillCosts(w)
+	if err := cost.NewOptimizer(cat).FillCostsCtx(context.Background(), w, 0); err != nil {
+		t.Fatal(err)
+	}
 	return w
+}
+
+// run calls c.CompressContext on a background context, failing the test
+// on an error.
+func run(t *testing.T, c Compressor, w *workload.Workload, k int) *core.Result {
+	t.Helper()
+	res, err := c.CompressContext(context.Background(), w, k)
+	if err != nil {
+		t.Fatalf("%s: %v", c.Name(), err)
+	}
+	return res
 }
 
 // checkResult validates the common contract of every compressor.
@@ -71,8 +86,8 @@ func checkResult(t *testing.T, name string, w *workload.Workload, res *core.Resu
 			t.Fatalf("%s: duplicate index %d", name, idx)
 		}
 		seen[idx] = true
-		if res.Weights[i] < 0 {
-			t.Fatalf("%s: negative weight", name)
+		if !(res.Weights[i] >= 0) || math.IsInf(res.Weights[i], 0) {
+			t.Fatalf("%s: weight %v is negative or not finite", name, res.Weights[i])
 		}
 		sum += res.Weights[i]
 	}
@@ -97,17 +112,67 @@ func TestAllCompressorsContract(t *testing.T) {
 	w := testWorkload(t)
 	for _, c := range allCompressors() {
 		for _, k := range []int{1, 3, 5} {
-			res := c.Compress(w, k)
+			res := run(t, c, w, k)
 			checkResult(t, c.Name(), w, res, k)
 		}
+	}
+}
+
+// TestInvalidCostContract: a NaN, infinite or negative cost makes no
+// compressor panic. Each rejects it with an error naming the lowest bad
+// position, or returns a result that passes checkResult. CostTopK ranks
+// and weighs by cost, so it must reject.
+func TestInvalidCostContract(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -1} {
+		w := testWorkload(t)
+		w.Queries[7].Cost = bad
+		w.Queries[12].Cost = bad
+		want := fmt.Sprintf("query 7: invalid cost %v", bad)
+		for _, c := range allCompressors() {
+			res, err := c.CompressContext(context.Background(), w, 5)
+			if err != nil {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s with cost %v: err = %v, want it to contain %q", c.Name(), bad, err, want)
+				}
+				continue
+			}
+			if _, ok := c.(*CostTopK); ok {
+				t.Errorf("CostTopK accepted cost %v", bad)
+				continue
+			}
+			checkResult(t, c.Name(), w, res, 5)
+		}
+	}
+}
+
+// TestCancelledContract: a cancelled context is never an error. A
+// compressor that observes it returns a Partial result holding the
+// selections made so far (none here); one that does not returns its
+// complete result.
+func TestCancelledContract(t *testing.T) {
+	w := testWorkload(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range allCompressors() {
+		res, err := c.CompressContext(ctx, w, 3)
+		if err != nil {
+			t.Fatalf("%s: cancellation returned error %v", c.Name(), err)
+		}
+		if res.Partial {
+			if len(res.Indices) != 0 || len(res.Weights) != 0 {
+				t.Fatalf("%s: pre-cancelled run selected %v", c.Name(), res.Indices)
+			}
+			continue
+		}
+		checkResult(t, c.Name(), w, res, 3)
 	}
 }
 
 func TestCompressorsDeterministic(t *testing.T) {
 	w := testWorkload(t)
 	for _, c := range allCompressors() {
-		a := c.Compress(w, 4)
-		b := c.Compress(w, 4)
+		a := run(t, c, w, 4)
+		b := run(t, c, w, 4)
 		if fmt.Sprint(a.Indices) != fmt.Sprint(b.Indices) {
 			t.Fatalf("%s: non-deterministic: %v vs %v", c.Name(), a.Indices, b.Indices)
 		}
@@ -116,7 +181,7 @@ func TestCompressorsDeterministic(t *testing.T) {
 
 func TestCostTopKOrdering(t *testing.T) {
 	w := testWorkload(t)
-	res := (&CostTopK{}).Compress(w, 3)
+	res := run(t, &CostTopK{}, w, 3)
 	minSel := math.Inf(1)
 	for _, idx := range res.Indices {
 		if c := w.Queries[idx].Cost; c < minSel {
@@ -138,7 +203,7 @@ func TestCostTopKOrdering(t *testing.T) {
 
 func TestStratifiedCoversTemplates(t *testing.T) {
 	w := testWorkload(t) // 3 templates
-	res := (&Stratified{Seed: 3}).Compress(w, 3)
+	res := run(t, &Stratified{Seed: 3}, w, 3)
 	templates := map[string]bool{}
 	for _, idx := range res.Indices {
 		templates[w.Queries[idx].TemplateID] = true
@@ -150,7 +215,7 @@ func TestStratifiedCoversTemplates(t *testing.T) {
 
 func TestGSUMCoversFeatures(t *testing.T) {
 	w := testWorkload(t)
-	res := (&GSUM{}).Compress(w, 3)
+	res := run(t, &GSUM{}, w, 3)
 	// With 3 distinct query shapes, GSUM's coverage term should force picks
 	// across shapes.
 	templates := map[string]bool{}
@@ -164,7 +229,7 @@ func TestGSUMCoversFeatures(t *testing.T) {
 
 func TestKMedoidClusters(t *testing.T) {
 	w := testWorkload(t)
-	res := (&KMedoid{Seed: 11}).Compress(w, 3)
+	res := run(t, &KMedoid{Seed: 11}, w, 3)
 	if len(res.Indices) == 0 || len(res.Indices) > 3 {
 		t.Fatalf("k-medoid picks = %v", res.Indices)
 	}
@@ -181,8 +246,8 @@ func TestKMedoidClusters(t *testing.T) {
 
 func TestUniformSeedVariation(t *testing.T) {
 	w := testWorkload(t)
-	a := (&Uniform{Seed: 1}).Compress(w, 5)
-	b := (&Uniform{Seed: 2}).Compress(w, 5)
+	a := run(t, &Uniform{Seed: 1}, w, 5)
+	b := run(t, &Uniform{Seed: 2}, w, 5)
 	if fmt.Sprint(a.Indices) == fmt.Sprint(b.Indices) {
 		t.Log("different seeds produced identical samples (possible but unlikely)")
 	}
@@ -191,7 +256,7 @@ func TestUniformSeedVariation(t *testing.T) {
 func TestKGreaterThanN(t *testing.T) {
 	w := testWorkload(t)
 	for _, c := range allCompressors() {
-		res := c.Compress(w, w.Len()+10)
+		res := run(t, c, w, w.Len()+10)
 		if len(res.Indices) > w.Len() {
 			t.Fatalf("%s: selected more than n", c.Name())
 		}
@@ -201,7 +266,7 @@ func TestKGreaterThanN(t *testing.T) {
 func TestEmptyWorkload(t *testing.T) {
 	w := &workload.Workload{Catalog: testCatalog()}
 	for _, c := range allCompressors() {
-		res := c.Compress(w, 3)
+		res := run(t, c, w, 3)
 		if len(res.Indices) != 0 {
 			t.Fatalf("%s: selected from empty workload", c.Name())
 		}
@@ -210,8 +275,8 @@ func TestEmptyWorkload(t *testing.T) {
 
 func TestGSUMAlphaExtremes(t *testing.T) {
 	w := testWorkload(t)
-	coverageOnly := (&GSUM{Alpha: 0.999}).Compress(w, 3)
-	repOnly := (&GSUM{Alpha: 0.001}).Compress(w, 3)
+	coverageOnly := run(t, &GSUM{Alpha: 0.999}, w, 3)
+	repOnly := run(t, &GSUM{Alpha: 0.001}, w, 3)
 	checkResult(t, "GSUM-coverage", w, coverageOnly, 3)
 	checkResult(t, "GSUM-rep", w, repOnly, 3)
 	// Pure coverage must span templates.
@@ -226,8 +291,8 @@ func TestGSUMAlphaExtremes(t *testing.T) {
 
 func TestKMedoidIterationCap(t *testing.T) {
 	w := testWorkload(t)
-	capped := (&KMedoid{Seed: 5, MaxIterations: 1}).Compress(w, 3)
-	free := (&KMedoid{Seed: 5, MaxIterations: 50}).Compress(w, 3)
+	capped := run(t, &KMedoid{Seed: 5, MaxIterations: 1}, w, 3)
+	free := run(t, &KMedoid{Seed: 5, MaxIterations: 50}, w, 3)
 	if len(capped.Indices) == 0 || len(free.Indices) == 0 {
 		t.Fatal("k-medoid produced nothing")
 	}

@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"context"
 	"math"
 	"sort"
 	"time"
@@ -28,8 +29,10 @@ type GSUM struct {
 // Name implements Compressor.
 func (g *GSUM) Name() string { return "GSUM" }
 
-// Compress implements Compressor.
-func (g *GSUM) Compress(w *workload.Workload, k int) *core.Result {
+// CompressContext implements Compressor. Costs are not read, so the error
+// is always nil; a cancelled ctx stops the greedy loop at its next round
+// and returns the selections so far with Partial set.
+func (g *GSUM) CompressContext(ctx context.Context, w *workload.Workload, k int) (*core.Result, error) {
 	start := time.Now() //lint:allow determinism Result.Elapsed timing only; greedy scoring never reads the clock
 	n := w.Len()
 	k = clampK(k, n)
@@ -77,7 +80,7 @@ func (g *GSUM) Compress(w *workload.Workload, k int) *core.Result {
 		}
 		res.Weights = uniformWeights(k)
 		res.Elapsed = time.Since(start)
-		return res
+		return res, nil
 	}
 	for key := range workloadFreq {
 		workloadFreq[key] /= totalFeats
@@ -121,6 +124,10 @@ func (g *GSUM) Compress(w *workload.Workload, k int) *core.Result {
 	}
 
 	for len(res.Indices) < k {
+		if ctx.Err() != nil {
+			res.Partial = true
+			break
+		}
 		bestI, bestS := -1, math.Inf(-1)
 		for i := 0; i < n; i++ {
 			if selected[i] {
@@ -144,7 +151,7 @@ func (g *GSUM) Compress(w *workload.Workload, k int) *core.Result {
 	sort.Ints(res.Indices)
 	res.Weights = uniformWeights(len(res.Indices))
 	res.Elapsed = time.Since(start)
-	return res
+	return res, nil
 }
 
 // detSum adds vals in ascending value order (mutating vals). Floating-point

@@ -1,11 +1,13 @@
 package compress
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"time"
 
 	"isum/internal/core"
+	"isum/internal/faults"
 	"isum/internal/features"
 	"isum/internal/workload"
 )
@@ -24,13 +26,17 @@ type KMedoid struct {
 // Name implements Compressor.
 func (m *KMedoid) Name() string { return "k-medoid" }
 
-// Compress implements Compressor.
-func (m *KMedoid) Compress(w *workload.Workload, k int) *core.Result {
+// CompressContext implements Compressor. The distance features come from
+// core.BuildStatesContext, whose error — a query whose cost is NaN, ±Inf
+// or negative, or a contained worker panic — it returns. A ctx cancelled
+// during that build yields an empty Partial result; the refinement that
+// follows runs to completion.
+func (m *KMedoid) CompressContext(ctx context.Context, w *workload.Workload, k int) (*core.Result, error) {
 	start := time.Now() //lint:allow determinism Result.Elapsed timing only; medoid selection never reads the clock
 	n := w.Len()
 	k = clampK(k, n)
 	if k == 0 {
-		return &core.Result{Elapsed: time.Since(start)}
+		return &core.Result{Elapsed: time.Since(start)}, nil
 	}
 	maxIter := m.MaxIterations
 	if maxIter == 0 {
@@ -42,7 +48,13 @@ func (m *KMedoid) Compress(w *workload.Workload, k int) *core.Result {
 	}
 	rng := rand.New(rand.NewSource(seed))
 
-	states := core.BuildStates(w, core.DefaultOptions())
+	states, err := core.BuildStatesContext(ctx, w, core.DefaultOptions())
+	if faults.IsCancellation(err) {
+		return &core.Result{Partial: true, Elapsed: time.Since(start)}, nil
+	}
+	if err != nil {
+		return nil, err
+	}
 	vecs := make([]features.SparseVec, n)
 	for i, s := range states {
 		vecs[i] = s.OrigVec
@@ -116,5 +128,5 @@ func (m *KMedoid) Compress(w *workload.Workload, k int) *core.Result {
 		res.Weights = append(res.Weights, wt)
 	}
 	res.Elapsed = time.Since(start)
-	return res
+	return res, nil
 }

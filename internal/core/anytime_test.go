@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -70,7 +69,7 @@ func TestCompressContextAnytime(t *testing.T) {
 	opts.Parallelism = 1
 	const k = 5
 
-	full := New(opts).Compress(w, k)
+	full := compress(t, New(opts), w, k)
 	if full.Partial {
 		t.Fatal("background compress must not be partial")
 	}
@@ -108,39 +107,5 @@ func TestCompressContextAnytime(t *testing.T) {
 	}
 	if !sawMidRun {
 		t.Fatal("no budget produced a non-empty partial selection; the sweep is not exercising mid-run cancellation")
-	}
-}
-
-func TestCompressContextEquivalence(t *testing.T) {
-	w := testWorkload(t)
-	for _, k := range []int{1, 3, 16, 100} {
-		compat := New(DefaultOptions()).Compress(w, k)
-		ctxRes, err := New(DefaultOptions()).CompressContext(context.Background(), w, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ctxRes.Partial {
-			t.Fatalf("k=%d: background run marked partial", k)
-		}
-		if !reflect.DeepEqual(compat.Indices, ctxRes.Indices) || !reflect.DeepEqual(compat.Weights, ctxRes.Weights) {
-			t.Fatalf("k=%d: Compress and CompressContext diverge:\n%v %v\n%v %v",
-				k, compat.Indices, compat.Weights, ctxRes.Indices, ctxRes.Weights)
-		}
-	}
-}
-
-func TestCompressedWorkloadContextPartial(t *testing.T) {
-	w := testWorkload(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	cw, res, err := New(DefaultOptions()).CompressedWorkloadContext(ctx, w, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Partial {
-		t.Fatal("want partial result")
-	}
-	if cw == nil || cw.Len() != len(res.Indices) {
-		t.Fatalf("materialised workload does not match the partial selection: %v vs %d indices", cw, len(res.Indices))
 	}
 }

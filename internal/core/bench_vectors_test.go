@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"isum/internal/features"
@@ -43,7 +44,10 @@ func BenchmarkSummaryDelta(b *testing.B) {
 	})
 
 	b.Run("impl=sparse", func(b *testing.B) {
-		states := BuildStates(w, opts)
+		states, err := BuildStatesContext(context.Background(), w, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
 		sel := states[0]
 		sel.Selected = true
 		snap := make([]features.SparseVec, len(states))

@@ -61,25 +61,15 @@ func (c *Compressor) Name() string {
 	}
 }
 
-// Compress selects k queries from w (Problem 1) and weighs them. For k ≥
-// n every query is selected with weight 1/n. It panics where
-// CompressContext returns an error.
-func (c *Compressor) Compress(w *workload.Workload, k int) *Result {
-	res, err := c.CompressContext(context.Background(), w, k)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// CompressContext is Compress with the anytime contract (DESIGN.md §9):
-// when ctx is cancelled or its deadline expires, the greedy loop stops at
-// its next round boundary and the queries selected so far are weighed and
-// returned as a valid Result with Partial set — never a panic, never nil.
-// An already-cancelled ctx yields an empty Partial result. The error is
-// reserved for real failures — a query whose cost is NaN, ±Inf or
-// negative (the lowest such position is named), or a contained worker
-// panic; cancellation is not an error.
+// CompressContext selects k queries from w (Problem 1) and weighs them.
+// For k ≥ n every query is selected with weight 1/n. It follows the
+// anytime contract (DESIGN.md §9): when ctx is cancelled or its deadline
+// expires, the greedy loop stops at its next round boundary and the
+// queries selected so far are weighed and returned as a valid Result with
+// Partial set — never a panic, never nil. An already-cancelled ctx yields
+// an empty Partial result. The error is reserved for real failures — a
+// query whose cost is NaN, ±Inf or negative (the lowest such position is
+// named), or a contained worker panic; cancellation is not an error.
 func (c *Compressor) CompressContext(ctx context.Context, w *workload.Workload, k int) (*Result, error) {
 	start := time.Now() //lint:allow determinism Result.Elapsed timing only; greedy selection never reads the clock
 	reg := c.opts.Telemetry
@@ -143,29 +133,10 @@ func (c *Compressor) CompressContext(ctx context.Context, w *workload.Workload, 
 // workload positions).
 func (c *Compressor) buildUniverse(ctx context.Context, w *workload.Workload) ([]*QueryState, []int, error) {
 	if c.opts.ConsTemplates {
-		return BuildConsedStatesContext(ctx, w, c.opts)
+		return buildConsedStates(ctx, w, c.opts)
 	}
 	states, err := BuildStatesContext(ctx, w, c.opts)
 	return states, nil, err
-}
-
-// CompressedWorkload runs Compress and materialises the weighted compressed
-// workload ready for the tuner.
-func (c *Compressor) CompressedWorkload(w *workload.Workload, k int) (*workload.Workload, *Result) {
-	res := c.Compress(w, k)
-	return w.WeightedSubset(res.Indices, res.Weights), res
-}
-
-// CompressedWorkloadContext is CompressedWorkload under the anytime
-// contract: on cancellation the materialised workload holds the Partial
-// result's selections (possibly empty), and the error mirrors
-// CompressContext's.
-func (c *Compressor) CompressedWorkloadContext(ctx context.Context, w *workload.Workload, k int) (*workload.Workload, *Result, error) {
-	res, err := c.CompressContext(ctx, w, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	return w.WeightedSubset(res.Indices, res.Weights), res, nil
 }
 
 // selectGreedy runs the configured greedy algorithm, appending selections

@@ -6,7 +6,7 @@ import (
 	"isum/internal/workload"
 )
 
-// BuildConsedStatesContext is the template hash-consing state builder
+// buildConsedStates is the template hash-consing state builder
 // (DESIGN.md §12): instead of one state per query it builds one state per
 // distinct template, so all instances of a template share one feature
 // extraction and one SparseVec. The returned repIdx maps each template
@@ -28,7 +28,7 @@ import (
 // On a workload with no repeated templates this is BuildStatesContext
 // with extra bookkeeping; on template-heavy million-query workloads it
 // collapses the greedy universe by orders of magnitude.
-func BuildConsedStatesContext(ctx context.Context, w *workload.Workload, opts Options) ([]*QueryState, []int, error) {
+func buildConsedStates(ctx context.Context, w *workload.Workload, opts Options) ([]*QueryState, []int, error) {
 	sp := opts.Telemetry.Start("core/build-consed-states")
 	defer sp.End()
 	groups := w.TemplateGroups()

@@ -22,12 +22,12 @@ func TestConsedIdentityOnDistinctTemplates(t *testing.T) {
 		t.Fatalf("want distinct templates, got %d templates over %d queries", w.NumTemplates(), w.Len())
 	}
 	const k = 12
-	plain := New(DefaultOptions()).Compress(w, k)
+	plain := compress(t, New(DefaultOptions()), w, k)
 	for _, par := range []int{1, 4} {
 		opts := DefaultOptions()
 		opts.ConsTemplates = true
 		opts.Parallelism = par
-		got := New(opts).Compress(w, k)
+		got := compress(t, New(opts), w, k)
 		if !reflect.DeepEqual(got.Indices, plain.Indices) {
 			t.Fatalf("parallelism=%d: selection diverged:\n got %v\nwant %v", par, got.Indices, plain.Indices)
 		}
@@ -56,13 +56,15 @@ func TestConsedStatesPoolUtilities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost.NewOptimizer(gen.Cat).FillCosts(w)
+	if err := cost.NewOptimizer(gen.Cat).FillCostsCtx(context.Background(), w, 0); err != nil {
+		t.Fatal(err)
+	}
 
 	nTmpl := w.NumTemplates()
 	if nTmpl >= w.Len() {
 		t.Fatalf("duplicated workload has %d templates over %d queries", nTmpl, w.Len())
 	}
-	states, repIdx, err := BuildConsedStatesContext(context.Background(), w, DefaultOptions())
+	states, repIdx, err := buildConsedStates(context.Background(), w, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +123,14 @@ func TestConsedCompressOnDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost.NewOptimizer(gen.Cat).FillCosts(w)
+	if err := cost.NewOptimizer(gen.Cat).FillCostsCtx(context.Background(), w, 0); err != nil {
+		t.Fatal(err)
+	}
 
 	const k = 8
 	opts := DefaultOptions()
 	opts.ConsTemplates = true
-	res := New(opts).Compress(w, k)
+	res := compress(t, New(opts), w, k)
 	if res.Partial {
 		t.Fatal("background consed compress must not be partial")
 	}
@@ -159,8 +163,10 @@ func TestConsedCompressOnDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost.NewOptimizer(gen.Cat).FillCosts(dedup)
-	base := New(DefaultOptions()).Compress(dedup, k)
+	if err := cost.NewOptimizer(gen.Cat).FillCostsCtx(context.Background(), dedup, 0); err != nil {
+		t.Fatal(err)
+	}
+	base := compress(t, New(DefaultOptions()), dedup, k)
 	var baseTmpl, consTmpl []string
 	for _, idx := range base.Indices {
 		baseTmpl = append(baseTmpl, dedup.Queries[idx].TemplateID)

@@ -55,14 +55,29 @@ func testWorkload(t *testing.T) *workload.Workload {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := cost.NewOptimizer(cat)
-	o.FillCosts(w)
+	if err := cost.NewOptimizer(cat).FillCostsCtx(context.Background(), w, 0); err != nil {
+		t.Fatal(err)
+	}
 	return w
+}
+
+// compress runs c.CompressContext on a background context, failing the
+// test on an error.
+func compress(t testing.TB, c *Compressor, w *workload.Workload, k int) *Result {
+	t.Helper()
+	res, err := c.CompressContext(context.Background(), w, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestBuildStatesUtilities(t *testing.T) {
 	w := testWorkload(t)
-	states := BuildStates(w, DefaultOptions())
+	states, err := BuildStatesContext(context.Background(), w, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sum float64
 	for _, s := range states {
 		if s.Utility < 0 {
@@ -84,8 +99,14 @@ func TestBuildStatesUtilities(t *testing.T) {
 
 func TestUtilityModes(t *testing.T) {
 	w := testWorkload(t)
-	costOnly := BuildStates(w, DefaultOptions())
-	stats := BuildStates(w, ISUMSOptions())
+	costOnly, err := BuildStatesContext(context.Background(), w, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := BuildStatesContext(context.Background(), w, ISUMSOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Both normalise to 1, but the distributions must differ because
 	// selectivities differ across queries.
 	diff := 0.0
@@ -99,7 +120,10 @@ func TestUtilityModes(t *testing.T) {
 
 func TestInfluenceAndBenefit(t *testing.T) {
 	w := testWorkload(t)
-	states := BuildStates(w, DefaultOptions())
+	states, err := BuildStatesContext(context.Background(), w, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Same-template queries are highly similar: influence ≈ utility.
 	f01 := Influence(states[0], states[1])
 	if math.Abs(f01-states[1].Utility) > 1e-9 {
@@ -122,7 +146,10 @@ func TestInfluenceAndBenefit(t *testing.T) {
 
 func TestSummaryApproximatesAllPairs(t *testing.T) {
 	w := testWorkload(t)
-	states := BuildStates(w, DefaultOptions())
+	states, err := BuildStatesContext(context.Background(), w, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	ss := BuildSummary(states)
 	// Fig. 8a: for most queries the ratio F(V)/F(W) is within a small
 	// constant factor.
@@ -146,7 +173,7 @@ func TestSummaryApproximatesAllPairs(t *testing.T) {
 func TestCompressSelectsAcrossClusters(t *testing.T) {
 	w := testWorkload(t)
 	c := New(DefaultOptions())
-	res := c.Compress(w, 3)
+	res := compress(t, c, w, 3)
 	if len(res.Indices) != 3 {
 		t.Fatalf("selected %d queries", len(res.Indices))
 	}
@@ -170,10 +197,10 @@ func TestCompressSelectsAcrossClusters(t *testing.T) {
 
 func TestCompressAllPairsAgreesRoughly(t *testing.T) {
 	w := testWorkload(t)
-	sum := New(DefaultOptions()).Compress(w, 3)
+	sum := compress(t, New(DefaultOptions()), w, 3)
 	apOpts := DefaultOptions()
 	apOpts.Algorithm = AllPairs
-	ap := New(apOpts).Compress(w, 3)
+	ap := compress(t, New(apOpts), w, 3)
 	if len(ap.Indices) != 3 || len(sum.Indices) != 3 {
 		t.Fatal("selection sizes wrong")
 	}
@@ -200,14 +227,14 @@ func TestCompressAllPairsAgreesRoughly(t *testing.T) {
 func TestCompressEdgeCases(t *testing.T) {
 	w := testWorkload(t)
 	c := New(DefaultOptions())
-	if res := c.Compress(w, 0); len(res.Indices) != 0 {
+	if res := compress(t, c, w, 0); len(res.Indices) != 0 {
 		t.Fatal("k=0 should select nothing")
 	}
-	if res := c.Compress(w, 1000); len(res.Indices) != w.Len() {
+	if res := compress(t, c, w, 1000); len(res.Indices) != w.Len() {
 		t.Fatalf("k>n should select all: %d", len(res.Indices))
 	}
 	empty := &workload.Workload{Catalog: w.Catalog}
-	if res := c.Compress(empty, 5); len(res.Indices) != 0 {
+	if res := compress(t, c, empty, 5); len(res.Indices) != 0 {
 		t.Fatal("empty workload should select nothing")
 	}
 }
@@ -215,8 +242,8 @@ func TestCompressEdgeCases(t *testing.T) {
 // TestInvalidCostRejected pins the builder's cost validation: a NaN,
 // ±Inf or negative cost makes CompressContext (with and without template
 // consing) and Incremental.ObserveContext return an error naming the
-// lowest bad position, and a failed Observe leaves the pool and the seen
-// count as they were.
+// lowest bad position, and a failed ObserveContext leaves the pool and
+// the seen count as they were.
 func TestInvalidCostRejected(t *testing.T) {
 	for _, bad := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		w := generatorWorkload(t, "tpch", 300)
@@ -236,15 +263,17 @@ func TestInvalidCostRejected(t *testing.T) {
 		}
 
 		ic := NewIncremental(w.Catalog, DefaultOptions(), 8)
-		ic.Observe(w.Queries[:100])
+		if _, err := ic.ObserveContext(context.Background(), w.Queries[:100]); err != nil {
+			t.Fatal(err)
+		}
 		pool, seen := ic.Pool(), ic.Seen()
 		res, err := ic.ObserveContext(context.Background(), w.Queries[100:])
 		// The candidate workload is the pool followed by the batch.
 		if want := wantErr(pool.Len() + pos - 100); err == nil || err.Error() != want || res != nil {
-			t.Fatalf("cost %v: Observe result %v, error %v; want error %q", bad, res, err, want)
+			t.Fatalf("cost %v: ObserveContext result %v, error %v; want error %q", bad, res, err, want)
 		}
 		if ic.Pool() != pool || ic.Seen() != seen {
-			t.Fatalf("cost %v: a failed Observe changed the pool or seen count (%d → %d)", bad, seen, ic.Seen())
+			t.Fatalf("cost %v: a failed ObserveContext changed the pool or seen count (%d → %d)", bad, seen, ic.Seen())
 		}
 	}
 }
@@ -252,8 +281,8 @@ func TestInvalidCostRejected(t *testing.T) {
 func TestCompressDeterministic(t *testing.T) {
 	w := testWorkload(t)
 	c := New(DefaultOptions())
-	a := c.Compress(w, 5)
-	b := c.Compress(w, 5)
+	a := compress(t, c, w, 5)
+	b := compress(t, c, w, 5)
 	if fmt.Sprint(a.Indices) != fmt.Sprint(b.Indices) {
 		t.Fatalf("non-deterministic selection: %v vs %v", a.Indices, b.Indices)
 	}
@@ -266,7 +295,7 @@ func TestWeightsNormalised(t *testing.T) {
 	} {
 		opts := DefaultOptions()
 		opts.Weighing = strat
-		res := New(opts).Compress(w, 4)
+		res := compress(t, New(opts), w, 4)
 		if len(res.Weights) != len(res.Indices) {
 			t.Fatalf("strategy %d: weights %d != indices %d", strat, len(res.Weights), len(res.Indices))
 		}
@@ -296,9 +325,11 @@ func TestTemplateWeighingPoolsUtility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost.NewOptimizer(cat).FillCosts(w)
+	if err := cost.NewOptimizer(cat).FillCostsCtx(context.Background(), w, 0); err != nil {
+		t.Fatal(err)
+	}
 
-	res := New(DefaultOptions()).Compress(w, 2)
+	res := compress(t, New(DefaultOptions()), w, 2)
 	if len(res.Indices) != 2 {
 		t.Fatal("need 2 selections")
 	}
@@ -320,7 +351,10 @@ func TestTemplateWeighingPoolsUtility(t *testing.T) {
 
 func TestUpdateStrategies(t *testing.T) {
 	w := testWorkload(t)
-	states := BuildStates(w, DefaultOptions())
+	states, err := BuildStatesContext(context.Background(), w, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	sel, other := states[0], states[1] // same template: similarity 1
 	u0 := other.Utility
 
@@ -364,8 +398,10 @@ func TestFeatureResetKeepsSelecting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost.NewOptimizer(cat).FillCosts(w)
-	res := New(DefaultOptions()).Compress(w, 6)
+	if err := cost.NewOptimizer(cat).FillCostsCtx(context.Background(), w, 0); err != nil {
+		t.Fatal(err)
+	}
+	res := compress(t, New(DefaultOptions()), w, 6)
 	if len(res.Indices) != 6 {
 		t.Fatalf("selected %d, want 6", len(res.Indices))
 	}
@@ -382,7 +418,7 @@ func TestGreedyMonotoneBenefit(t *testing.T) {
 	// The conditional benefit of successive picks should not increase when
 	// updates are enabled (submodularity intuition, Theorem 2).
 	w := testWorkload(t)
-	res := New(DefaultOptions()).Compress(w, 6)
+	res := compress(t, New(DefaultOptions()), w, 6)
 	for i := 1; i < len(res.SelectionBenefits); i++ {
 		if res.SelectionBenefits[i] > res.SelectionBenefits[i-1]+0.3 {
 			t.Fatalf("benefit jumped: %v", res.SelectionBenefits)
@@ -409,9 +445,15 @@ func TestVariantNames(t *testing.T) {
 
 func TestExtractorModesMatchOptions(t *testing.T) {
 	w := testWorkload(t)
-	rule := BuildStates(w, DefaultOptions())
+	rule, err := BuildStatesContext(context.Background(), w, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	statsOpts := ISUMSOptions()
-	stats := BuildStates(w, statsOpts)
+	stats, err := BuildStatesContext(context.Background(), w, statsOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Feature supports agree, weights differ in general.
 	if rule[12].Vec.Len() != stats[12].Vec.Len() {
 		t.Fatalf("supports differ: %v vs %v", rule[12].Vec, stats[12].Vec)

@@ -341,7 +341,7 @@ func TestBoundedArgmaxMatchesFullScan(t *testing.T) {
 							t.Run(fmt.Sprintf("%s/k=%d/parallelism=%d", v.name, k, par), func(t *testing.T) {
 								opts := v.opts
 								opts.Parallelism = par
-								sameResult(t, New(opts).Compress(w, k), want)
+								sameResult(t, compress(t, New(opts), w, k), want)
 							})
 						}
 					}

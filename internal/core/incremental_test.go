@@ -19,7 +19,10 @@ func TestIncrementalPoolBounded(t *testing.T) {
 		if end > w.Len() {
 			end = w.Len()
 		}
-		res := ic.Observe(w.Queries[i:end])
+		res, err := ic.ObserveContext(context.Background(), w.Queries[i:end])
+		if err != nil {
+			t.Fatal(err)
+		}
 		if ic.Pool().Len() > 4 {
 			t.Fatalf("pool exceeded bound: %d", ic.Pool().Len())
 		}
@@ -40,9 +43,11 @@ func TestIncrementalCoversClustersEventually(t *testing.T) {
 	// even the ones observed early.
 	w := testWorkload(t)
 	ic := NewIncremental(w.Catalog, DefaultOptions(), 3)
-	ic.Observe(w.Queries[0:6])   // cluster A
-	ic.Observe(w.Queries[6:12])  // cluster B
-	ic.Observe(w.Queries[12:16]) // cluster C
+	for _, cluster := range [][]*workload.Query{w.Queries[0:6], w.Queries[6:12], w.Queries[12:16]} {
+		if _, err := ic.ObserveContext(context.Background(), cluster); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	tables := map[string]bool{}
 	for _, q := range ic.Pool().Queries {
@@ -68,11 +73,16 @@ func TestIncrementalWeightsAccumulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost.NewOptimizer(cat).FillCosts(w)
+	if err := cost.NewOptimizer(cat).FillCostsCtx(context.Background(), w, 0); err != nil {
+		t.Fatal(err)
+	}
 
 	ic := NewIncremental(cat, DefaultOptions(), 2)
-	ic.Observe(w.Queries[0:6])
-	ic.Observe(w.Queries[6:13])
+	for _, batch := range [][]*workload.Query{w.Queries[0:6], w.Queries[6:13]} {
+		if _, err := ic.ObserveContext(context.Background(), batch); err != nil {
+			t.Fatal(err)
+		}
+	}
 	pool := ic.Pool()
 	if pool.Len() != 2 {
 		t.Fatalf("pool = %d", pool.Len())
@@ -96,7 +106,9 @@ func TestIncrementalWeightsAccumulate(t *testing.T) {
 func TestObserveContextAnytime(t *testing.T) {
 	w := testWorkload(t)
 	ic := NewIncremental(w.Catalog, DefaultOptions(), 3)
-	ic.Observe(w.Queries[0:6])
+	if _, err := ic.ObserveContext(context.Background(), w.Queries[0:6]); err != nil {
+		t.Fatal(err)
+	}
 	before := ic.Pool()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -115,7 +127,7 @@ func TestObserveContextAnytime(t *testing.T) {
 		t.Fatal("empty partial selection must keep the previous pool")
 	}
 
-	// An uncancelled ObserveContext matches Observe exactly.
+	// An uncancelled ObserveContext folds the batch.
 	res2, err := ic.ObserveContext(context.Background(), w.Queries[12:16])
 	if err != nil || res2.Partial {
 		t.Fatalf("clean fold: %v partial=%v", err, res2.Partial)
@@ -128,12 +140,16 @@ func TestObserveContextAnytime(t *testing.T) {
 func TestIncrementalDegenerateK(t *testing.T) {
 	w := testWorkload(t)
 	ic := NewIncremental(w.Catalog, DefaultOptions(), 0) // clamps to 1
-	ic.Observe(w.Queries[:3])
+	if _, err := ic.ObserveContext(context.Background(), w.Queries[:3]); err != nil {
+		t.Fatal(err)
+	}
 	if ic.Pool().Len() != 1 {
 		t.Fatalf("pool = %d", ic.Pool().Len())
 	}
 	// Empty batch is a no-op recompression.
-	ic.Observe(nil)
+	if _, err := ic.ObserveContext(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
 	if ic.Pool().Len() != 1 {
 		t.Fatal("empty batch should keep the pool")
 	}
@@ -162,7 +178,9 @@ func TestIncrementalReplayDeterministic(t *testing.T) {
 		ic := NewIncremental(w.Catalog, opts, k)
 		var snaps []snapshot
 		for i := 0; i < w.Len(); i += batch {
-			ic.Observe(w.Queries[i:min(i+batch, w.Len())])
+			if _, err := ic.ObserveContext(context.Background(), w.Queries[i:min(i+batch, w.Len())]); err != nil {
+				t.Fatal(err)
+			}
 			s := snapshot{seen: ic.Seen()}
 			for _, q := range ic.Pool().Queries {
 				s.pool = append(s.pool, entry{q.ID, q.Text, math.Float64bits(q.Cost), math.Float64bits(q.Weight)})
@@ -190,11 +208,11 @@ func TestIncrementalReplayDeterministic(t *testing.T) {
 }
 
 // TestIncrementalMatchesOneShot pins that a recompression is an ordinary
-// compression: on the five generators, every Observe returns exactly what
-// New(opts).Compress(pool ∪ batch, k) returns — equal indices and rounds,
-// bit-equal weights and selection benefits. Each recompression builds its
-// own feature dictionary, so nothing carried between Observe calls but the
-// pool can move a bit.
+// compression: on the five generators, every ObserveContext call returns
+// exactly what New(opts).CompressContext(ctx, pool ∪ batch, k) returns —
+// equal indices and rounds, bit-equal weights and selection benefits.
+// Each recompression builds its own feature dictionary, so nothing carried
+// between calls but the pool can move a bit.
 func TestIncrementalMatchesOneShot(t *testing.T) {
 	const n, k, batch = 473, 8, 8
 	for _, name := range []string{"tpch", "tpcds", "dsb", "realm", "scalem"} {
@@ -206,8 +224,11 @@ func TestIncrementalMatchesOneShot(t *testing.T) {
 				b := w.Queries[i:min(i+batch, w.Len())]
 				cand := &workload.Workload{Catalog: w.Catalog}
 				cand.Queries = append(append(cand.Queries, ic.Pool().Queries...), b...)
-				want := New(opts).Compress(cand, k)
-				got := ic.Observe(b)
+				want := compress(t, New(opts), cand, k)
+				got, err := ic.ObserveContext(context.Background(), b)
+				if err != nil {
+					t.Fatal(err)
+				}
 				t.Run(fmt.Sprintf("batch=%d", i/batch), func(t *testing.T) { sameResult(t, got, want) })
 			}
 		})

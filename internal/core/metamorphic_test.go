@@ -39,10 +39,10 @@ func TestCompressCostScalingInvariant(t *testing.T) {
 		full := generatorWorkload(t, gen, n)
 		for _, v := range variants {
 			w := &workload.Workload{Catalog: full.Catalog, Queries: full.Queries[:v.n]}
-			want := New(v.opts).Compress(w, k)
+			want := compress(t, New(v.opts), w, k)
 			for _, c := range []float64{2, 0x1p-3, 0x1p10} {
 				t.Run(fmt.Sprintf("%s/%s/c=%g", gen, v.name, c), func(t *testing.T) {
-					got := New(v.opts).Compress(scaleCosts(w, c), k)
+					got := compress(t, New(v.opts), scaleCosts(w, c), k)
 					if !slices.Equal(got.Indices, want.Indices) {
 						t.Fatalf("indices %v, unscaled %v", got.Indices, want.Indices)
 					}
@@ -122,7 +122,7 @@ func FuzzCompressMetamorphic(f *testing.F) {
 		w := &workload.Workload{Catalog: base.Catalog, Queries: base.Queries[:20+int(n)%(fuzzBaseN-19)]}
 		kk := 1 + int(k)%40
 		opts := variants[int(variant)%len(variants)]
-		want := New(opts).Compress(w, kk)
-		sameResult(t, New(opts).Compress(scaleCosts(w, math.Ldexp(1, int(e)%11)), kk), want)
+		want := compress(t, New(opts), w, kk)
+		sameResult(t, compress(t, New(opts), scaleCosts(w, math.Ldexp(1, int(e)%11)), kk), want)
 	})
 }

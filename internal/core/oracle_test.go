@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -512,7 +513,9 @@ func seededWorkload(t testing.TB, name string, n int, seed int64) *workload.Work
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost.NewOptimizer(gen.Cat).FillCosts(w)
+	if err := cost.NewOptimizer(gen.Cat).FillCostsCtx(context.Background(), w, 0); err != nil {
+		t.Fatal(err)
+	}
 	return w
 }
 
@@ -548,7 +551,7 @@ func TestSparseVecPipelineMatchesMapOracle(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/parallelism=%d", genName, v.name, par), func(t *testing.T) {
 					opts := v.opts
 					opts.Parallelism = par
-					got := New(opts).Compress(w, k)
+					got := compress(t, New(opts), w, k)
 					if len(got.Indices) != len(want.Indices) {
 						t.Fatalf("selected %d queries, oracle %d", len(got.Indices), len(want.Indices))
 					}

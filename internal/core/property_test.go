@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -29,7 +30,10 @@ func randomWorkload(t *testing.T, rng *rand.Rand, minLen int) *workload.Workload
 // U_S/U_L the min/max utilities over the workload.
 func TestTheorem3Bound(t *testing.T) {
 	w := testWorkload(t)
-	states := BuildStates(w, DefaultOptions())
+	states, err := BuildStatesContext(context.Background(), w, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	ss := BuildSummary(states)
 	n := float64(len(states))
 
@@ -94,7 +98,10 @@ func TestSubmodularityConditionC1(t *testing.T) {
 
 	// Influence of z on q' after selecting the given prefix.
 	influenceAfter := func(prefix []int, z, qp int) float64 {
-		states := BuildStates(w, opts)
+		states, err := BuildStatesContext(context.Background(), w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, sel := range prefix {
 			states[sel].Selected = true
 			for _, s := range states {
@@ -120,7 +127,10 @@ func TestUtilityMonotoneUnderUpdates(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		w := testWorkload(t)
-		states := BuildStates(w, DefaultOptions())
+		states, err := BuildStatesContext(context.Background(), w, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
 		for step := 0; step < 5; step++ {
 			sel := states[rng.Intn(len(states))]
 			before := map[int]float64{}
@@ -163,7 +173,7 @@ func TestCompressContractQuick(t *testing.T) {
 		opts.Update = UpdateStrategy(upd % 4)
 		opts.Weighing = WeighStrategy(wgh % 4)
 
-		res := New(opts).Compress(w, k)
+		res := compress(t, New(opts), w, k)
 		if len(res.Indices) != k || len(res.Weights) != k {
 			return false
 		}
@@ -190,7 +200,10 @@ func TestCompressContractQuick(t *testing.T) {
 // computation of Definition 11.
 func TestSummaryMatchesManualSum(t *testing.T) {
 	w := testWorkload(t)
-	states := BuildStates(w, DefaultOptions())
+	states, err := BuildStatesContext(context.Background(), w, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	ss := BuildSummary(states)
 	manual := map[uint32]float64{}
 	for _, s := range states {
@@ -209,33 +222,14 @@ func TestSummaryMatchesManualSum(t *testing.T) {
 	}
 }
 
-// TestCompressedWorkloadMaterialisation checks CompressedWorkload carries
-// weights and copies queries.
-func TestCompressedWorkloadMaterialisation(t *testing.T) {
-	w := testWorkload(t)
-	cw, res := New(DefaultOptions()).CompressedWorkload(w, 3)
-	if cw.Len() != 3 {
-		t.Fatalf("len = %d", cw.Len())
-	}
-	for i, q := range cw.Queries {
-		if math.Abs(q.Weight-res.Weights[i]) > 1e-12 {
-			t.Fatal("weights not materialised")
-		}
-	}
-	// Mutating the compressed copy must not touch the original.
-	cw.Queries[0].Weight = 99
-	for _, q := range w.Queries {
-		if q.Weight == 99 {
-			t.Fatal("compressed workload aliases input queries")
-		}
-	}
-}
-
 // TestAllPairsVsSummaryBenefitCorrelated sanity-checks that the two benefit
 // computations rank queries similarly (Spearman-ish check via top pick).
 func TestAllPairsVsSummaryBenefitCorrelated(t *testing.T) {
 	w := testWorkload(t)
-	states := BuildStates(w, DefaultOptions())
+	states, err := BuildStatesContext(context.Background(), w, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	ss := BuildSummary(states)
 	ap := make([]float64, len(states))
 	sum := make([]float64, len(states))

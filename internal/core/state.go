@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 
 	"isum/internal/features"
@@ -60,26 +59,16 @@ func delta(q *workload.Query, mode UtilityMode) float64 {
 	}
 }
 
-// BuildStates computes the initial per-query states for a workload:
-// feature vectors via the configured extractor and normalised utilities
-// U(q) = Δ(q)/ΣΔ (Definition 2). Feature extraction fans out across
-// opts.Parallelism workers; ΣΔ is reduced serially in query order, so
-// utilities are bit-identical at any parallelism. It panics where
-// BuildStatesContext returns an error.
-func BuildStates(w *workload.Workload, opts Options) []*QueryState {
-	states, err := BuildStatesContext(context.Background(), w, opts)
-	if err != nil {
-		panic(err)
-	}
-	return states
-}
-
-// BuildStatesContext is BuildStates with cancellation and validation: a
+// BuildStatesContext computes the initial per-query states for a
+// workload: feature vectors via the configured extractor and normalised
+// utilities U(q) = Δ(q)/ΣΔ (Definition 2). Feature extraction fans out
+// across opts.Parallelism workers; ΣΔ is reduced serially in query order,
+// so utilities are bit-identical at any parallelism. A query whose cost
+// is NaN, ±Inf or negative is an error naming the lowest such position. A
 // cancelled ctx aborts the feature-extraction sweep and returns the
 // context's error (states built so far are discarded — partially built
-// states are not meaningful), a query whose cost is NaN, ±Inf or
-// negative is an error naming its position, and a contained worker panic
-// surfaces as a *PanicError.
+// states are not meaningful), and a contained worker panic surfaces as a
+// *PanicError.
 func BuildStatesContext(ctx context.Context, w *workload.Workload, opts Options) ([]*QueryState, error) {
 	sp := opts.Telemetry.Start("core/build-states")
 	defer sp.End()
@@ -94,7 +83,7 @@ func BuildStatesContext(ctx context.Context, w *workload.Workload, opts Options)
 }
 
 // buildStates is the one state builder behind BuildStatesContext and
-// BuildConsedStatesContext. It builds state g from the query at workload
+// buildConsedStates. It builds state g from the query at workload
 // position reps[g] — every query, or each template's first instance —
 // and gives it the pooled utility Σ Δ(q_i)/ΣΔ over i ∈ members(g).
 //
@@ -114,7 +103,7 @@ func buildStates(ctx context.Context, w *workload.Workload, opts Options, reps [
 	deltas := make([]float64, len(w.Queries))
 	var totalDelta float64
 	for i, q := range w.Queries {
-		if math.IsNaN(q.Cost) || math.IsInf(q.Cost, 0) || q.Cost < 0 {
+		if !workload.ValidCost(q.Cost) {
 			return nil, fmt.Errorf("core: query %d: invalid cost %v (must be finite and >= 0)", i, q.Cost)
 		}
 		deltas[i] = delta(q, opts.Utility)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -21,7 +22,10 @@ func TestIncrementalSummaryMatchesRebuild(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			w := testWorkload(t)
-			states := BuildStates(w, opts)
+			states, err := BuildStatesContext(context.Background(), w, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
 			inc := BuildSummary(states)
 
 			for round := 0; round < 8; round++ {
@@ -86,8 +90,8 @@ func TestRebuildSummaryFlagEquivalence(t *testing.T) {
 	rebOpts.rebuildSummary = true
 
 	for _, k := range []int{1, 4, 8, 16} {
-		incRes := New(incOpts).Compress(w, k)
-		rebRes := New(rebOpts).Compress(w, k)
+		incRes := compress(t, New(incOpts), w, k)
+		rebRes := compress(t, New(rebOpts), w, k)
 		if len(incRes.Indices) != len(rebRes.Indices) {
 			t.Fatalf("k=%d: selected %d vs %d queries", k, len(incRes.Indices), len(rebRes.Indices))
 		}

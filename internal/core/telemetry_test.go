@@ -19,8 +19,8 @@ func TestTelemetryDoesNotChangeOutput(t *testing.T) {
 		instr := plain
 		instr.Telemetry = telemetry.New()
 
-		base := New(plain).Compress(w, 5)
-		traced := New(instr).Compress(w, 5)
+		base := compress(t, New(plain), w, 5)
+		traced := compress(t, New(instr), w, 5)
 
 		if len(base.Indices) != len(traced.Indices) {
 			t.Fatalf("algorithm %v: selected %d vs %d queries", algo, len(base.Indices), len(traced.Indices))

@@ -160,24 +160,14 @@ func (o *Optimizer) WorkloadCostCtx(ctx context.Context, w *workload.Workload, c
 	return total, nil
 }
 
-// FillCosts sets each query's Cost field to its cost under the current
+// FillCostsCtx sets each query's Cost field to its cost under the current
 // physical design (empty configuration) — producing the "input workload
 // with optimizer estimated costs" the paper's problem statement assumes.
-// The what-if calls fan out across every core. It panics only where
-// FillCostsCtx would return a contained worker panic; ctx-aware callers
-// use FillCostsCtx.
-func (o *Optimizer) FillCosts(w *workload.Workload) {
-	if err := o.FillCostsCtx(context.Background(), w, 0); err != nil {
-		panic(err)
-	}
-}
-
-// FillCostsCtx is FillCosts with an explicit parallelism (0 = GOMAXPROCS,
-// 1 = serial) and cancellation. Costs are computed in parallel but
-// assigned serially, so workloads that alias the same *Query stay
-// race-free. On a non-nil error (cancellation or a contained worker
-// panic) no Cost field has been assigned — the workload is left
-// untouched rather than partially costed.
+// The what-if calls fan out across parallelism workers (0 = GOMAXPROCS,
+// 1 = serial). Costs are computed in parallel but assigned serially, so
+// workloads that alias the same *Query stay race-free. On a non-nil error
+// (cancellation or a contained worker panic) no Cost field has been
+// assigned — the workload is left untouched rather than partially costed.
 func (o *Optimizer) FillCostsCtx(ctx context.Context, w *workload.Workload, parallelism int) error {
 	costs, err := parallel.Map(ctx, parallel.Workers(parallelism), len(w.Queries),
 		func(i int) float64 { return o.Cost(w.Queries[i], nil) })

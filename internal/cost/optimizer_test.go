@@ -256,9 +256,11 @@ func TestFillCosts(t *testing.T) {
 	cat := testCatalog()
 	o := NewOptimizer(cat)
 	w, _ := workload.New(cat, []string{"SELECT c_nationkey FROM customer"})
-	o.FillCosts(w)
+	if err := o.FillCostsCtx(context.Background(), w, 0); err != nil {
+		t.Fatal(err)
+	}
 	if w.Queries[0].Cost <= 0 {
-		t.Fatal("FillCosts did not set cost")
+		t.Fatal("FillCostsCtx did not set cost")
 	}
 }
 

@@ -58,7 +58,13 @@ func Fig11(env *Env) ([]*Table, error) {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
-				res := algo.Compress(w, k)
+				res, err := algo.CompressContext(ctx, w, k)
+				if err != nil {
+					return nil, err
+				}
+				if res.Partial {
+					return nil, ctxError(ctx)
+				}
 				tmRow = append(tmRow, float64(res.Elapsed.Microseconds())/1000)
 				cw := w.WeightedSubset(res.Indices, res.Weights)
 				tuned, err := advisorTune(ctx, o, cw, aopts)

@@ -58,9 +58,6 @@ func (c Config) Context() context.Context {
 	return context.Background()
 }
 
-// DefaultConfig returns the paper-faithful configuration.
-func DefaultConfig() Config { return Config{Scale: 10, Seed: 1} }
-
 // FastConfig returns a configuration sized for minutes, not hours.
 func FastConfig() Config { return Config{Scale: 10, Seed: 1, Fast: true} }
 
@@ -196,13 +193,6 @@ func (e *Env) evaluate(ctx context.Context, o *cost.Optimizer, w *workload.Workl
 	return advisor.EvaluateImprovementContext(ctx, o, w, cfg, e.Cfg.Parallelism)
 }
 
-// ctxCompressor is implemented by compressors that support cancellation
-// (core.Compressor); baselines without it run to completion — they are
-// fast enough that the next ctx check bounds the latency.
-type ctxCompressor interface {
-	CompressContext(ctx context.Context, w *workload.Workload, k int) (*core.Result, error)
-}
-
 // RunPipeline compresses w to k queries with comp, tunes the compressed
 // workload, and returns the improvement % on the full workload — the
 // paper's evaluation metric. Tuning and evaluation run at
@@ -211,18 +201,12 @@ func RunPipeline(ctx context.Context, o *cost.Optimizer, w *workload.Workload, c
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	var res *core.Result
-	if cc, ok := comp.(ctxCompressor); ok {
-		r, err := cc.CompressContext(ctx, w, k)
-		if err != nil {
-			return 0, err
-		}
-		if r.Partial {
-			return 0, ctxError(ctx)
-		}
-		res = r
-	} else {
-		res = comp.Compress(w, k)
+	res, err := comp.CompressContext(ctx, w, k)
+	if err != nil {
+		return 0, err
+	}
+	if res.Partial {
+		return 0, ctxError(ctx)
 	}
 	cw := w.WeightedSubset(res.Indices, res.Weights)
 	cfg, err := advisorTune(ctx, o, cw, aopts)

@@ -142,7 +142,13 @@ func ExtraIncremental(env *Env) ([]*Table, error) {
 		if b == batches-1 {
 			hi = n
 		}
-		ic.Observe(w.Queries[lo:hi])
+		icRes, err := ic.ObserveContext(ctx, w.Queries[lo:hi])
+		if err != nil {
+			return nil, err
+		}
+		if icRes.Partial {
+			return nil, ctxError(ctx)
+		}
 		seen := w.Subset(rangeInts(0, hi))
 		incTuned, err := advisorTune(ctx, o, ic.Pool(), aopts)
 		if err != nil {

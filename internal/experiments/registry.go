@@ -101,13 +101,3 @@ func telemetryBreakdown(id string, sp *telemetry.Span) *Table {
 	}
 	return t
 }
-
-// RunAll executes every experiment in name order.
-func RunAll(env *Env, w io.Writer) error {
-	for _, id := range Names() {
-		if err := Run(env, id, w); err != nil {
-			return err
-		}
-	}
-	return nil
-}

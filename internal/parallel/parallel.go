@@ -17,8 +17,8 @@
 // error is returned. In both cases the batch's side effects (slots already
 // written by Map, indices already visited by ForEach) are a prefix-free
 // partial set that callers must discard or explicitly treat as
-// best-so-far. With context.Background() and panic-free fns the helpers
-// behave exactly like plain loops.
+// best-so-far. With a context that is never cancelled and panic-free fns
+// the helpers behave exactly like plain loops.
 package parallel
 
 import (

@@ -56,16 +56,6 @@ func parseTokens(p *Parser) (*SelectStmt, error) {
 	return stmt, nil
 }
 
-// MustParse parses sql and panics on error; intended for statically-known
-// template text in the benchmark generators and tests.
-func MustParse(sql string) *SelectStmt {
-	s, err := Parse(sql)
-	if err != nil {
-		panic(fmt.Sprintf("sqlparser.MustParse(%q): %v", sql, err))
-	}
-	return s
-}
-
 func (p *Parser) parseStatement() (*SelectStmt, error) {
 	var ctes []CTE
 	if p.acceptKeyword("WITH") {

@@ -280,15 +280,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustParse("NOT SQL AT ALL")
-}
-
 func TestParseTPCHStyleQueries(t *testing.T) {
 	queries := []string{
 		// Q1-style

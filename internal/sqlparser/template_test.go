@@ -64,7 +64,7 @@ ORDER BY 1 LIMIT 100 OFFSET 13`, true},
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(tmpl.Stmt(), MustParse(c.tmpl)) {
+		if !reflect.DeepEqual(tmpl.Stmt(), mustParse(t, c.tmpl)) {
 			t.Fatalf("template of %q differs from its parse", c.tmpl)
 		}
 		stmt, lits, ok := tmpl.Bind(mustTokenize(t, c.sql))
@@ -74,7 +74,7 @@ ORDER BY 1 LIMIT 100 OFFSET 13`, true},
 		if !ok {
 			continue
 		}
-		if want := MustParse(c.sql); !reflect.DeepEqual(stmt, want) {
+		if want := mustParse(t, c.sql); !reflect.DeepEqual(stmt, want) {
 			t.Fatalf("Bind(%q) = %s, want %s", c.sql, stmt.SQL(), want.SQL())
 		}
 		if len(lits) != len(tmpl.Literals()) {
@@ -128,7 +128,7 @@ func TestSelectItemStarNeedsPunctuation(t *testing.T) {
 			t.Errorf("Parse(%q) succeeded", sql)
 		}
 	}
-	if s := MustParse("SELECT t.* FROM t"); !s.Items[0].Star || s.Items[0].Table != "t" {
+	if s := mustParse(t, "SELECT t.* FROM t"); !s.Items[0].Star || s.Items[0].Table != "t" {
 		t.Errorf("t.* parsed to %+v", s.Items[0])
 	}
 }

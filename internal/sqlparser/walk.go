@@ -127,9 +127,6 @@ func statementExprs(stmt *SelectStmt) []Expr {
 	return out
 }
 
-// TopLevelExprs exposes statementExprs for analysis packages.
-func TopLevelExprs(stmt *SelectStmt) []Expr { return statementExprs(stmt) }
-
 // BaseTables returns every base table referenced anywhere in the statement,
 // including nested queries, in first-appearance order. CTE names are
 // excluded (they are not base tables) unless they shadow nothing.

@@ -2,8 +2,18 @@ package sqlparser
 
 import "testing"
 
+// mustParse parses sql, failing the test on a parse error.
+func mustParse(t testing.TB, sql string) *SelectStmt {
+	t.Helper()
+	stmt, err := Parse(sql)
+	if err != nil {
+		t.Fatalf("Parse(%q): %v", sql, err)
+	}
+	return stmt
+}
+
 func TestWalkExprStopsDescent(t *testing.T) {
-	stmt := MustParse("SELECT a + b * c FROM t WHERE x = 1 AND y = 2")
+	stmt := mustParse(t, "SELECT a + b * c FROM t WHERE x = 1 AND y = 2")
 	total := 0
 	WalkExpr(stmt.Where, func(Expr) bool { total++; return true })
 	if total < 7 { // AND, two comparisons, two cols, two literals
@@ -25,12 +35,12 @@ func TestWalkExprNil(t *testing.T) {
 }
 
 func TestExprSubqueriesKinds(t *testing.T) {
-	stmt := MustParse(`SELECT (SELECT MAX(x) FROM u) FROM t
+	stmt := mustParse(t, `SELECT (SELECT MAX(x) FROM u) FROM t
 		WHERE a IN (SELECT b FROM v)
 		  AND EXISTS (SELECT 1 FROM w)
 		  AND c > ALL (SELECT d FROM z)`)
 	count := 0
-	for _, e := range TopLevelExprs(stmt) {
+	for _, e := range statementExprs(stmt) {
 		count += len(ExprSubqueries(e))
 	}
 	if count != 4 {
@@ -39,7 +49,7 @@ func TestExprSubqueriesKinds(t *testing.T) {
 }
 
 func TestExprSubqueriesDoesNotRecurse(t *testing.T) {
-	stmt := MustParse(`SELECT a FROM t WHERE x IN (SELECT y FROM u WHERE z IN (SELECT k FROM v))`)
+	stmt := mustParse(t, `SELECT a FROM t WHERE x IN (SELECT y FROM u WHERE z IN (SELECT k FROM v))`)
 	subs := ExprSubqueries(stmt.Where)
 	if len(subs) != 1 {
 		t.Fatalf("top-level subqueries = %d, want 1 (no recursion)", len(subs))
@@ -47,7 +57,7 @@ func TestExprSubqueriesDoesNotRecurse(t *testing.T) {
 }
 
 func TestWalkStatementCountsAllBlocks(t *testing.T) {
-	stmt := MustParse(`WITH c AS (SELECT x FROM a)
+	stmt := mustParse(t, `WITH c AS (SELECT x FROM a)
 		SELECT (SELECT MAX(y) FROM b) FROM c, (SELECT z FROM d) dd
 		WHERE EXISTS (SELECT 1 FROM e)
 		UNION ALL SELECT q FROM f`)
@@ -60,7 +70,7 @@ func TestWalkStatementCountsAllBlocks(t *testing.T) {
 }
 
 func TestWalkStatementJoinOnSubquery(t *testing.T) {
-	stmt := MustParse(`SELECT 1 FROM a JOIN b ON a.x = (SELECT MAX(y) FROM c)`)
+	stmt := mustParse(t, `SELECT 1 FROM a JOIN b ON a.x = (SELECT MAX(y) FROM c)`)
 	n := 0
 	WalkStatement(stmt, func(*SelectStmt) { n++ })
 	if n != 2 {
@@ -69,7 +79,7 @@ func TestWalkStatementJoinOnSubquery(t *testing.T) {
 }
 
 func TestBaseTablesDedupAndCTEExclusion(t *testing.T) {
-	stmt := MustParse(`WITH c AS (SELECT x FROM base1)
+	stmt := mustParse(t, `WITH c AS (SELECT x FROM base1)
 		SELECT 1 FROM c, base2 b1, base2 b2 WHERE b1.k = b2.k`)
 	bts := BaseTables(stmt)
 	names := map[string]int{}
@@ -106,8 +116,8 @@ func TestSQLRenderingEdgeCases(t *testing.T) {
 		"SELECT CAST(a AS INT) FROM t",
 	}
 	for _, sql := range cases {
-		stmt := MustParse(sql)
-		again := MustParse(stmt.SQL())
+		stmt := mustParse(t, sql)
+		again := mustParse(t, stmt.SQL())
 		if stmt.SQL() != again.SQL() {
 			t.Fatalf("unstable round trip for %q", sql)
 		}

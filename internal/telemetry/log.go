@@ -13,18 +13,3 @@ import (
 func NewLogger(w io.Writer) *slog.Logger {
 	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: slog.LevelInfo}))
 }
-
-// NewDeterministicLogger returns a logger whose output is byte-stable
-// across runs: same handler as NewLogger but with the time attribute
-// dropped. Tests golden-pin log output through this.
-func NewDeterministicLogger(w io.Writer) *slog.Logger {
-	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{
-		Level: slog.LevelInfo,
-		ReplaceAttr: func(groups []string, a slog.Attr) slog.Attr {
-			if len(groups) == 0 && a.Key == slog.TimeKey {
-				return slog.Attr{}
-			}
-			return a
-		},
-	}))
-}

@@ -5,33 +5,29 @@ import (
 	"testing"
 )
 
-// TestDeterministicLoggerGolden pins the logfmt shape the CLIs emit
-// (minus the time attribute, which the deterministic variant drops so
-// tests can compare bytes).
-func TestDeterministicLoggerGolden(t *testing.T) {
+// TestLoggerGolden pins the logfmt shape the CLIs emit: each line opens
+// with the time attribute, then the level, the message and the pairs.
+func TestLoggerGolden(t *testing.T) {
 	var sb strings.Builder
-	log := NewDeterministicLogger(&sb)
+	log := NewLogger(&sb)
 	log.Info("compressed workload", "variant", "ISUM", "selected", 20, "of", 1000)
 	log.Warn("deadline reached; output is the best-so-far selection", "rounds", 7)
+	log.Debug("below the Info level")
 	const golden = `level=INFO msg="compressed workload" variant=ISUM selected=20 of=1000
 level=WARN msg="deadline reached; output is the best-so-far selection" rounds=7
 `
-	if sb.String() != golden {
-		t.Errorf("log output mismatch\n got: %q\nwant: %q", sb.String(), golden)
+	var got strings.Builder
+	for _, line := range strings.SplitAfter(sb.String(), "\n") {
+		if line == "" {
+			continue
+		}
+		ts, rest, ok := strings.Cut(line, " ")
+		if !ok || !strings.HasPrefix(ts, "time=") {
+			t.Fatalf("log line lacks a leading time attr: %q", line)
+		}
+		got.WriteString(rest)
 	}
-}
-
-// TestLoggerIncludesTime: the production logger keeps the timestamp; only
-// the deterministic variant strips it.
-func TestLoggerIncludesTime(t *testing.T) {
-	var sb strings.Builder
-	NewLogger(&sb).Info("x")
-	if !strings.Contains(sb.String(), "time=") {
-		t.Errorf("production logger output lacks time attr: %q", sb.String())
-	}
-	var db strings.Builder
-	NewDeterministicLogger(&db).Info("x")
-	if strings.Contains(db.String(), "time=") {
-		t.Errorf("deterministic logger output carries time attr: %q", db.String())
+	if got.String() != golden {
+		t.Errorf("log output mismatch\n got: %q\nwant: %q", got.String(), golden)
 	}
 }

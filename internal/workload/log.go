@@ -143,6 +143,13 @@ func SplitStatements(script string) ([]string, error) {
 	return stmts, nil
 }
 
+// ValidCost reports whether c is a usable optimizer-estimated cost:
+// finite and not negative. Load holds each entry's cost and weight to it,
+// and compression rejects a query whose Cost fails it.
+func ValidCost(c float64) bool {
+	return !math.IsNaN(c) && !math.IsInf(c, 0) && c >= 0
+}
+
 // Load reads a JSON workload log and analyses each query against the
 // catalog. Entries with missing weights default to 1. Costs must be finite
 // and non-negative, weights finite and non-negative (0 means "default");
@@ -164,10 +171,10 @@ func Load(cat *catalog.Catalog, in io.Reader) (*Workload, error) {
 	}
 	w, err := build(cat, sqls, "entry", func(i int) error {
 		e := entries[i]
-		if math.IsNaN(e.Cost) || math.IsInf(e.Cost, 0) || e.Cost < 0 {
+		if !ValidCost(e.Cost) {
 			return fmt.Errorf("workload: entry %d: invalid cost %v (must be finite and >= 0)", i, e.Cost)
 		}
-		if math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0) || e.Weight < 0 {
+		if !ValidCost(e.Weight) {
 			return fmt.Errorf("workload: entry %d: invalid weight %v (must be finite and >= 0)", i, e.Weight)
 		}
 		return nil

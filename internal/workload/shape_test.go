@@ -180,7 +180,10 @@ func TestResolveUnqualifiedInFromOrder(t *testing.T) {
 		{"SELECT * FROM t022, t017 WHERE fk_t014 = 5", "t022"},
 		{"SELECT * FROM t022 a JOIN t017 b ON a.id = b.id WHERE fk_t014 = 5", "t022"},
 	} {
-		stmt := sqlparser.MustParse(c.sql)
+		stmt, err := sqlparser.Parse(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < 50; i++ {
 			info, err := workload.Analyze(cat, stmt)
 			if err != nil {

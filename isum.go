@@ -101,7 +101,7 @@ func NewCatalog() *Catalog { return catalog.New() }
 func NewCatalogTable(name string, rows int64) *Table { return catalog.NewTable(name, rows) }
 
 // NewWorkload parses and analyses SQL strings against a catalog. Fill the
-// costs with Optimizer.FillCosts or load them from your query store.
+// costs with Optimizer.FillCostsCtx or load them from your query store.
 func NewWorkload(cat *Catalog, sqls []string) (*Workload, error) {
 	return workload.New(cat, sqls)
 }
@@ -136,8 +136,8 @@ func NewOptimizer(cat *Catalog) *Optimizer { return cost.NewOptimizer(cat) }
 // WriteTrace method.
 func NewTelemetry() *Telemetry { return telemetry.New() }
 
-// NewOptimizerWithTelemetry returns a what-if optimizer whose call, plan,
-// elision and fault counters register in reg (nil reg behaves like
+// NewOptimizerWithTelemetry returns a what-if optimizer whose call, plan
+// and elision counters register in reg (nil reg behaves like
 // NewOptimizer).
 func NewOptimizerWithTelemetry(cat *Catalog, reg *Telemetry) *Optimizer {
 	return cost.NewOptimizerWithTelemetry(cat, cost.DefaultParams(), reg)
@@ -159,7 +159,11 @@ func NewCompressor(opts CompressorOptions) *Compressor { return core.New(opts) }
 // and the result has Partial set; a query whose cost is NaN, ±Inf or
 // negative is an error naming its position.
 func Compress(ctx context.Context, w *Workload, k int) (*Workload, *CompressionResult, error) {
-	return core.New(core.DefaultOptions()).CompressedWorkloadContext(ctx, w, k)
+	res, err := core.New(core.DefaultOptions()).CompressContext(ctx, w, k)
+	if err != nil {
+		return nil, nil, err
+	}
+	return w.WeightedSubset(res.Indices, res.Weights), res, nil
 }
 
 // DefaultAdvisorOptions returns DTA-style tuning options.
@@ -185,7 +189,7 @@ func Evaluate(ctx context.Context, o *Optimizer, w *Workload, cfg *Configuration
 }
 
 // NewIncremental returns an incremental compressor keeping at most k
-// weighted representatives across Observe calls.
+// weighted representatives across ObserveContext calls.
 func NewIncremental(cat *Catalog, opts CompressorOptions, k int) *IncrementalCompressor {
 	return core.NewIncremental(cat, opts, k)
 }

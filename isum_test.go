@@ -11,8 +11,15 @@ import (
 	"isum"
 )
 
-// compress, tune and evaluate run the façade's pipeline stages on a
+// fillCosts, compress, tune and evaluate run the pipeline stages on a
 // background context and fail the test on an error.
+func fillCosts(t testing.TB, o *isum.Optimizer, w *isum.Workload) {
+	t.Helper()
+	if err := o.FillCostsCtx(context.Background(), w, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func compress(t *testing.T, w *isum.Workload, k int) (*isum.Workload, *isum.CompressionResult) {
 	t.Helper()
 	cw, res, err := isum.Compress(context.Background(), w, k)
@@ -49,7 +56,7 @@ func TestPublicAPIPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := isum.NewOptimizer(gen.Cat)
-	o.FillCosts(w)
+	fillCosts(t, o, w)
 
 	cw, res := compress(t, w, 6)
 	if cw.Len() != 6 || len(res.Weights) != 6 {
@@ -85,7 +92,7 @@ func TestPublicAPICustomCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	isum.NewOptimizer(cat).FillCosts(w)
+	fillCosts(t, isum.NewOptimizer(cat), w)
 	cw, _ := compress(t, w, 1)
 	if cw.Len() != 1 {
 		t.Fatalf("compressed = %d", cw.Len())
@@ -116,7 +123,7 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := isum.NewOptimizer(gen.Cat)
-	o.FillCosts(w)
+	fillCosts(t, o, w)
 
 	cw, _ := compress(t, w, 6)
 	opts := isum.DefaultAdvisorOptions()
@@ -133,8 +140,11 @@ func TestFacadeExtensions(t *testing.T) {
 	}
 
 	ic := isum.NewIncremental(gen.Cat, isum.DefaultOptions(), 5)
-	ic.Observe(w.Queries[:20])
-	ic.Observe(w.Queries[20:])
+	for _, batch := range [][]*isum.Query{w.Queries[:20], w.Queries[20:]} {
+		if _, err := ic.ObserveContext(context.Background(), batch); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if ic.Pool().Len() != 5 || ic.Seen() != 44 {
 		t.Fatalf("incremental pool=%d seen=%d", ic.Pool().Len(), ic.Seen())
 	}
@@ -154,7 +164,7 @@ func TestAllBenchmarksEndToEnd(t *testing.T) {
 				t.Fatal(err)
 			}
 			o := isum.NewOptimizer(gen.Cat)
-			o.FillCosts(w)
+			fillCosts(t, o, w)
 			cw, _ := compress(t, w, 6)
 			opts := isum.DefaultAdvisorOptions()
 			opts.MaxIndexes = 8
@@ -176,7 +186,7 @@ func TestFacadeSerialization(t *testing.T) {
 	gen := isum.TPCH(1)
 	w, _ := gen.Workload(10, 1)
 	o := isum.NewOptimizer(gen.Cat)
-	o.FillCosts(w)
+	fillCosts(t, o, w)
 
 	var catBuf, wBuf, cfgBuf bytes.Buffer
 	if err := gen.Cat.SaveJSON(&catBuf); err != nil {
@@ -223,7 +233,9 @@ func TestFacadeSerialization(t *testing.T) {
 }
 
 // TestFacadeFailureModel exercises the DESIGN.md §9 surface through the
-// public names: anytime partials.
+// public names: anytime partials. Compress's workload holds exactly the
+// result's selections, weighted, as copies of the input queries, on a
+// complete run and on a Partial one alike.
 func TestFacadeFailureModel(t *testing.T) {
 	gen := isum.TPCH(1)
 	w, err := gen.Workload(44, 1)
@@ -231,20 +243,34 @@ func TestFacadeFailureModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := isum.NewOptimizer(gen.Cat)
-	o.FillCosts(w)
+	fillCosts(t, o, w)
+	holdsSelections := func(cw *isum.Workload, res *isum.CompressionResult) {
+		t.Helper()
+		if cw == nil || cw.Len() != len(res.Indices) {
+			t.Fatalf("compressed workload %v does not hold the %d selections", cw, len(res.Indices))
+		}
+		for i, q := range cw.Queries {
+			src := w.Queries[res.Indices[i]]
+			if q == src || q.Text != src.Text || q.Weight != res.Weights[i] {
+				t.Fatalf("query %d is not a copy of input query %d with weight %v", i, res.Indices[i], res.Weights[i])
+			}
+		}
+	}
 
 	cw, res := compress(t, w, 6)
 	if res.Partial || cw.Len() != 6 {
 		t.Fatalf("background Compress: partial=%v len=%d", res.Partial, cw.Len())
 	}
+	holdsSelections(cw, res)
 
 	// A cancelled context yields an anytime partial, never an error.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, pres, err := isum.Compress(cancelled, w, 6)
+	pcw, pres, err := isum.Compress(cancelled, w, 6)
 	if err != nil || !pres.Partial {
 		t.Fatalf("cancelled Compress: err=%v partial=%v", err, pres.Partial)
 	}
+	holdsSelections(pcw, pres)
 	if !isum.IsCancellation(cancelled.Err()) {
 		t.Fatal("IsCancellation")
 	}
@@ -261,7 +287,7 @@ func TestCompressInvalidCostIsError(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			isum.NewOptimizer(gen.Cat).FillCosts(w)
+			fillCosts(t, isum.NewOptimizer(gen.Cat), w)
 			w.Queries[7].Cost = bad
 			_, _, err = isum.Compress(context.Background(), w, 6)
 			if want := fmt.Sprintf("core: query 7: invalid cost %v", bad); err == nil || !strings.HasPrefix(err.Error(), want) {

@@ -11,6 +11,7 @@ package isum_test
 //	go test -bench '^(BenchmarkCompress|BenchmarkTune)$' -benchmem
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -35,7 +36,9 @@ func BenchmarkCompress(b *testing.B) {
 		comp := core.New(opts)
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				comp.Compress(w, 30)
+				if _, err := comp.CompressContext(context.Background(), w, 30); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -44,7 +47,11 @@ func BenchmarkCompress(b *testing.B) {
 func BenchmarkTune(b *testing.B) {
 	w, o := benchWorkload(b, 1000)
 	copts := core.DefaultOptions()
-	cw, _ := core.New(copts).CompressedWorkload(w, 32)
+	res, err := core.New(copts).CompressContext(context.Background(), w, 32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cw := w.WeightedSubset(res.Indices, res.Weights)
 	for name, p := range benchParallelism(b) {
 		opts := advisor.DefaultOptions()
 		opts.MaxIndexes = 10
@@ -54,7 +61,9 @@ func BenchmarkTune(b *testing.B) {
 				// Fresh optimizer per iteration: every run compiles the
 				// same plans, so the two variants compare compute, not
 				// how much an earlier iteration left behind.
-				advisor.New(cost.NewOptimizer(o.Catalog()), opts).Tune(cw)
+				if _, err := advisor.New(cost.NewOptimizer(o.Catalog()), opts).TuneContext(context.Background(), cw); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

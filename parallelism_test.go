@@ -27,7 +27,7 @@ func equivWorkload(t *testing.T, gen *benchmarks.Generator, n int) (*workload.Wo
 		t.Fatal(err)
 	}
 	o := cost.NewOptimizer(gen.Cat)
-	o.FillCosts(w)
+	fillCosts(t, o, w)
 	return w, o
 }
 
@@ -63,14 +63,20 @@ func TestCompressSerialParallelEquivalence(t *testing.T) {
 			t.Run(wl.name+"/"+v.name, func(t *testing.T) {
 				serialOpts := v.opts
 				serialOpts.Parallelism = 1
-				ref := core.New(serialOpts).Compress(w, 15)
+				ref, err := core.New(serialOpts).CompressContext(context.Background(), w, 15)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if len(ref.Indices) == 0 {
 					t.Fatal("serial run selected nothing")
 				}
 				for _, p := range []int{2, 8} {
 					parOpts := v.opts
 					parOpts.Parallelism = p
-					got := core.New(parOpts).Compress(w, 15)
+					got, err := core.New(parOpts).CompressContext(context.Background(), w, 15)
+					if err != nil {
+						t.Fatal(err)
+					}
 					if len(got.Indices) != len(ref.Indices) {
 						t.Fatalf("parallelism %d: selected %d queries, serial selected %d",
 							p, len(got.Indices), len(ref.Indices))
@@ -108,13 +114,17 @@ func TestTuneSerialParallelEquivalence(t *testing.T) {
 			w, o := equivWorkload(t, wl.gen, wl.n)
 			copts := core.DefaultOptions()
 			copts.Parallelism = 1
-			cw, _ := core.New(copts).CompressedWorkload(w, 12)
+			res, err := core.New(copts).CompressContext(context.Background(), w, 12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cw := w.WeightedSubset(res.Indices, res.Weights)
 
-			tune := func(p int) *advisor.Result {
+			tuneAt := func(p int) *advisor.Result {
 				opts := advisor.DefaultOptions()
 				opts.MaxIndexes = 8
 				opts.Parallelism = p
-				return advisor.New(o, opts).Tune(cw)
+				return tune(t, o, cw, opts)
 			}
 			configIDs := func(r *advisor.Result) string {
 				var ids []string
@@ -129,14 +139,14 @@ func TestTuneSerialParallelEquivalence(t *testing.T) {
 			// elide, so only warm runs have parallelism-independent
 			// OptimizerCalls. Recommendations are identical either way
 			// (pinned by TestElisionDoesNotChangeOutput).
-			tune(1)
-			ref := tune(1)
+			tuneAt(1)
+			ref := tuneAt(1)
 			if ref.Config.Len() == 0 {
 				t.Fatal("serial tuning recommended nothing")
 			}
 			refIDs := configIDs(ref)
 			for _, p := range []int{2, 8} {
-				got := tune(p)
+				got := tuneAt(p)
 				if ids := configIDs(got); ids != refIDs {
 					t.Fatalf("parallelism %d recommended a different configuration:\n%s\nvs serial:\n%s",
 						p, ids, refIDs)

@@ -73,6 +73,15 @@ go run ./scripts/metricscheck \
     -names-from internal/cost \
     "$metrics_out"
 
+# The examples are the library's documented entry points; run each so a
+# change that breaks one fails here, not only when a reader tries it.
+echo "== examples =="
+go build -o "$ci_tmp/examples/" ./examples/...
+for ex in "$ci_tmp"/examples/*; do
+    echo "example $(basename "$ex")"
+    "$ex" >/dev/null
+done
+
 echo "== failure-model smoke =="
 fm_dir="$ci_tmp/fm"
 mkdir "$fm_dir"
