@@ -117,6 +117,33 @@ func TestTuneContextAnytime(t *testing.T) {
 	}
 }
 
+// TestTuneContextEquivalence: a live context that is never cancelled
+// gives the background run's configuration and costs. Observing its Done
+// channel between pool indices and at round boundaries must not perturb
+// the search.
+func TestTuneContextEquivalence(t *testing.T) {
+	cat := testCatalog()
+	w := testWorkload(t, cat)
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	bg := tune(t, New(cost.NewOptimizer(cat), serialOptions()), w)
+	res, err := New(cost.NewOptimizer(cat), serialOptions()).TuneContext(live, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bg.Partial || res.Partial {
+		t.Fatalf("uncancelled run marked partial (background %v, live %v)", bg.Partial, res.Partial)
+	}
+	if got, want := res.Config.Fingerprint(), bg.Config.Fingerprint(); got != want {
+		t.Fatalf("background and live-context runs diverge: %q vs %q", got, want)
+	}
+	if res.InitialCost != bg.InitialCost || res.FinalCost != bg.FinalCost {
+		t.Fatalf("costs diverge: (%v, %v) vs (%v, %v)",
+			res.InitialCost, res.FinalCost, bg.InitialCost, bg.FinalCost)
+	}
+}
+
 // TestEvaluateImprovementContextFailures: an evaluation that cannot cost
 // every query returns the pool's error and no figures. A cancelled
 // context is a cancellation and makes no what-if call; a contained worker

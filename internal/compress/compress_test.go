@@ -124,24 +124,26 @@ func TestAllCompressorsContract(t *testing.T) {
 // and weighs by cost, so it must reject.
 func TestInvalidCostContract(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), -1} {
-		w := testWorkload(t)
-		w.Queries[7].Cost = bad
-		w.Queries[12].Cost = bad
-		want := fmt.Sprintf("query 7: invalid cost %v", bad)
-		for _, c := range allCompressors() {
-			res, err := c.CompressContext(context.Background(), w, 5)
-			if err != nil {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("%s with cost %v: err = %v, want it to contain %q", c.Name(), bad, err, want)
+		t.Run(fmt.Sprint(bad), func(t *testing.T) {
+			w := testWorkload(t)
+			w.Queries[7].Cost = bad
+			w.Queries[12].Cost = bad
+			want := fmt.Sprintf("query 7: invalid cost %v", bad)
+			for _, c := range allCompressors() {
+				res, err := c.CompressContext(context.Background(), w, 5)
+				if err != nil {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("%s with cost %v: err = %v, want it to contain %q", c.Name(), bad, err, want)
+					}
+					continue
 				}
-				continue
+				if _, ok := c.(*CostTopK); ok {
+					t.Errorf("CostTopK accepted cost %v", bad)
+					continue
+				}
+				checkResult(t, c.Name(), w, res, 5)
 			}
-			if _, ok := c.(*CostTopK); ok {
-				t.Errorf("CostTopK accepted cost %v", bad)
-				continue
-			}
-			checkResult(t, c.Name(), w, res, 5)
-		}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -107,5 +108,29 @@ func TestCompressContextAnytime(t *testing.T) {
 	}
 	if !sawMidRun {
 		t.Fatal("no budget produced a non-empty partial selection; the sweep is not exercising mid-run cancellation")
+	}
+}
+
+// TestCompressContextEquivalence: a live context that is never cancelled
+// gives the background run's result bit for bit. Observing its Done
+// channel between pool indices and at round boundaries must not perturb
+// the selection or its weights.
+func TestCompressContextEquivalence(t *testing.T) {
+	w := testWorkload(t)
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, k := range []int{1, 3, 16, 100} {
+		bg := compress(t, New(DefaultOptions()), w, k)
+		res, err := New(DefaultOptions()).CompressContext(live, w, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bg.Partial || res.Partial {
+			t.Fatalf("k=%d: uncancelled run marked partial (background %v, live %v)", k, bg.Partial, res.Partial)
+		}
+		if !reflect.DeepEqual(bg.Indices, res.Indices) || !reflect.DeepEqual(bg.Weights, res.Weights) {
+			t.Fatalf("k=%d: background and live-context runs diverge:\n%v %v\n%v %v",
+				k, bg.Indices, bg.Weights, res.Indices, res.Weights)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestLoggerGolden pins the logfmt shape the CLIs emit: each line opens
@@ -29,5 +30,20 @@ level=WARN msg="deadline reached; output is the best-so-far selection" rounds=7
 	}
 	if got.String() != golden {
 		t.Errorf("log output mismatch\n got: %q\nwant: %q", got.String(), golden)
+	}
+}
+
+// TestLoggerIncludesTime: the production logger keeps the timestamp, and
+// its value parses as an RFC 3339 time.
+func TestLoggerIncludesTime(t *testing.T) {
+	var sb strings.Builder
+	NewLogger(&sb).Info("x")
+	attr, _, _ := strings.Cut(sb.String(), " ")
+	ts, ok := strings.CutPrefix(attr, "time=")
+	if !ok {
+		t.Fatalf("production logger output lacks time attr: %q", sb.String())
+	}
+	if _, err := time.Parse(time.RFC3339, ts); err != nil {
+		t.Errorf("time attr %q: %v", ts, err)
 	}
 }

@@ -233,9 +233,7 @@ func TestFacadeSerialization(t *testing.T) {
 }
 
 // TestFacadeFailureModel exercises the DESIGN.md §9 surface through the
-// public names: anytime partials. Compress's workload holds exactly the
-// result's selections, weighted, as copies of the input queries, on a
-// complete run and on a Partial one alike.
+// public names: anytime partials.
 func TestFacadeFailureModel(t *testing.T) {
 	gen := isum.TPCH(1)
 	w, err := gen.Workload(44, 1)
@@ -244,35 +242,79 @@ func TestFacadeFailureModel(t *testing.T) {
 	}
 	o := isum.NewOptimizer(gen.Cat)
 	fillCosts(t, o, w)
-	holdsSelections := func(cw *isum.Workload, res *isum.CompressionResult) {
-		t.Helper()
-		if cw == nil || cw.Len() != len(res.Indices) {
-			t.Fatalf("compressed workload %v does not hold the %d selections", cw, len(res.Indices))
-		}
-		for i, q := range cw.Queries {
-			src := w.Queries[res.Indices[i]]
-			if q == src || q.Text != src.Text || q.Weight != res.Weights[i] {
-				t.Fatalf("query %d is not a copy of input query %d with weight %v", i, res.Indices[i], res.Weights[i])
-			}
-		}
-	}
 
 	cw, res := compress(t, w, 6)
 	if res.Partial || cw.Len() != 6 {
 		t.Fatalf("background Compress: partial=%v len=%d", res.Partial, cw.Len())
 	}
-	holdsSelections(cw, res)
 
 	// A cancelled context yields an anytime partial, never an error.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	pcw, pres, err := isum.Compress(cancelled, w, 6)
+	_, pres, err := isum.Compress(cancelled, w, 6)
 	if err != nil || !pres.Partial {
 		t.Fatalf("cancelled Compress: err=%v partial=%v", err, pres.Partial)
 	}
-	holdsSelections(pcw, pres)
 	if !isum.IsCancellation(cancelled.Err()) {
 		t.Fatal("IsCancellation")
+	}
+}
+
+// TestCompressedWorkloadMaterialisation: Compress's workload holds the
+// result's selections in order, each weighted by its result weight, as
+// copies of the input queries: changing one leaves the input untouched.
+func TestCompressedWorkloadMaterialisation(t *testing.T) {
+	gen := isum.TPCH(1)
+	w, err := gen.Workload(44, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillCosts(t, isum.NewOptimizer(gen.Cat), w)
+
+	cw, res := compress(t, w, 3)
+	if cw.Len() != 3 || len(res.Indices) != 3 {
+		t.Fatalf("len = %d, %d indices", cw.Len(), len(res.Indices))
+	}
+	for i, q := range cw.Queries {
+		src := w.Queries[res.Indices[i]]
+		if q == src || q.Text != src.Text || q.Weight != res.Weights[i] {
+			t.Fatalf("query %d is not a copy of input query %d with weight %v", i, res.Indices[i], res.Weights[i])
+		}
+	}
+	cw.Queries[0].Weight = 99
+	for _, q := range w.Queries {
+		if q.Weight == 99 {
+			t.Fatal("compressed workload aliases input queries")
+		}
+	}
+}
+
+// TestCompressedWorkloadContextPartial: under a cancelled context,
+// Compress's workload holds exactly the Partial result's selections.
+func TestCompressedWorkloadContextPartial(t *testing.T) {
+	gen := isum.TPCH(1)
+	w, err := gen.Workload(44, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillCosts(t, isum.NewOptimizer(gen.Cat), w)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cw, res, err := isum.Compress(ctx, w, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Partial {
+		t.Fatal("want partial result")
+	}
+	if cw == nil || cw.Len() != len(res.Indices) || len(res.Weights) != len(res.Indices) {
+		t.Fatalf("materialised workload does not match the partial selection: %v vs %d indices", cw, len(res.Indices))
+	}
+	for i, q := range cw.Queries {
+		if src := w.Queries[res.Indices[i]]; q.Text != src.Text || q.Weight != res.Weights[i] {
+			t.Fatalf("query %d does not hold selection %d with weight %v", i, res.Indices[i], res.Weights[i])
+		}
 	}
 }
 
